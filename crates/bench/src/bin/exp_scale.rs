@@ -64,7 +64,6 @@ fn main() {
     // cap (off with 0) keeps scan cost linear at a recall price — this is
     // the scale knob, not the fidelity knob.
     cfg.max_bucket = args.get_usize("max-bucket", 256);
-    cfg.compact_segments = args.has_flag("compact");
 
     let mut synth = SynthConfig::ml1m().with_seed(seed);
     synth.n_users = users;

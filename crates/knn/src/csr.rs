@@ -1,26 +1,30 @@
-//! Compact CSR graph forms: the two-array in-memory layout and the `GFCS`
-//! spill-segment format with delta-varint id compression.
+//! The `GFCS` graph file format: CSR neighbour lists with delta-varint id
+//! compression and exact `f64` similarities.
 //!
-//! [`KnnGraph`] keeps edges as `Scored { sim: f64, user: u32 }` — 16 bytes
-//! per edge with padding — because every digest-pinned consumer compares
-//! exact `f64` similarities. This module holds the representations for
-//! when that is too big:
+//! A `GFCS` segment is the serialized form of a contiguous user range of a
+//! [`KnnGraph`]. It is the repo's one graph file format:
 //!
-//! - [`CompactGraph`]: ids (`u32`) and sims (`f32`) in two flat arrays
-//!   plus offsets — 8 bytes per edge, cutting a resident graph in half.
-//!   Converting to it rounds similarities to `f32`, so it is for
-//!   memory-constrained serving, **not** for digest-pinned paths.
-//! - `GFCS` segments: the serialized form of a contiguous user range of a
-//!   graph, used by the out-of-core build to spill finished shards.
-//!   Neighbour ids are delta-encoded in list order (zigzag + varint —
-//!   LSH neighbourhoods are id-clustered, so deltas are short) and
-//!   similarities are either exact `f64` (the default: a spilled shard
-//!   stitches back **bit-identically**) or compact `f32`.
+//! - a whole graph is one segment with `user_lo = 0`
+//!   ([`write_knn_graph`] / [`read_knn_graph`]) — what the CLI writes;
+//! - the out-of-core build spills each finished shard as a segment and
+//!   stitches them back in user order ([`Segment::append_into`]).
+//!
+//! Neighbour ids are delta-encoded in list order (zigzag + varint — LSH
+//! neighbourhoods are id-clustered, so deltas are short) and similarities
+//! are stored as exact `f64`, so every round trip is **bit-identical**.
+//!
+//! Readers validate the header and every edge (in-range neighbour ids, no
+//! self-loops, finite similarities in `[0, 1]`, descending order, no
+//! duplicates), so a corrupted graph cannot silently poison a
+//! recommender. Header counts are untrusted: pre-reservations are capped
+//! and storage grows as lists decode, so a header claiming a huge
+//! population fails at the first missing byte instead of aborting on
+//! allocation.
 //!
 //! ```text
 //! "GFCS" | u8 version | u8 flags | u16 0 | u32 k | u64 user_lo | u64 n
 //! per user: uvarint degree | degree × zigzag-uvarint id delta
-//!         | degree × (f64 | f32) sim
+//!         | degree × f64 sim
 //! ```
 
 use crate::graph::{CsrBuilder, KnnGraph};
@@ -31,8 +35,11 @@ use std::io::{self, Read, Write};
 /// Magic of a `GFCS` graph segment.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"GFCS";
 const SEGMENT_VERSION: u8 = 1;
-/// Flag bit: similarities are stored as exact `f64` (else compact `f32`).
+/// Flag bit: similarities are stored as exact `f64`. Every segment sets
+/// it; readers reject any other flag combination.
 const FLAG_EXACT_SIMS: u8 = 1;
+/// Upper bound on the users pre-reserved from an (untrusted) header.
+const MAX_PRERESERVE: usize = 1 << 16;
 
 fn corrupt(msg: impl Into<String>) -> DecodeError {
     DecodeError::Corrupt(msg.into())
@@ -84,95 +91,6 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// A KNN graph with ids and similarities in two flat arrays: `u32` ids,
-/// `f32` sims, `u64` offsets — half the resident bytes of [`KnnGraph`].
-///
-/// Conversion from a [`KnnGraph`] rounds similarities to `f32`;
-/// [`CompactGraph::to_graph`] widens them back, which is *not* the
-/// original `f64` in general. Use it where memory beats exactness
-/// (read-mostly serving snapshots), never where golden digests are
-/// compared.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompactGraph {
-    k: usize,
-    offsets: Vec<u64>,
-    ids: Vec<u32>,
-    sims: Vec<f32>,
-}
-
-impl CompactGraph {
-    /// Compacts a [`KnnGraph`] (similarities round to `f32`).
-    pub fn from_graph(graph: &KnnGraph) -> Self {
-        let mut offsets = Vec::with_capacity(graph.n_users() + 1);
-        let mut ids = Vec::with_capacity(graph.n_edges());
-        let mut sims = Vec::with_capacity(graph.n_edges());
-        offsets.push(0u64);
-        for u in 0..graph.n_users() as u32 {
-            for s in graph.neighbors(u) {
-                ids.push(s.user);
-                sims.push(s.sim as f32);
-            }
-            offsets.push(ids.len() as u64);
-        }
-        CompactGraph {
-            k: graph.k(),
-            offsets,
-            ids,
-            sims,
-        }
-    }
-
-    /// Neighbourhood size parameter `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of users.
-    pub fn n_users(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of directed edges.
-    pub fn n_edges(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Neighbour ids of `u`, most similar first.
-    pub fn neighbor_ids(&self, u: u32) -> &[u32] {
-        let u = u as usize;
-        &self.ids[self.offsets[u] as usize..self.offsets[u + 1] as usize]
-    }
-
-    /// Neighbour similarities of `u`, aligned with
-    /// [`CompactGraph::neighbor_ids`].
-    pub fn neighbor_sims(&self, u: u32) -> &[f32] {
-        let u = u as usize;
-        &self.sims[self.offsets[u] as usize..self.offsets[u + 1] as usize]
-    }
-
-    /// Widens back to a [`KnnGraph`] (sims become `f32`-rounded `f64`s).
-    pub fn to_graph(&self) -> KnnGraph {
-        let mut builder = CsrBuilder::with_capacity(self.k, self.n_users());
-        let mut list = Vec::with_capacity(self.k);
-        for u in 0..self.n_users() as u32 {
-            list.clear();
-            for (&id, &sim) in self.neighbor_ids(u).iter().zip(self.neighbor_sims(u)) {
-                list.push(Scored {
-                    sim: f64::from(sim),
-                    user: id,
-                });
-            }
-            builder.push_list(&list);
-        }
-        builder.finish()
-    }
-
-    /// Resident bytes of the three arrays (capacity, not length).
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.capacity() * 8 + self.ids.capacity() * 4 + self.sims.capacity() * 4
-    }
-}
-
 /// Streaming writer of one `GFCS` segment covering the contiguous user
 /// range `user_lo .. user_lo + n_users` of a graph. Lists are pushed in
 /// user order; ids in a list are **global** user ids.
@@ -183,22 +101,13 @@ pub struct SegmentWriter<W: Write> {
     user_lo: u64,
     n_users: u64,
     pushed: u64,
-    exact_sims: bool,
 }
 
 impl<W: Write> SegmentWriter<W> {
-    /// Writes the segment header. `exact_sims` selects `f64` payloads
-    /// (bit-exact stitching) over `f32` (half the sim bytes).
-    pub fn new(
-        mut w: W,
-        k: usize,
-        user_lo: u64,
-        n_users: u64,
-        exact_sims: bool,
-    ) -> io::Result<Self> {
+    /// Writes the segment header.
+    pub fn new(mut w: W, k: usize, user_lo: u64, n_users: u64) -> io::Result<Self> {
         w.write_all(SEGMENT_MAGIC)?;
-        let flags = if exact_sims { FLAG_EXACT_SIMS } else { 0 };
-        w.write_all(&[SEGMENT_VERSION, flags, 0, 0])?;
+        w.write_all(&[SEGMENT_VERSION, FLAG_EXACT_SIMS, 0, 0])?;
         w.write_all(&(k as u32).to_le_bytes())?;
         w.write_all(&user_lo.to_le_bytes())?;
         w.write_all(&n_users.to_le_bytes())?;
@@ -208,7 +117,6 @@ impl<W: Write> SegmentWriter<W> {
             user_lo,
             n_users,
             pushed: 0,
-            exact_sims,
         })
     }
 
@@ -230,11 +138,7 @@ impl<W: Write> SegmentWriter<W> {
             prev = id;
         }
         for s in list {
-            if self.exact_sims {
-                self.w.write_all(&s.sim.to_le_bytes())?;
-            } else {
-                self.w.write_all(&(s.sim as f32).to_le_bytes())?;
-            }
+            self.w.write_all(&s.sim.to_le_bytes())?;
         }
         Ok(())
     }
@@ -261,7 +165,6 @@ impl<W: Write> SegmentWriter<W> {
 pub struct Segment {
     k: usize,
     user_lo: u64,
-    exact_sims: bool,
     offsets: Vec<u64>,
     ids: Vec<u32>,
     sims: Vec<f64>,
@@ -283,50 +186,37 @@ impl Segment {
         self.offsets.len() - 1
     }
 
-    /// Whether similarities were stored as exact `f64`.
-    pub fn exact_sims(&self) -> bool {
-        self.exact_sims
-    }
-
-    /// The decoded neighbour list of local user `u` (0-based within the
+    /// The decoded entries of local user `u` (0-based within the
     /// segment), as [`Scored`] entries with global ids.
-    pub fn list(&self, u: usize) -> Vec<Scored> {
+    fn entries(&self, u: usize) -> impl Iterator<Item = Scored> + '_ {
         let lo = self.offsets[u] as usize;
         let hi = self.offsets[u + 1] as usize;
         self.ids[lo..hi]
             .iter()
             .zip(&self.sims[lo..hi])
             .map(|(&user, &sim)| Scored { sim, user })
-            .collect()
+    }
+
+    /// The decoded neighbour list of local user `u` (0-based within the
+    /// segment), as [`Scored`] entries with global ids.
+    pub fn list(&self, u: usize) -> Vec<Scored> {
+        self.entries(u).collect()
     }
 
     /// Appends every list of this segment into a [`CsrBuilder`] — the
     /// stitching primitive: feed segments in ascending `user_lo` order
     /// and `finish()` the builder into the full graph.
     pub fn append_into(&self, builder: &mut CsrBuilder) {
-        let mut list = Vec::with_capacity(self.k);
         for u in 0..self.n_users() {
-            let lo = self.offsets[u] as usize;
-            let hi = self.offsets[u + 1] as usize;
-            list.clear();
-            for (&user, &sim) in self.ids[lo..hi].iter().zip(&self.sims[lo..hi]) {
-                list.push(Scored { sim, user });
-            }
-            builder.push_list(&list);
+            builder.push_sorted(self.entries(u));
         }
     }
 }
 
 /// Writes the user range `lo..hi` of a graph as one `GFCS` segment.
-pub fn write_graph_segment(
-    graph: &KnnGraph,
-    lo: u32,
-    hi: u32,
-    exact_sims: bool,
-    w: impl Write,
-) -> io::Result<()> {
+pub fn write_graph_segment(graph: &KnnGraph, lo: u32, hi: u32, w: impl Write) -> io::Result<()> {
     assert!(lo <= hi && hi as usize <= graph.n_users(), "invalid range");
-    let mut seg = SegmentWriter::new(w, graph.k(), u64::from(lo), u64::from(hi - lo), exact_sims)?;
+    let mut seg = SegmentWriter::new(w, graph.k(), u64::from(lo), u64::from(hi - lo))?;
     for u in lo..hi {
         seg.push_list(graph.neighbors(u))?;
     }
@@ -334,9 +224,34 @@ pub fn write_graph_segment(
     Ok(())
 }
 
+/// Writes a whole KNN graph as one `GFCS` segment (`user_lo = 0`).
+pub fn write_knn_graph(graph: &KnnGraph, w: &mut impl Write) -> io::Result<()> {
+    write_graph_segment(graph, 0, graph.n_users() as u32, w)
+}
+
+/// Reads and validates a whole KNN graph written by [`write_knn_graph`]:
+/// one segment starting at user 0, whose population is the header's `n`.
+pub fn read_knn_graph(r: &mut impl Read) -> Result<KnnGraph, DecodeError> {
+    let (k, user_lo, n) = read_header(r)?;
+    if user_lo != 0 {
+        return Err(corrupt(format!(
+            "graph file starts at user {user_lo}, not 0"
+        )));
+    }
+    let mut graph = CsrBuilder::new(k);
+    read_lists(r, k, 0, n, n)?.append_into(&mut graph);
+    Ok(graph.finish())
+}
+
 /// Reads and validates one `GFCS` segment. `n_total` is the population of
 /// the full graph the segment belongs to (bounds neighbour ids).
 pub fn read_segment(r: &mut impl Read, n_total: u64) -> Result<Segment, DecodeError> {
+    let (k, user_lo, n_users) = read_header(r)?;
+    read_lists(r, k, user_lo, n_users, n_total)
+}
+
+/// Reads the fixed header: `(k, user_lo, n_users)`.
+fn read_header(r: &mut impl Read) -> Result<(usize, u64, u64), DecodeError> {
     let mut head = [0u8; 28];
     r.read_exact(&mut head)?;
     if head[0..4] != *SEGMENT_MAGIC {
@@ -348,21 +263,31 @@ pub fn read_segment(r: &mut impl Read, n_total: u64) -> Result<Segment, DecodeEr
     if head[4] != SEGMENT_VERSION {
         return Err(corrupt(format!("unsupported segment version {}", head[4])));
     }
-    let flags = head[5];
-    if flags & !FLAG_EXACT_SIMS != 0 {
-        return Err(corrupt(format!("unknown segment flags {flags:#x}")));
+    if head[5] != FLAG_EXACT_SIMS {
+        return Err(corrupt(format!("unsupported segment flags {:#x}", head[5])));
     }
-    let exact_sims = flags & FLAG_EXACT_SIMS != 0;
     let k = u32::from_le_bytes(head[8..12].try_into().unwrap()) as usize;
     let user_lo = u64::from_le_bytes(head[12..20].try_into().unwrap());
     let n_users = u64::from_le_bytes(head[20..28].try_into().unwrap());
+    Ok((k, user_lo, n_users))
+}
+
+/// Decodes and validates the lists of users `user_lo .. user_lo +
+/// n_users` of a graph over `n_total` users.
+fn read_lists(
+    r: &mut impl Read,
+    k: usize,
+    user_lo: u64,
+    n_users: u64,
+    n_total: u64,
+) -> Result<Segment, DecodeError> {
     if k == 0 || user_lo.saturating_add(n_users) > n_total {
         return Err(corrupt(format!(
             "implausible segment header: k = {k}, range {user_lo}+{n_users} of {n_total}"
         )));
     }
     let n_users = usize::try_from(n_users).map_err(|_| corrupt("segment too large for usize"))?;
-    let mut offsets = Vec::with_capacity(n_users + 1);
+    let mut offsets = Vec::with_capacity(n_users.min(MAX_PRERESERVE) + 1);
     offsets.push(0u64);
     let mut ids = Vec::new();
     let mut sims = Vec::new();
@@ -378,28 +303,21 @@ pub fn read_segment(r: &mut impl Read, n_total: u64) -> Result<Segment, DecodeEr
         let mut prev = 0i64;
         let base = ids.len();
         for _ in 0..degree {
-            let id = prev + unzigzag(read_uvarint(r)?);
-            if id < 0 || id as u64 >= n_total {
-                return Err(corrupt(format!(
-                    "user {global}: neighbour {id} out of range"
-                )));
-            }
-            if id as u64 == global {
+            let id = prev
+                .checked_add(unzigzag(read_uvarint(r)?))
+                .and_then(|id| u32::try_from(id).ok())
+                .filter(|&id| u64::from(id) < n_total)
+                .ok_or_else(|| corrupt(format!("user {global}: neighbour out of range")))?;
+            if u64::from(id) == global {
                 return Err(corrupt(format!("user {global} is its own neighbour")));
             }
-            prev = id;
-            ids.push(id as u32);
+            prev = i64::from(id);
+            ids.push(id);
         }
         for _ in 0..degree {
-            let sim = if exact_sims {
-                let mut b = [0u8; 8];
-                r.read_exact(&mut b)?;
-                f64::from_le_bytes(b)
-            } else {
-                let mut b = [0u8; 4];
-                r.read_exact(&mut b)?;
-                f64::from(f32::from_le_bytes(b))
-            };
+            let mut b = [0u8; 8];
+            r.read_exact(&mut b)?;
+            let sim = f64::from_le_bytes(b);
             if !sim.is_finite() || !(0.0..=1.0).contains(&sim) {
                 return Err(corrupt(format!(
                     "user {global}: similarity {sim} out of range"
@@ -426,7 +344,6 @@ pub fn read_segment(r: &mut impl Read, n_total: u64) -> Result<Segment, DecodeEr
     Ok(Segment {
         k,
         user_lo,
-        exact_sims,
         offsets,
         ids,
         sims,
@@ -441,36 +358,47 @@ mod tests {
     use goldfinger_core::similarity::ExplicitJaccard;
 
     fn graph() -> KnnGraph {
-        let lists: Vec<Vec<u32>> = (0..17)
+        let mut lists: Vec<Vec<u32>> = (0..17)
             .map(|u| ((u * 4)..(u * 4 + 10 + u % 7)).collect())
             .collect();
+        lists.push(vec![]); // an empty profile
         let profiles = ProfileStore::from_item_lists(lists);
         let sim = ExplicitJaccard::new(&profiles);
         BruteForce::default().build(&sim, 3).graph
     }
 
+    fn s(sim: f64, user: u32) -> Scored {
+        Scored { sim, user }
+    }
+
+    /// A graph file whose lists are written verbatim: the writer checks
+    /// only list counts and lengths, so it can encode corrupt content.
+    fn raw_graph(k: usize, lists: &[Vec<Scored>]) -> Vec<u8> {
+        let mut seg = SegmentWriter::new(Vec::new(), k, 0, lists.len() as u64).unwrap();
+        for list in lists {
+            seg.push_list(list).unwrap();
+        }
+        seg.finish().unwrap()
+    }
+
+    fn assert_corrupt(bytes: &[u8], needle: &str) {
+        match read_knn_graph(&mut &bytes[..]) {
+            Err(DecodeError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected a {needle:?} error, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn compact_graph_halves_edges_and_round_trips_to_f32() {
+    fn graph_roundtrips() {
         let g = graph();
-        let c = CompactGraph::from_graph(&g);
-        assert_eq!(c.k(), g.k());
-        assert_eq!(c.n_users(), g.n_users());
-        assert_eq!(c.n_edges(), g.n_edges());
+        let mut buf = Vec::new();
+        write_knn_graph(&g, &mut buf).unwrap();
+        let back = read_knn_graph(&mut buf.as_slice()).unwrap();
+        assert_eq!(back.k(), g.k());
+        assert_eq!(back.n_users(), g.n_users());
         for u in 0..g.n_users() as u32 {
-            let ids: Vec<u32> = g.neighbors(u).iter().map(|s| s.user).collect();
-            assert_eq!(c.neighbor_ids(u), &ids[..]);
-            for (s, &cs) in g.neighbors(u).iter().zip(c.neighbor_sims(u)) {
-                assert_eq!(cs, s.sim as f32);
-            }
+            assert_eq!(back.neighbors(u), g.neighbors(u));
         }
-        let widened = c.to_graph();
-        for u in 0..g.n_users() as u32 {
-            for (orig, wide) in g.neighbors(u).iter().zip(widened.neighbors(u)) {
-                assert_eq!(wide.user, orig.user);
-                assert_eq!(wide.sim, f64::from(orig.sim as f32));
-            }
-        }
-        assert!(c.heap_bytes() > 0);
     }
 
     #[test]
@@ -482,13 +410,12 @@ mod tests {
         let mut segments = Vec::new();
         for w in cuts.windows(2) {
             let mut buf = Vec::new();
-            write_graph_segment(&g, w[0], w[1], true, &mut buf).unwrap();
+            write_graph_segment(&g, w[0], w[1], &mut buf).unwrap();
             segments.push(buf);
         }
         let mut builder = CsrBuilder::with_capacity(g.k(), g.n_users());
         for buf in &segments {
             let seg = read_segment(&mut buf.as_slice(), u64::from(n)).unwrap();
-            assert!(seg.exact_sims());
             seg.append_into(&mut builder);
         }
         let stitched = builder.finish();
@@ -496,27 +423,6 @@ mod tests {
         for u in 0..n {
             assert_eq!(stitched.neighbors(u), g.neighbors(u), "user {u}");
         }
-    }
-
-    #[test]
-    fn compact_segments_round_sims_to_f32() {
-        let g = graph();
-        let n = g.n_users() as u64;
-        let mut buf = Vec::new();
-        write_graph_segment(&g, 0, g.n_users() as u32, false, &mut buf).unwrap();
-        let seg = read_segment(&mut buf.as_slice(), n).unwrap();
-        assert!(!seg.exact_sims());
-        for u in 0..g.n_users() {
-            let list = seg.list(u);
-            for (got, orig) in list.iter().zip(g.neighbors(u as u32)) {
-                assert_eq!(got.user, orig.user);
-                assert_eq!(got.sim, f64::from(orig.sim as f32));
-            }
-        }
-        // The compact form is smaller than the exact form.
-        let mut exact = Vec::new();
-        write_graph_segment(&g, 0, g.n_users() as u32, true, &mut exact).unwrap();
-        assert!(buf.len() < exact.len());
     }
 
     #[test]
@@ -536,7 +442,7 @@ mod tests {
         let g = graph();
         let n = g.n_users() as u64;
         let mut buf = Vec::new();
-        write_graph_segment(&g, 0, g.n_users() as u32, true, &mut buf).unwrap();
+        write_graph_segment(&g, 0, g.n_users() as u32, &mut buf).unwrap();
         // Bad magic.
         let mut bad = buf.clone();
         bad[1] = b'?';
@@ -544,10 +450,13 @@ mod tests {
             read_segment(&mut bad.as_slice(), n),
             Err(DecodeError::BadMagic { .. })
         ));
-        // Unknown flags.
-        let mut bad = buf.clone();
-        bad[5] = 0xFE;
-        assert!(read_segment(&mut bad.as_slice(), n).is_err());
+        // Unknown flags, and the retired f32-similarity payload (flags 0).
+        for flags in [0xFE, 0] {
+            let mut bad = buf.clone();
+            bad[5] = flags;
+            assert!(read_segment(&mut bad.as_slice(), n).is_err());
+            assert!(read_knn_graph(&mut bad.as_slice()).is_err());
+        }
         // Range beyond the declared population.
         assert!(read_segment(&mut buf.as_slice(), 2).is_err());
         // Truncation surfaces as an I/O error.
@@ -557,12 +466,75 @@ mod tests {
             read_segment(&mut bad.as_slice(), n),
             Err(DecodeError::Io(_))
         ));
+        bad.truncate(buf.len() / 2);
+        assert!(matches!(
+            read_knn_graph(&mut bad.as_slice()),
+            Err(DecodeError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn graph_file_must_start_at_user_zero() {
+        let g = graph();
+        let mut buf = Vec::new();
+        write_graph_segment(&g, 1, g.n_users() as u32, &mut buf).unwrap();
+        assert_corrupt(&buf, "not 0");
+    }
+
+    #[test]
+    fn out_of_range_neighbor_is_rejected() {
+        assert_corrupt(&raw_graph(1, &[vec![s(0.5, 5)]]), "out of range");
+    }
+
+    #[test]
+    fn nan_similarity_is_rejected() {
+        assert_corrupt(&raw_graph(1, &[vec![s(f64::NAN, 1)], vec![]]), "similarity");
+    }
+
+    #[test]
+    fn self_loop_is_rejected() {
+        assert_corrupt(&raw_graph(1, &[vec![s(0.5, 0)]]), "own neighbour");
+    }
+
+    #[test]
+    fn mis_sorted_list_is_rejected() {
+        let lists = [vec![s(0.2, 1), s(0.9, 2)], vec![], vec![]];
+        assert_corrupt(&raw_graph(2, &lists), "mis-sorted");
+        // Equal similarities must break ties by ascending id.
+        let lists = [vec![s(0.5, 2), s(0.5, 1)], vec![], vec![]];
+        assert_corrupt(&raw_graph(2, &lists), "mis-sorted");
+    }
+
+    #[test]
+    fn duplicate_neighbor_is_rejected() {
+        let lists = [vec![s(0.9, 1), s(0.5, 2), s(0.3, 1)], vec![], vec![]];
+        assert_corrupt(&raw_graph(3, &lists), "duplicate");
+    }
+
+    #[test]
+    fn huge_header_counts_fail_without_allocating() {
+        // k = u32::MAX and n = 2^40 with no body: the reader must reach
+        // the missing first list (an I/O error), not reserve n·k edges.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(SEGMENT_MAGIC);
+        buf.extend_from_slice(&[SEGMENT_VERSION, FLAG_EXACT_SIMS, 0, 0]);
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(matches!(
+            read_knn_graph(&mut buf.as_slice()),
+            Err(DecodeError::Io(_))
+        ));
+        assert!(matches!(
+            read_segment(&mut buf.as_slice(), 1 << 40),
+            Err(DecodeError::Io(_))
+        ));
     }
 
     #[test]
     #[should_panic(expected = "missing lists")]
     fn segment_writer_rejects_short_push_count() {
-        let seg = SegmentWriter::new(Vec::new(), 2, 0, 3, true).unwrap();
+        let seg = SegmentWriter::new(Vec::new(), 2, 0, 3).unwrap();
         let _ = seg.finish();
     }
 }

@@ -46,7 +46,6 @@ pub mod builder;
 pub mod builders;
 pub mod cluster;
 pub mod csr;
-pub mod dynamic;
 pub mod engine;
 pub mod graph;
 pub mod hyrec;
@@ -58,7 +57,6 @@ pub mod neighborlist;
 pub mod nndescent;
 pub mod oocbuild;
 pub mod oplog;
-pub mod serial;
 pub mod serve;
 pub mod shard;
 
@@ -68,8 +66,7 @@ pub use analysis::{degree_stats, edge_overlap, in_degrees, reverse_graph, Degree
 pub use brute::BruteForce;
 pub use builder::{BuildInput, ErasedBuilder, KnnBuilder};
 pub use cluster::{Cluster, ClusterAssignment, ClusterStats};
-pub use csr::CompactGraph;
-pub use dynamic::DynamicKnn;
+pub use csr::{read_knn_graph, write_knn_graph};
 pub use engine::{JoinStrategy, RefineEngine};
 pub use goldfinger_obs::{BuildObserver, IterationEvent, NoopObserver, RecordingObserver};
 pub use graph::{BuildStats, KnnGraph, KnnResult};
@@ -81,7 +78,6 @@ pub use metrics::{average_similarity, edge_recall, quality};
 pub use nndescent::NNDescent;
 pub use oocbuild::{OocConfig, OocStats};
 pub use oplog::{write_op_log, OpLogReader};
-pub use serial::{read_knn_graph, write_knn_graph};
 pub use serve::{
     replay, replay_stream, synth_op_stream, synth_ops, KnnService, Op, ReplayOutcome, ServeConfig,
     ServiceSnapshot,

@@ -139,18 +139,6 @@ impl NeighborList {
         }
     }
 
-    /// Removes `user` from the list; returns `true` if it was present.
-    /// Entries are unordered, so removal is a swap-delete.
-    pub fn remove(&mut self, user: u32) -> bool {
-        match self.entries.iter().position(|e| e.user == user) {
-            Some(i) => {
-                self.entries.swap_remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Similarity of the worst entry (`-inf` when empty, so any candidate
     /// can pass a `sim > worst` pre-check).
     pub fn worst_sim(&self) -> f64 {
@@ -283,17 +271,6 @@ mod tests {
         assert_eq!(l.len(), 2);
         // The downgraded entry is now the worst and loses to a fresh offer.
         assert_eq!(l.offer(3, 0.4), Offer::Replaced(1));
-    }
-
-    #[test]
-    fn remove_deletes_membership() {
-        let mut l = NeighborList::new(3);
-        l.insert(1, 0.5);
-        l.insert(2, 0.8);
-        assert!(l.remove(1));
-        assert!(!l.remove(1), "second removal is a no-op");
-        assert!(!l.contains(1));
-        assert_eq!(l.len(), 1);
     }
 
     #[test]

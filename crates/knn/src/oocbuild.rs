@@ -6,8 +6,8 @@
 //! module drops all three assumptions while keeping the *output* pinned:
 //! with spilling disabled and one shard, [`build`] is **bit-identical**
 //! to [`Lsh::build`](crate::lsh::Lsh::build) over the GoldFinger
-//! provider, and every knob that changes that (bucket caps, compact
-//! segments) is off by default.
+//! provider, and the one knob that changes that (the bucket cap) is off
+//! by default.
 //!
 //! Pipeline, in four phases:
 //!
@@ -30,11 +30,12 @@
 //!    pages it touched are advised cold, bounding resident growth to
 //!    roughly one shard's working set.
 //! 4. **Stitch** — segments are replayed in shard order into a
-//!    [`CsrBuilder`] ([`build`]) or streamed straight into a `GFG1`
-//!    graph file ([`build_to_disk`]), which never materializes the full
-//!    edge set in RAM.
+//!    [`CsrBuilder`] ([`build`]) or streamed through one
+//!    [`SegmentWriter`] into a whole-graph `GFCS` file
+//!    ([`build_to_disk`]), which never materializes the full edge set in
+//!    RAM.
 
-use crate::csr::{read_segment, SegmentWriter};
+use crate::csr::{read_segment, Segment, SegmentWriter};
 use crate::graph::{CsrBuilder, KnnGraph};
 use crate::lsh::{bucket_key, table_seed};
 use goldfinger_core::arena::ArenaBackend;
@@ -45,7 +46,7 @@ use goldfinger_core::topk::TopK;
 use goldfinger_core::visit::VisitStamp;
 use goldfinger_obs::trace;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -79,14 +80,11 @@ pub struct OocConfig {
     /// (`0` = no cap). A cap bounds worst-case scan cost on
     /// popularity-skewed data but departs from plain LSH output.
     pub max_bucket: usize,
-    /// Store segment similarities as `f32` instead of exact `f64` —
-    /// halves segment bytes, breaks bit-identity with the in-RAM build.
-    pub compact_segments: bool,
 }
 
 impl OocConfig {
     /// A config with the in-RAM-equivalent defaults: no bucket cap,
-    /// exact segments, spilling on, shards derived from the budget.
+    /// spilling on, shards derived from the budget.
     pub fn new(k: usize, tables: usize, seed: u64, spill_dir: impl Into<PathBuf>) -> Self {
         OocConfig {
             k,
@@ -97,7 +95,6 @@ impl OocConfig {
             spill_dir: spill_dir.into(),
             spill: true,
             max_bucket: 0,
-            compact_segments: false,
         }
     }
 
@@ -295,13 +292,7 @@ fn scan_shard(
     let _span = trace::span_arg("phase", "ooc_shard", shard as u64);
     let n = state.store.len();
     let file = BufWriter::new(File::create(seg_path)?);
-    let mut seg = SegmentWriter::new(
-        file,
-        cfg.k,
-        u64::from(lo),
-        u64::from(hi - lo),
-        !cfg.compact_segments,
-    )?;
+    let mut seg = SegmentWriter::new(file, cfg.k, u64::from(lo), u64::from(hi - lo))?;
     let mut candidates: Vec<u32> = Vec::new();
     let mut sims: Vec<f64> = Vec::new();
     let mut evals = 0u64;
@@ -335,9 +326,15 @@ fn scan_shard(
         }
         seg.push_list(&top.into_sorted())?;
     }
-    let mut file = seg.finish()?;
-    file.flush()?;
+    seg.finish()?;
     Ok(evals)
+}
+
+/// Reads back one spilled segment of a graph over `n` users, with the
+/// full `read_segment` validation.
+fn read_spilled(path: &Path, n: u64) -> io::Result<Segment> {
+    let mut r = BufReader::new(File::open(path)?);
+    read_segment(&mut r, n).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// Runs phases 1–3 and returns the state plus segment paths, in shard
@@ -387,8 +384,7 @@ fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
 /// Out-of-core GoldFinger LSH build, stitched into an in-memory
 /// [`KnnGraph`].
 ///
-/// With `max_bucket == 0` and `compact_segments == false` (the
-/// defaults), the graph is bit-identical to
+/// With `max_bucket == 0` (the default), the graph is bit-identical to
 /// [`Lsh::build`](crate::lsh::Lsh::build) with the same `(tables, seed)`
 /// over [`ShfJaccard`](goldfinger_core::similarity::ShfJaccard) of the
 /// same fingerprint store, for any shard count and either backend.
@@ -408,22 +404,21 @@ pub fn build<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     let _span = trace::span_arg("phase", "ooc_stitch", segments.len() as u64);
     let mut builder = CsrBuilder::with_capacity(cfg.k, n as usize);
     for path in &segments {
-        let mut r = BufReader::new(File::open(path)?);
-        let seg = read_segment(&mut r, n)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        seg.append_into(&mut builder);
+        read_spilled(path, n)?.append_into(&mut builder);
     }
     stats.stitch_wall = t0.elapsed();
     stats.wall = total.elapsed();
     Ok((builder.finish(), stats))
 }
 
-/// Out-of-core build stitched **streaming** into a `GFG1` graph file at
-/// `out` — the full edge set never exists in RAM, so peak memory stays
-/// bounded even when the final graph is larger than the budget.
+/// Out-of-core build stitched **streaming** into a `GFCS` graph file at
+/// `out`: every spilled segment's lists pass through one
+/// [`SegmentWriter`] covering the whole population, so the full edge set
+/// never exists in RAM and peak memory stays bounded even when the final
+/// graph is larger than the budget.
 ///
 /// The file is byte-identical to
-/// [`write_knn_graph`](crate::serial::write_knn_graph) of the
+/// [`write_knn_graph`](crate::csr::write_knn_graph) of the
 /// [`build`]-returned graph.
 ///
 /// # Panics
@@ -440,24 +435,14 @@ pub fn build_to_disk<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
 
     let t0 = Instant::now();
     let _span = trace::span_arg("phase", "ooc_stitch", segments.len() as u64);
-    let mut w = BufWriter::new(File::create(out)?);
-    w.write_all(b"GFG1")?;
-    w.write_all(&(cfg.k as u32).to_le_bytes())?;
-    w.write_all(&(n as u32).to_le_bytes())?;
+    let mut w = SegmentWriter::new(BufWriter::new(File::create(out)?), cfg.k, 0, n)?;
     for path in &segments {
-        let mut r = BufReader::new(File::open(path)?);
-        let seg = read_segment(&mut r, n)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let seg = read_spilled(path, n)?;
         for local in 0..seg.n_users() {
-            let list = seg.list(local);
-            w.write_all(&(list.len() as u32).to_le_bytes())?;
-            for s in &list {
-                w.write_all(&s.user.to_le_bytes())?;
-                w.write_all(&s.sim.to_le_bytes())?;
-            }
+            w.push_list(&seg.list(local))?;
         }
     }
-    w.flush()?;
+    w.finish()?;
     stats.stitch_wall = t0.elapsed();
     stats.wall = total.elapsed();
     Ok(stats)
@@ -466,8 +451,8 @@ pub fn build_to_disk<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::{read_knn_graph, write_knn_graph};
     use crate::lsh::Lsh;
-    use crate::serial::write_knn_graph;
     use goldfinger_core::hash::{DynHasher, HasherKind};
     use goldfinger_core::profile::ProfileStore;
     use goldfinger_core::similarity::ShfJaccard;
@@ -561,7 +546,10 @@ mod tests {
         build_to_disk(&profiles, &params(), &cfg, &out).unwrap();
         let mut expected = Vec::new();
         write_knn_graph(&graph, &mut expected).unwrap();
-        assert_eq!(std::fs::read(&out).unwrap(), expected);
+        let bytes = std::fs::read(&out).unwrap();
+        assert_eq!(bytes, expected);
+        let loaded = read_knn_graph(&mut bytes.as_slice()).unwrap();
+        assert_eq!((loaded.n_users(), loaded.k()), (graph.n_users(), graph.k()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,8 +1,9 @@
 //! Online KNN serving: sharded graph, epoch snapshots, batched repairs.
 //!
-//! [`KnnService`] promotes [`crate::dynamic::DynamicKnn`] into the
-//! long-running serving layer of the paper's §1.2 "web real-time"
-//! motivation. The population is partitioned into a [`ShardSet`]; profile
+//! [`KnnService`] is the long-running serving layer of the paper's §1.2
+//! "web real-time" motivation, built on the local repairs of
+//! [`crate::shard`]. The population is partitioned into a [`ShardSet`]
+//! (one shard is the plain, unpartitioned graph); profile
 //! updates are queued and drained in deterministic batches; top-k lookups
 //! read an immutable [`ServiceSnapshot`] behind one atomic pointer swap,
 //! so they never wait on repair work.

@@ -1,20 +1,26 @@
-//! User-id-partitioned shards of a dynamic KNN graph.
+//! User-id-partitioned shards of a dynamic KNN graph: the local repair
+//! engine behind online serving.
+//!
+//! Rebuilding the whole graph for one changed profile is wasteful. A
+//! repair instead re-scores the changed user `u` against a Hyrec-style
+//! candidate set — its neighbours, their neighbours, its reverse
+//! neighbours, plus optional random probes — and offers `u` back to each
+//! candidate's list. Reverse neighbours come from a maintained inverted
+//! index, so one repair costs `O(k² + |rev(u)|)` evaluations, independent
+//! of the population size.
 //!
 //! The serving layer ([`crate::serve`]) splits the population into
 //! contiguous user-id ranges. Each [`Shard`] owns its range's slice of the
 //! fingerprint arena (cut with `ShfStore::slice_rows`, so profile updates
 //! write only the owner's rows), the range's neighbour lists, the
 //! reverse-adjacency index for the owned users, and their repair counters.
-//! The [`ShardSet`] wraps the shards behind a [`DynamicKnn`]-shaped
-//! repair API split into a **read-only planning half**
+//! The [`ShardSet`] splits every repair into a **read-only planning half**
 //! ([`ShardSet::plan_repair`], safe to fan out across threads over a
 //! frozen set) and a **serial application half**
 //! ([`ShardSet::apply_repair`], cheap `O(k)` list surgery), which is what
-//! makes batched drains deterministic for any thread count.
-//!
-//! [`DynamicKnn`]: crate::dynamic::DynamicKnn
+//! makes batched drains deterministic for any thread count. A one-shard
+//! set is the plain, unpartitioned graph.
 
-use crate::dynamic::{probe_seed, sorted_insert, sorted_remove};
 use crate::graph::KnnGraph;
 use crate::neighborlist::{NeighborList, Offer};
 use goldfinger_core::hash::ItemHasher;
@@ -23,6 +29,36 @@ use goldfinger_core::shf::{jaccard_from_counts, ShfStore};
 use goldfinger_core::topk::Scored;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Mixes a per-user repair counter into the probe seed.
+///
+/// Seeding with `seed ^ u` alone makes every repair of the same user draw
+/// the *same* probes, so re-repairing can never explore new candidates;
+/// folding a monotonic counter through a splitmix64-style finalizer gives
+/// each `(user, repair)` pair an independent stream while staying
+/// deterministic for replay.
+pub fn probe_seed(seed: u64, u: u32, counter: u64) -> u64 {
+    let mut z = seed
+        ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ counter.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Inserts `v` into a sorted id vector (no-op when present).
+fn sorted_insert(ids: &mut Vec<u32>, v: u32) {
+    if let Err(i) = ids.binary_search(&v) {
+        ids.insert(i, v);
+    }
+}
+
+/// Removes `v` from a sorted id vector (no-op when absent).
+fn sorted_remove(ids: &mut Vec<u32>, v: u32) {
+    if let Ok(i) = ids.binary_search(&v) {
+        ids.remove(i);
+    }
+}
 
 /// One contiguous user-id range of the service: rows `lo .. lo + len` of
 /// the global population. Neighbour and reverse-neighbour ids stored
@@ -113,9 +149,9 @@ pub struct Repair {
     scored: Vec<(u32, f64)>,
 }
 
-/// A full population partitioned into contiguous [`Shard`]s, with the
-/// cross-shard repair operations of [`crate::dynamic::DynamicKnn`] split
-/// into a parallel-safe planning half and a serial applying half.
+/// A full population partitioned into contiguous [`Shard`]s, with every
+/// repair split into a parallel-safe planning half and a serial applying
+/// half.
 #[derive(Debug, Clone)]
 pub struct ShardSet {
     k: usize,
@@ -302,11 +338,10 @@ impl ShardSet {
         }
     }
 
-    /// Serial application half: installs a planned repair, mirroring
-    /// [`crate::dynamic::DynamicKnn`]'s semantics — symmetric offers
-    /// first (a member's changed similarity is updated **in place**, a
-    /// non-member must beat the worst), then the rebuilt list, with the
-    /// reverse index maintained through every membership change.
+    /// Serial application half: installs a planned repair — symmetric
+    /// offers first (a member's changed similarity is updated **in
+    /// place**, a non-member must beat the worst), then the rebuilt list,
+    /// with the reverse index maintained through every membership change.
     pub fn apply_repair(&mut self, r: &Repair) {
         for &(v, s) in &r.scored {
             self.offer_entry(v, r.user, s);
@@ -314,8 +349,13 @@ impl ShardSet {
         self.replace_list(r.user, r.fresh.clone());
     }
 
-    /// The symmetric half of a repair, cross-shard (see
-    /// `DynamicKnn::offer_entry` for the downgrade rationale).
+    /// The symmetric half of a repair: `u`'s similarity to `v` changed to
+    /// `s`. If `u` already sits in `v`'s list its stored similarity is
+    /// updated **in place** — a downgrade must not be laundered into a
+    /// remove-then-insert, which would always succeed (the removal frees a
+    /// slot) and re-admit `u` no matter how bad the new similarity is. If
+    /// `u` is absent it is offered normally and must beat the current
+    /// worst to enter.
     fn offer_entry(&mut self, v: u32, u: u32, s: f64) {
         let (sv, lv) = (self.owner(v), self.local(v));
         if self.shards[sv].lists[lv].update_sim(u, s) {
@@ -453,23 +493,178 @@ mod tests {
         }
     }
 
+    /// One scheduled repair, run the way a serve drain runs it: bump the
+    /// user's counter, plan against the frozen set, apply.
+    fn repair(set: &mut ShardSet, u: u32, probes: usize, seed: u64) -> u64 {
+        let (s, l) = (set.owner(u), set.local(u));
+        let counter = set.shards_mut()[s].bump_repair(l);
+        let plan = set.plan_repair(u, counter, probes, seed);
+        set.apply_repair(&plan);
+        plan.evals
+    }
+
+    /// Folds `items` into `u`'s fingerprint on its owner shard.
+    fn update(set: &mut ShardSet, params: &ShfParams<DynHasher>, u: u32, items: &[u32]) -> u32 {
+        let (s, l) = (set.owner(u), set.local(u));
+        set.shards_mut()[s].apply_update(l, items, params.hasher())
+    }
+
     #[test]
-    fn plan_and_apply_mirror_dynamic_repairs() {
-        // One planned repair applied to a sharded set must equal the same
-        // repair on the monolithic DynamicKnn (same frozen input state).
+    fn one_shard_and_three_shard_repairs_agree() {
+        // The one-shard set is the plain monolithic graph; the same update,
+        // plan and apply sequence over three shards must match it in
+        // every neighbour list and every eval count.
+        let (graph, store, params) = fixture(2);
+        let mut mono = ShardSet::partition(&graph, &store, 1);
+        let mut sharded = ShardSet::partition(&graph, &store, 3);
+        assert_eq!((mono.n_shards(), sharded.n_shards()), (1, 3));
+        let cluster_b: Vec<u32> = (1000..1015).collect();
+        update(&mut mono, &params, 0, &cluster_b);
+        update(&mut sharded, &params, 0, &cluster_b);
+        for u in (0..12u32).chain([0, 0]) {
+            let evals = repair(&mut mono, u, 4, 42);
+            assert!(evals > 0);
+            assert_eq!(repair(&mut sharded, u, 4, 42), evals, "repair of {u}");
+            for v in 0..12u32 {
+                assert_eq!(
+                    sharded.neighbors(v),
+                    mono.neighbors(v),
+                    "user {v} diverged after repairing {u}"
+                );
+            }
+        }
+        rev_invariant(&mono);
+        rev_invariant(&sharded);
+    }
+
+    #[test]
+    fn reverse_index_tracks_probed_repairs_of_every_user() {
         let (graph, store, _) = fixture(2);
         let mut set = ShardSet::partition(&graph, &store, 3);
-        let mut dynamic = crate::dynamic::DynamicKnn::from_graph(&graph);
-        let sim = ShfJaccard::new(&store);
-        let plan = set.plan_repair(0, 0, 4, 42);
-        assert!(plan.evals > 0);
-        set.apply_repair(&plan);
-        let evals = dynamic.repair_user_with_probes(0, &sim, 4, 42);
-        assert_eq!(plan.evals, evals);
-        for u in 0..12u32 {
-            assert_eq!(set.neighbors(u), dynamic.neighbors(u), "user {u} diverged");
+        for u in 0..set.n_users() as u32 {
+            repair(&mut set, u, 3, 99);
+            // Reverse neighbours stay exactly the users listing u.
+            rev_invariant(&set);
         }
+    }
+
+    #[test]
+    fn repair_cost_is_independent_of_population_size() {
+        // Regression for the O(n·k) reverse-neighbour scan: the same user
+        // in the same cluster structure must cost the *same* number of
+        // evaluations whether the population holds 2 clusters or 20 —
+        // repairs read the maintained reverse index, never all n lists.
+        let mut costs = Vec::new();
+        for clusters in [2u32, 20] {
+            let (graph, store, _) = fixture(clusters);
+            // Sanity: the exact graph keeps user 0 inside its own cluster,
+            // so the candidate set cannot grow with the cluster count.
+            assert!(graph.neighbors(0).iter().all(|s| s.user < 6));
+            let mut set = ShardSet::partition(&graph, &store, 3);
+            costs.push(repair(&mut set, 0, 0, 0));
+            rev_invariant(&set);
+        }
+        assert_eq!(
+            costs[0], costs[1],
+            "repair cost changed with population size: {costs:?}"
+        );
+        assert!(costs[0] <= 3 + 9 + 6);
+    }
+
+    #[test]
+    fn rescored_sims_follow_a_fingerprint_delta() {
+        let (graph, store, params) = fixture(2);
+        let mut set = ShardSet::partition(&graph, &store, 3);
+        // Fold cluster B's items into user 0's fingerprint incrementally.
+        assert!(update(&mut set, &params, 0, &(1000..1015).collect::<Vec<_>>()) > 0);
+        repair(&mut set, 0, 0, 0);
+        // The candidate set only covers the old neighbourhood, but every
+        // stored similarity involving user 0 — on its own list and on the
+        // candidates' lists — must now match the updated fingerprint.
+        assert!(!set.neighbors(0).is_empty());
+        for s in set.neighbors(0) {
+            assert_eq!(s.sim, set.similarity(0, s.user));
+        }
+        for v in 1..12u32 {
+            for s in set.neighbors(v).iter().filter(|s| s.user == 0) {
+                assert_eq!(s.sim, set.similarity(v, 0), "user {v}'s entry for 0");
+            }
+        }
+    }
+
+    #[test]
+    fn probe_seed_changes_with_the_counter() {
+        // Regression for `seed ^ u` probe seeding: the counter mixed into
+        // the seed must give each repair of the same user a fresh stream.
+        for u in [0u32, 3, 17] {
+            let a = probe_seed(42, u, 0);
+            let b = probe_seed(42, u, 1);
+            assert_ne!(a, b, "user {u}: counter did not change the seed");
+        }
+        // End to end: two plans of one user over the same frozen set share
+        // the candidate set, so their scored users differ only through
+        // the probes the counter selects.
+        let (graph, store, _) = fixture(20);
+        let set = ShardSet::partition(&graph, &store, 3);
+        let scored = |counter| {
+            let mut ids: Vec<u32> = set
+                .plan_repair(0, counter, 4, 7)
+                .scored
+                .iter()
+                .map(|&(v, _)| v)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_ne!(
+            scored(0),
+            scored(1),
+            "two consecutive probe repairs explored the same probe set"
+        );
+    }
+
+    #[test]
+    fn downgraded_member_is_updated_in_place_then_evicted() {
+        // Regression for the symmetric-offer downgrade: when a member's
+        // similarity collapses, the entry must be updated in place (and
+        // become evictable), not removed-and-reinserted as if it were a
+        // winning fresh offer.
+        let (graph, store, params) = fixture(2);
+        let mut set = ShardSet::partition(&graph, &store, 3);
+        let lists = |set: &ShardSet, v: u32, w: u32| set.neighbors(v).iter().any(|s| s.user == w);
+        let victim = (1..6u32)
+            .find(|&v| lists(&set, v, 0))
+            .expect("a cluster-A user lists user 0");
+
+        // User 0's fingerprint floods with alien items: sim(0, A) ≈ 0.
+        update(&mut set, &params, 0, &(50_000..52_000).collect::<Vec<_>>());
+        repair(&mut set, 0, 0, 0);
         rev_invariant(&set);
+        // In place: still a member (nothing displaced it yet), but at the
+        // collapsed similarity...
+        let entry = set
+            .neighbors(victim)
+            .into_iter()
+            .find(|s| s.user == 0)
+            .expect("downgraded entry should remain until displaced");
+        assert!(entry.sim < 0.05, "stale similarity kept: {}", entry.sim);
+
+        // ...so the next fresh candidate that beats it must evict it: a
+        // cluster mate the victim does not list yet scores far higher.
+        let fresh = (1..6u32)
+            .find(|&w| w != victim && !lists(&set, victim, w))
+            .expect("the victim has an unlisted cluster mate");
+        set.offer_entry(victim, fresh, set.similarity(victim, fresh));
+        rev_invariant(&set);
+        let after = set.neighbors(victim);
+        assert!(
+            after.iter().any(|s| s.user == fresh),
+            "victim did not adopt the better fresh candidate: {after:?}"
+        );
+        assert!(
+            after.iter().all(|s| s.user != 0),
+            "full list retained the downgraded user over a better candidate: {after:?}"
+        );
     }
 
     #[test]

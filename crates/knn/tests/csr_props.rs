@@ -1,5 +1,5 @@
-//! CSR graph properties: the flat-array `KnnGraph` and its serialized
-//! forms must be loss-free for every builder in the registry, and the
+//! CSR graph properties: the flat-array `KnnGraph` and its `GFCS` file
+//! form must be loss-free for every builder in the registry, and the
 //! sharded out-of-core pipeline must reproduce the in-RAM LSH build
 //! bit-for-bit at any shard count.
 
@@ -9,7 +9,7 @@ use goldfinger_core::shf::ShfParams;
 use goldfinger_core::similarity::ShfJaccard;
 use goldfinger_knn::builder::BuildInput;
 use goldfinger_knn::builders::{self, BuilderConfig};
-use goldfinger_knn::csr::{read_segment, write_graph_segment, CompactGraph};
+use goldfinger_knn::csr::{read_knn_graph, read_segment, write_graph_segment, write_knn_graph};
 use goldfinger_knn::graph::{CsrBuilder, KnnGraph};
 use goldfinger_knn::lsh::Lsh;
 use goldfinger_knn::oocbuild::{self, OocConfig};
@@ -43,8 +43,8 @@ fn graphs_equal(a: &KnnGraph, b: &KnnGraph) -> bool {
     a.n_users() == b.n_users() && (0..a.n_users() as u32).all(|u| a.neighbors(u) == b.neighbors(u))
 }
 
-/// Every registry builder's graph survives a GFCS segment round-trip
-/// (exact sims) bit-identically, in one piece and cut into ragged
+/// Every registry builder's graph survives a GFCS round-trip
+/// bit-identically: as a graph file, as one segment, and cut into ragged
 /// segments.
 #[test]
 fn every_builder_graph_round_trips_through_exact_segments() {
@@ -62,9 +62,18 @@ fn every_builder_graph_round_trips_through_exact_segments() {
             builder.build_erased(BuildInput::with_profiles(&sim, &profiles), K, &NoopObserver);
         let graph = &result.graph;
 
+        // Graph file.
+        let mut buf = Vec::new();
+        write_knn_graph(graph, &mut buf).unwrap();
+        assert!(
+            graphs_equal(graph, &read_knn_graph(&mut Cursor::new(&buf)).unwrap()),
+            "{}: graph file round-trip diverged",
+            spec.name
+        );
+
         // Whole-graph segment.
         let mut buf = Vec::new();
-        write_graph_segment(graph, 0, n, true, &mut buf).unwrap();
+        write_graph_segment(graph, 0, n, &mut buf).unwrap();
         let seg = read_segment(&mut Cursor::new(&buf), u64::from(n)).unwrap();
         let mut rebuilt = CsrBuilder::with_capacity(K, n as usize);
         seg.append_into(&mut rebuilt);
@@ -79,7 +88,7 @@ fn every_builder_graph_round_trips_through_exact_segments() {
         let mut rebuilt = CsrBuilder::with_capacity(K, n as usize);
         for w in cuts.windows(2) {
             let mut buf = Vec::new();
-            write_graph_segment(graph, w[0], w[1], true, &mut buf).unwrap();
+            write_graph_segment(graph, w[0], w[1], &mut buf).unwrap();
             let seg = read_segment(&mut Cursor::new(&buf), u64::from(n)).unwrap();
             seg.append_into(&mut rebuilt);
         }
@@ -88,24 +97,6 @@ fn every_builder_graph_round_trips_through_exact_segments() {
             "{}: stitched segment round-trip diverged",
             spec.name
         );
-
-        // CompactGraph preserves ids exactly (sims only to f32).
-        let compact = CompactGraph::from_graph(graph);
-        let back = compact.to_graph();
-        assert_eq!(back.n_users(), graph.n_users());
-        for u in 0..n {
-            let orig = graph.neighbors(u);
-            let comp = back.neighbors(u);
-            assert_eq!(
-                orig.iter().map(|s| s.user).collect::<Vec<_>>(),
-                comp.iter().map(|s| s.user).collect::<Vec<_>>(),
-                "{}: compact ids diverged at {u}",
-                spec.name
-            );
-            for (o, c) in orig.iter().zip(comp) {
-                assert_eq!(o.sim as f32, c.sim as f32, "{}: sim at {u}", spec.name);
-            }
-        }
     }
 }
 

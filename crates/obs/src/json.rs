@@ -149,14 +149,11 @@ impl Json {
 
     /// Parses a JSON document (must consume the full input).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src: text, pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(p.err("trailing characters after document"));
         }
         Ok(value)
@@ -239,7 +236,8 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The whole document; `pos` always sits on a char boundary.
+    src: &'a str,
     pos: usize,
 }
 
@@ -252,7 +250,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -271,7 +269,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -370,7 +368,7 @@ impl Parser<'_> {
                             // Surrogate pairs: a high surrogate must be
                             // followed by an escaped low surrogate.
                             let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                if self.src[self.pos..].starts_with("\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
                                     let combined = 0x10000
@@ -391,13 +389,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte sequence is valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or escape in one step: linear in the string length.
+                    let rest = &self.src[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -405,11 +402,13 @@ impl Parser<'_> {
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.src.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        let hex = self
+            .src
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(cp)
@@ -426,7 +425,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(format!("invalid number {text:?}")))
@@ -503,6 +502,18 @@ mod tests {
         }
         let e = Json::parse("[1,").unwrap_err();
         assert!(e.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 2 MB string value: milliseconds when each character is
+        // consumed in O(1), minutes when each step rescans the rest.
+        let value = "é".repeat(1 << 20);
+        let text = Json::obj(vec![("s", Json::Str(value.clone()))]).render();
+        let t0 = std::time::Instant::now();
+        let doc = Json::parse(&text).unwrap();
+        assert!(t0.elapsed() < std::time::Duration::from_secs(10));
+        assert_eq!(doc.get("s").and_then(Json::as_str), Some(value.as_str()));
     }
 
     #[test]

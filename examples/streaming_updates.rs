@@ -3,12 +3,15 @@
 //!
 //! This is the paper's "web real-time" motivation (§1.2) made concrete:
 //! a news service where users keep clicking, the graph must stay fresh,
-//! and a full rebuild per click is out of the question.
+//! and a full rebuild per click is out of the question. The graph is
+//! served by a one-shard `KnnService` that drains every update at once.
 //!
 //! ```text
 //! cargo run --release --example streaming_updates
 //! ```
 
+use goldfinger::knn::serve::{KnnService, ServeConfig};
+use goldfinger::obs::Registry;
 use goldfinger::prelude::*;
 use std::time::Instant;
 
@@ -28,17 +31,30 @@ fn main() {
     let params = ShfParams::default();
     let mut fingerprints = params.fingerprint_store(profiles);
     let t0 = Instant::now();
-    let initial = {
-        let sim = ShfJaccard::new(&fingerprints);
-        BruteForce::default().build(&sim, k)
-    };
+    let initial = BruteForce::default().build(&ShfJaccard::new(&fingerprints), k);
     let full_build = t0.elapsed();
     println!(
         "initial build: {:?} ({} similarity evaluations)\n",
         full_build, initial.stats.similarity_evals
     );
 
-    let mut graph = DynamicKnn::from_graph(&initial.graph);
+    // One shard, a drain per update, 16 random probes per repair so the
+    // repair can escape a stale neighbourhood.
+    let cfg = ServeConfig {
+        shards: 1,
+        batch: 1,
+        probes: 16,
+        seed: 7,
+        threads: 1,
+    };
+    let registry = Registry::new();
+    let service = KnnService::new(
+        &initial.graph,
+        &fingerprints,
+        *params.hasher(),
+        cfg,
+        &registry,
+    );
 
     // Simulate a stream of activity: user 0 starts consuming the items of
     // a completely different cluster (borrow another user's tastes).
@@ -49,35 +65,37 @@ fn main() {
         new_items.len()
     );
 
+    // The fingerprint delta is O(1) per click: set one bit, bump the
+    // cardinality. Applied here to a local copy for the reference rebuild;
+    // the service applies the same delta to its own arena.
     let t0 = Instant::now();
-    // O(1) per click: set one bit, bump the cardinality.
-    let mut shf = fingerprints.get(0);
-    let mut fresh_bits = 0;
-    for &item in &new_items {
-        fresh_bits += usize::from(shf.insert_item(item, params.hasher()));
-    }
-    fingerprints.set_fingerprint(0, &shf);
-    let fp_update = t0.elapsed();
+    let fresh_bits = fingerprints.apply_delta(0, &new_items, params.hasher());
     println!(
-        "fingerprint update: {:?} ({fresh_bits} new bits, no re-fingerprinting)",
-        fp_update
+        "fingerprint delta: {:?} ({fresh_bits} new bits, no re-fingerprinting)",
+        t0.elapsed()
     );
 
-    // Local repair: random probes escape the stale neighbourhood, a second
-    // pass walks the discovered cluster.
+    // Local repair: the first drain's random probes escape the stale
+    // neighbourhood, a second (empty) update re-repairs user 0 by walking
+    // the discovered cluster.
     let t0 = Instant::now();
-    let sim = ShfJaccard::new(&fingerprints);
-    let evals = graph.repair_user_with_probes(0, &sim, 16, 7) + graph.repair_user(0, &sim);
+    service.update(0, new_items);
+    service.update(0, Vec::new());
     let repair = t0.elapsed();
+    let evals = registry.counter("serve.repair_evals").get();
     println!(
-        "local repair: {:?} ({evals} similarity evaluations vs {} for a rebuild)",
+        "update + local repair: {:?} ({evals} similarity evaluations vs {} for a rebuild)",
         repair, initial.stats.similarity_evals
     );
 
     // Verify against a fresh brute-force build on the updated fingerprints.
-    let truth = BruteForce::default().build(&sim, k);
-    let repaired = graph.into_graph();
-    let repaired_ids: Vec<u32> = repaired.neighbors(0).iter().map(|s| s.user).collect();
+    let truth = BruteForce::default().build(&ShfJaccard::new(&fingerprints), k);
+    let repaired_ids: Vec<u32> = service
+        .lookup(0)
+        .expect("user 0 is served")
+        .iter()
+        .map(|s| s.user)
+        .collect();
     let truth_ids: Vec<u32> = truth.graph.neighbors(0).iter().map(|s| s.user).collect();
     let overlap = truth_ids
         .iter()

@@ -17,7 +17,7 @@ use goldfinger::datasets::load::{load_edge_list, load_movielens_dat, load_rating
 use goldfinger::datasets::stats::DatasetStats;
 use goldfinger::knn::builder::BuildInput;
 use goldfinger::knn::builders::{self, BuilderConfig};
-use goldfinger::knn::serial::write_knn_graph;
+use goldfinger::knn::write_knn_graph;
 use goldfinger::prelude::*;
 use goldfinger::theory::privacy::guarantees;
 use std::collections::HashMap;
@@ -87,7 +87,7 @@ fn usage() -> &'static str {
                   --spill DIR   with --stream: write arena rows straight\n\
                                 into a sealed on-disk store under DIR\n\
      knn:         --algo brute|hyrec|nndescent|lsh|kiff|cluster (default brute)\n\
-                  --k K (default 30)  --goldfinger [--bits B]  --out FILE (GFG1)\n\
+                  --k K (default 30)  --goldfinger [--bits B]  --out FILE (GFCS)\n\
      build:       sharded out-of-core GoldFinger LSH build (spill-to-disk)\n\
                   --users N          synthetic population size (overrides --scale)\n\
                   --k K (default 10) --tables T (default 10) --bits B (default 256)\n\
@@ -97,8 +97,7 @@ fn usage() -> &'static str {
                   --spill DIR        spill directory (default gf-spill)\n\
                   --no-spill         keep arena + index on the heap (still shards)\n\
                   --max-bucket N     skip LSH buckets larger than N users (0 = off)\n\
-                  --compact          f32 segment sims (smaller spill, not bit-exact)\n\
-                  --out FILE         stream the stitched graph to FILE (GFG1)\n\
+                  --out FILE         stream the stitched graph to FILE (GFCS)\n\
      recommend:   knn options plus --user U (default 0) --n N (default 10)\n\
      privacy:     --items M --bits B --cardinality C\n\
      serve:       --replay N (ops, default 100000)  --update-pct P (default 30)\n\
@@ -147,7 +146,7 @@ fn parse_bytes(v: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("--mem-budget: {v:?} overflows"))
 }
 
-/// Runs the out-of-core build over any profile source: streamed to a GFG1
+/// Runs the out-of-core build over any profile source: streamed to a GFCS
 /// file when `--out` is given, stitched in memory (and summarized)
 /// otherwise.
 fn run_ooc<P: goldfinger::core::profile::ProfileSource + ?Sized>(
@@ -176,6 +175,14 @@ fn run_ooc<P: goldfinger::core::profile::ProfileSource + ?Sized>(
     }
 }
 
+/// `--k`, which every graph builder requires to be positive.
+fn parse_k(cli: &Cli, default: usize) -> Result<usize, String> {
+    match cli.parse_num("k", default)? {
+        0 => Err("--k: must be at least 1".to_string()),
+        k => Ok(k),
+    }
+}
+
 fn load_dataset(cli: &Cli) -> Result<BinaryDataset, String> {
     if let Some(path) = cli.get("ratings") {
         let format = cli.get_or("format", "dat");
@@ -195,7 +202,7 @@ fn load_dataset(cli: &Cli) -> Result<BinaryDataset, String> {
 }
 
 fn build_graph(cli: &Cli, data: &BinaryDataset) -> Result<(KnnResult, bool), String> {
-    let k: usize = cli.parse_num("k", 30)?;
+    let k = parse_k(cli, 30)?;
     let algo = cli.get_or("algo", "brute");
     let use_gf = cli.has("goldfinger");
     let bits: u32 = cli.parse_num("bits", 1024)?;
@@ -325,9 +332,10 @@ fn run() -> Result<(), String> {
                 result.graph.mean_stored_similarity()
             );
             if let Some(out) = cli.get("out") {
-                let mut file =
+                let file =
                     std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
-                write_knn_graph(&result.graph, &mut file)
+                // Buffered; write_knn_graph flushes when the graph is done.
+                write_knn_graph(&result.graph, &mut std::io::BufWriter::new(file))
                     .map_err(|e| format!("writing {out}: {e}"))?;
                 println!("wrote {out}");
             }
@@ -336,7 +344,7 @@ fn run() -> Result<(), String> {
             use goldfinger::datasets::StreamProfiles;
             use goldfinger::knn::oocbuild::OocConfig;
 
-            let k: usize = cli.parse_num("k", 10)?;
+            let k = parse_k(&cli, 10)?;
             let tables: usize = cli.parse_num("tables", 10)?;
             let bits: u32 = cli.parse_num("bits", 256)?;
             let seed: u64 = cli.parse_num("seed", 42)?;
@@ -350,7 +358,6 @@ fn run() -> Result<(), String> {
             };
             cfg.spill = !cli.has("no-spill");
             cfg.max_bucket = cli.parse_num("max-bucket", 0)?;
-            cfg.compact_segments = cli.has("compact");
             let params = ShfParams::new(bits, DynHasher::default());
 
             // Profile source: a per-user-derivable synthetic stream (any
@@ -465,7 +472,7 @@ fn run() -> Result<(), String> {
 
             let data = load_dataset(&cli)?;
             let n = data.n_users();
-            let k: usize = cli.parse_num("k", 30)?;
+            let k = parse_k(&cli, 30)?;
             let bits: u32 = cli.parse_num("bits", 1024)?;
             let seed: u64 = cli.parse_num("seed", 42)?;
             let n_ops: usize = cli.parse_num("replay", 100_000)?;

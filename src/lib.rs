@@ -64,7 +64,6 @@ pub mod prelude {
     pub use goldfinger_knn::brute::BruteForce;
     pub use goldfinger_knn::builder::{BuildInput, ErasedBuilder, KnnBuilder};
     pub use goldfinger_knn::builders::{BuilderConfig, BuilderSpec};
-    pub use goldfinger_knn::dynamic::DynamicKnn;
     pub use goldfinger_knn::graph::{KnnGraph, KnnResult};
     pub use goldfinger_knn::hyrec::Hyrec;
     pub use goldfinger_knn::kiff::Kiff;

@@ -64,11 +64,48 @@ fn knn_builds_and_persists_a_graph() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("GoldFinger"));
-    // The persisted graph is valid GFG1 and loads back.
+    // The persisted graph is a valid GFCS file and loads back.
     let bytes = std::fs::read(&graph_path).unwrap();
-    let graph = goldfinger::knn::serial::read_knn_graph(&mut bytes.as_slice()).unwrap();
+    let graph = goldfinger::knn::read_knn_graph(&mut bytes.as_slice()).unwrap();
     assert!(graph.n_users() > 50);
     assert_eq!(graph.k(), 5);
+}
+
+#[test]
+fn zero_k_is_a_usage_error() {
+    for command in ["knn", "recommend", "build"] {
+        let out = goldfinger(&[command, "--scale", "0.02", "--k", "0"]);
+        assert!(!out.status.success(), "{command} accepted --k 0");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--k"), "{command}: {err}");
+        assert!(!err.contains("panicked"), "{command}: {err}");
+    }
+}
+
+#[test]
+fn build_out_writes_a_loadable_graph() {
+    let dir = std::env::temp_dir().join(format!("goldfinger-cli-build-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph_path = dir.join("graph.gfg");
+    let out = goldfinger(&[
+        "build",
+        "--users",
+        "2000",
+        "--spill",
+        dir.join("spill").to_str().unwrap(),
+        "--out",
+        graph_path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bytes = std::fs::read(&graph_path).unwrap();
+    let graph = goldfinger::knn::read_knn_graph(&mut bytes.as_slice()).unwrap();
+    assert_eq!(graph.n_users(), 2000);
+    assert_eq!(graph.k(), 10);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

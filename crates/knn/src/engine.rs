@@ -2,187 +2,78 @@
 //!
 //! Both algorithms follow the same skeleton — seed a random graph, then
 //! repeat *generate candidates → join candidate pairs → test convergence*
-//! until fewer than `δ·k·n` neighbour-list updates happen in an iteration —
-//! and previously each carried its own copy of that scaffolding, twice
-//! (serial and parallel). [`RefineEngine`] owns the skeleton exactly once:
-//! parameter asserts, the seeded [`random_lists`] init and its iteration-0
-//! event, per-iteration [`IterationEvent`]s with the `δ·k·n` threshold,
-//! phase spans, the `NeighborList → KnnGraph` finalize and the
-//! [`BuildStats`] assembly. What varies per algorithm is expressed as a
-//! [`JoinStrategy`]: how candidates are planned from the current lists, and
-//! which pairs are joined for a given user.
+//! until fewer than `δ·k·n` neighbour-list updates happen in an iteration.
+//! [`RefineEngine`] owns that skeleton exactly once: parameter asserts, the
+//! seeded [`random_lists`] init and its iteration-0 event, per-iteration
+//! [`IterationEvent`]s with the `δ·k·n` threshold, phase spans, the join
+//! itself, the `NeighborList → KnnGraph` finalize and the [`BuildStats`]
+//! assembly. What varies per algorithm is expressed as a [`JoinStrategy`]:
+//! how candidates are planned from the current lists, and which pairs are
+//! joined for a given user.
 //!
-//! Determinism contract: with `threads <= 1` the engine performs the same
-//! RNG draws and the same joins in the same order as the hand-rolled loops
-//! it replaced, so fixed-seed builds are bit-identical (pinned by
-//! `tests/golden_seed.rs`). With `threads > 1` candidate planning stays
-//! sequential and seeded; only the join phase runs across threads with
-//! per-node locks, so update interleaving — and thus tie outcomes — is
-//! scheduler-dependent, as before.
+//! # Joins: plan → score → apply
+//!
+//! One path serves every thread count. The join phase walks the users in
+//! windows of `WINDOW` consecutive join users; within a window:
+//!
+//! 1. **Score.** Workers take contiguous user ranges (slot order = user
+//!    order) and score each user's candidate batches through
+//!    [`Similarity::similarity_batch`]. Every pair is offered to both
+//!    endpoints, but an offer is kept only when it beats the target's
+//!    *floor*: the list's worst entry `(sim, user)` as the window began, or
+//!    below everything while the list still has room. Kept offers go into
+//!    per-worker buffers as `(target, source, sim)` proposals, bucketed by
+//!    the apply shard that owns the target.
+//! 2. **Apply.** Each apply worker owns a disjoint range of targets and
+//!    feeds them their proposals, worker buffer by worker buffer in slot
+//!    order, through [`NeighborList::insert`]. It counts accepted inserts
+//!    and refreshes the floors of the lists it changed.
+//!
+//! # Determinism contract
+//!
+//! The output — graph, eval and update counters, iteration count — is
+//! bit-identical for every `threads` value, with or without an installed
+//! pool, and equal to the plain serial loop that joins users in order and
+//! inserts every offer straight into the lists (pinned by
+//! `tests/golden_seed.rs` and the `refine_is_bit_identical` property test).
+//! Candidate planning is sequential and is the only consumer of the RNG.
+//!
+//! Why dropping offers is exact. First, the join never reads the lists:
+//! NNDescent's join reads only its plan and Hyrec's only its snapshot, so
+//! scoring can run ahead of the inserts. Second, order entries by goodness
+//! (`sim`, then lower user id): a full list's worst entry can only get
+//! better, because an insert into a full list replaces the worst entry with
+//! a better one. So an offer that does not beat its target's floor as the
+//! window began would be a duplicate or rejected by the serial insert too,
+//! and dropping it changes nothing. The kept offers reach each target in
+//! serial generation order — windows in order, within a window worker
+//! buffers in slot order, each buffer in generation order — so they build
+//! exactly the serial lists and the serial `updates` count. None of this
+//! depends on the window size: windows only bound the buffer memory and
+//! let the floors tighten as the lists improve.
 
 use crate::graph::{BuildStats, KnnGraph, KnnResult};
-use crate::neighborlist::{random_lists, NeighborList};
-use goldfinger_core::parallel::par_for_each_range;
+use crate::neighborlist::{outranks, random_lists, NeighborList};
+use goldfinger_core::parallel::par_map_chunks;
 use goldfinger_core::similarity::Similarity;
 use goldfinger_obs::trace;
 use goldfinger_obs::{BuildObserver, IterationEvent, Phase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Consumes candidate pairs during the join phase: evaluates the pair once
-/// and offers the similarity to both endpoints' lists, counting evaluations
-/// and list updates.
+/// Join users per score/apply window. Windows bound the proposal buffers
+/// (16 bytes a proposal): in the first iteration nearly every offer beats
+/// a random graph's floors — NNDescent keeps about 3 Ki proposals per user
+/// on ml1M-like data at k = 30 — so a window keeps under 2 MiB; later
+/// iterations keep far fewer.
+const WINDOW: usize = 32;
+
+/// Consumes candidate pairs during the join phase.
 pub trait Joiner {
-    /// Evaluates `similarity(a, b)` once and offers it to both `a`'s and
-    /// `b`'s neighbour lists.
-    fn join(&mut self, a: u32, b: u32);
-
-    /// Joins `a` against every candidate in `bs`, in order.
-    ///
-    /// Semantically identical to `for &b in bs { self.join(a, b) }` — same
-    /// pairs, same order, same values, same counters — which is also the
-    /// default implementation. The engine joiners override it to score the
-    /// whole candidate list through [`Similarity::similarity_batch`] (the
-    /// gather kernels for fingerprint providers) before applying the list
-    /// inserts in the original order.
-    fn join_batch(&mut self, a: u32, bs: &[u32]) {
-        for &b in bs {
-            self.join(a, b);
-        }
-    }
-}
-
-/// The serial joiner: exclusive access to the lists, plain counters, and a
-/// reusable similarity buffer for batched joins.
-pub struct SerialJoiner<'a, S: ?Sized> {
-    lists: &'a mut [NeighborList],
-    sim: &'a S,
-    evals: &'a mut u64,
-    updates: &'a mut u64,
-    batch: Vec<f64>,
-}
-
-impl<S: Similarity + ?Sized> Joiner for SerialJoiner<'_, S> {
-    fn join(&mut self, a: u32, b: u32) {
-        *self.evals += 1;
-        let s = self.sim.similarity(a, b);
-        if self.lists[a as usize].insert(b, s) {
-            *self.updates += 1;
-        }
-        if self.lists[b as usize].insert(a, s) {
-            *self.updates += 1;
-        }
-    }
-
-    fn join_batch(&mut self, a: u32, bs: &[u32]) {
-        if bs.len() < 2 {
-            // Nothing to amortise; skip the buffer bookkeeping.
-            for &b in bs {
-                self.join(a, b);
-            }
-            return;
-        }
-        self.batch.clear();
-        self.batch.resize(bs.len(), 0.0);
-        self.sim.similarity_batch(a, bs, &mut self.batch);
-        *self.evals += bs.len() as u64;
-        for (&b, &s) in bs.iter().zip(&self.batch) {
-            if self.lists[a as usize].insert(b, s) {
-                *self.updates += 1;
-            }
-            if self.lists[b as usize].insert(a, s) {
-                *self.updates += 1;
-            }
-        }
-    }
-}
-
-/// The parallel joiner: per-node locks (one held at a time — no nesting, no
-/// deadlock), atomic counters, and a per-worker similarity buffer.
-pub struct ParJoiner<'a, S: ?Sized> {
-    locks: &'a [Mutex<NeighborList>],
-    sim: &'a S,
-    evals: &'a AtomicU64,
-    updates: &'a AtomicU64,
-    batch: Vec<f64>,
-}
-
-impl<S: Similarity + ?Sized> Joiner for ParJoiner<'_, S> {
-    fn join(&mut self, a: u32, b: u32) {
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        let s = self.sim.similarity(a, b);
-        let mut changed = 0u64;
-        if self.locks[a as usize].lock().unwrap().insert(b, s) {
-            changed += 1;
-        }
-        if self.locks[b as usize].lock().unwrap().insert(a, s) {
-            changed += 1;
-        }
-        if changed > 0 {
-            self.updates.fetch_add(changed, Ordering::Relaxed);
-        }
-    }
-
-    fn join_batch(&mut self, a: u32, bs: &[u32]) {
-        if bs.len() < 2 {
-            for &b in bs {
-                self.join(a, b);
-            }
-            return;
-        }
-        self.batch.clear();
-        self.batch.resize(bs.len(), 0.0);
-        self.sim.similarity_batch(a, bs, &mut self.batch);
-        self.evals.fetch_add(bs.len() as u64, Ordering::Relaxed);
-        let mut changed = 0u64;
-        for (&b, &s) in bs.iter().zip(&self.batch) {
-            if self.locks[a as usize].lock().unwrap().insert(b, s) {
-                changed += 1;
-            }
-            if self.locks[b as usize].lock().unwrap().insert(a, s) {
-                changed += 1;
-            }
-        }
-        if changed > 0 {
-            self.updates.fetch_add(changed, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Uniform access to the neighbour lists during candidate planning, hiding
-/// whether the engine runs serial (plain slice) or parallel (per-node
-/// locks). Planning is always sequential, so locking per access is cheap.
-pub enum ListsView<'a> {
-    /// Serial engine: exclusive slice.
-    Serial(&'a mut [NeighborList]),
-    /// Parallel engine: the lists behind their per-node locks.
-    Shared(&'a [Mutex<NeighborList>]),
-}
-
-impl ListsView<'_> {
-    /// Number of users.
-    pub fn len(&self) -> usize {
-        match self {
-            ListsView::Serial(lists) => lists.len(),
-            ListsView::Shared(locks) => locks.len(),
-        }
-    }
-
-    /// True for an empty population.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Runs `f` with mutable access to user `u`'s list.
-    pub fn with<R>(&mut self, u: usize, f: impl FnOnce(&mut NeighborList) -> R) -> R {
-        match self {
-            ListsView::Serial(lists) => f(&mut lists[u]),
-            ListsView::Shared(locks) => f(&mut locks[u].lock().unwrap()),
-        }
-    }
+    /// Scores `a` against every candidate in `bs`, in order, and offers
+    /// each similarity to both `a`'s and the candidate's neighbour list.
+    fn join_batch(&mut self, a: u32, bs: &[u32]);
 }
 
 /// An algorithm's contribution to one refinement iteration: plan candidates
@@ -193,23 +84,23 @@ pub trait JoinStrategy: Sync {
     /// Per-iteration candidate plan, computed sequentially and then read by
     /// every join worker.
     type Plan: Sync;
-    /// Per-worker mutable scratch (e.g. a visited stamp); created once per
-    /// build for the serial engine and per worker for the parallel one.
-    type Scratch;
+    /// Per-worker mutable scratch (e.g. a visited stamp), created once per
+    /// worker per build.
+    type Scratch: Send;
 
     /// Validates strategy-specific parameters; panics on invalid ones.
     fn validate(&self) {}
 
-    /// Plans this iteration's candidates from the current lists. May mutate
-    /// the lists (NNDescent clears `is_new` flags) and draw from `rng` —
-    /// this is the only place refinement consumes randomness, which is what
-    /// keeps parallel planning identical to serial.
-    fn candidates(&self, k: usize, lists: &mut ListsView<'_>, rng: &mut StdRng) -> Self::Plan;
+    /// Plans this iteration's candidates from the current lists. May flip
+    /// entry flags (NNDescent clears `is_new`) and draw from `rng` — this
+    /// is the only place refinement consumes randomness.
+    fn candidates(&self, k: usize, lists: &mut [NeighborList], rng: &mut StdRng) -> Self::Plan;
 
     /// Creates the scratch for a worker over a population of `n` users.
     fn scratch(&self, n: usize) -> Self::Scratch;
 
-    /// Feeds user `u`'s candidate pairs to the joiner.
+    /// Feeds user `u`'s candidate pairs to the joiner. Must read only
+    /// `plan`, never the lists, so users can be joined in any interleaving.
     fn join_user<J: Joiner>(
         &self,
         plan: &Self::Plan,
@@ -219,11 +110,131 @@ pub trait JoinStrategy: Sync {
     );
 }
 
+/// The goodness an offer must beat to change a list: its worst entry once
+/// full, below every offer while it has room.
+#[derive(Debug, Clone, Copy)]
+struct Floor {
+    sim: f64,
+    user: u32,
+}
+
+impl Floor {
+    fn of(list: &NeighborList) -> Floor {
+        match list.floor() {
+            Some(w) => Floor {
+                sim: w.sim,
+                user: w.user,
+            },
+            None => Floor {
+                sim: f64::NEG_INFINITY,
+                user: u32::MAX,
+            },
+        }
+    }
+
+    #[inline]
+    fn admits(self, sim: f64, user: u32) -> bool {
+        outranks(sim, user, self.sim, self.user)
+    }
+}
+
+/// A kept offer: `source` at similarity `sim` for `target`'s list.
+#[derive(Debug, Clone, Copy)]
+struct Proposal {
+    target: u32,
+    source: u32,
+    sim: f64,
+}
+
+/// What a scoring worker emits, reused across windows and iterations.
+struct Proposals {
+    /// Similarities of the batch being joined.
+    sims: Vec<f64>,
+    /// Kept offers, one bucket per apply shard, in generation order.
+    buckets: Vec<Vec<Proposal>>,
+    /// Pairs scored this iteration.
+    evals: u64,
+}
+
+/// A scoring worker: its strategy scratch and what it emits.
+struct Worker<Sc> {
+    scratch: Sc,
+    out: Proposals,
+}
+
+/// The [`Joiner`] a scoring worker hands to its strategy.
+struct Scorer<'a, S: ?Sized> {
+    sim: &'a S,
+    floors: &'a [Floor],
+    shard_len: usize,
+    out: &'a mut Proposals,
+}
+
+impl<S: Similarity + ?Sized> Joiner for Scorer<'_, S> {
+    fn join_batch(&mut self, a: u32, bs: &[u32]) {
+        let out = &mut *self.out;
+        out.sims.clear();
+        match bs {
+            [] => return,
+            // Nothing to amortise: skip the gather.
+            [b] => out.sims.push(self.sim.similarity(a, *b)),
+            _ => {
+                out.sims.resize(bs.len(), 0.0);
+                self.sim.similarity_batch(a, bs, &mut out.sims);
+            }
+        }
+        out.evals += bs.len() as u64;
+        let floor_a = self.floors[a as usize];
+        for (&b, &sim) in bs.iter().zip(&out.sims) {
+            if floor_a.admits(sim, b) {
+                out.buckets[a as usize / self.shard_len].push(Proposal {
+                    target: a,
+                    source: b,
+                    sim,
+                });
+            }
+            if self.floors[b as usize].admits(sim, a) {
+                out.buckets[b as usize / self.shard_len].push(Proposal {
+                    target: b,
+                    source: a,
+                    sim,
+                });
+            }
+        }
+    }
+}
+
+/// An apply worker's disjoint range of targets.
+struct Shard<'a> {
+    index: usize,
+    base: usize,
+    lists: &'a mut [NeighborList],
+    floors: &'a mut [Floor],
+    updates: u64,
+}
+
+impl Shard<'_> {
+    /// Applies every worker's proposals for this shard, in slot order.
+    fn apply(&mut self, outs: &[&Proposals]) {
+        for out in outs {
+            for p in &out.buckets[self.index] {
+                let t = p.target as usize - self.base;
+                // Here the floor is the list's current worst, so the check
+                // only skips offers `insert` would refuse anyway.
+                if self.floors[t].admits(p.sim, p.source) && self.lists[t].insert(p.source, p.sim) {
+                    self.updates += 1;
+                    self.floors[t] = Floor::of(&self.lists[t]);
+                }
+            }
+        }
+    }
+}
+
 /// The refinement-loop scaffolding shared by greedy KNN builders.
 ///
 /// Owns everything around the per-algorithm [`JoinStrategy`]: the seeded
-/// random-graph init, the iterate/converge/finalize loop, observer events
-/// and spans, and the final [`BuildStats`].
+/// random-graph init, the iterate/join/converge/finalize loop, observer
+/// events and spans, and the final [`BuildStats`].
 #[derive(Debug, Clone, Copy)]
 pub struct RefineEngine {
     /// Termination threshold: stop when an iteration performs fewer than
@@ -233,7 +244,8 @@ pub struct RefineEngine {
     pub max_iterations: u32,
     /// RNG seed for the initial random graph and candidate sampling.
     pub seed: u64,
-    /// Worker threads for the join phase (1 = sequential, deterministic).
+    /// Worker threads for the join phase (0 and 1 both mean one). The
+    /// output does not depend on it.
     pub threads: usize,
 }
 
@@ -253,20 +265,8 @@ impl RefineEngine {
         assert!(k > 0, "k must be positive");
         assert!(self.delta >= 0.0, "delta must be non-negative");
         strategy.validate();
-        if self.threads > 1 {
-            self.run_parallel(sim, k, strategy, obs)
-        } else {
-            self.run_serial(sim, k, strategy, obs)
-        }
-    }
-
-    fn run_serial<S, St, O>(&self, sim: &S, k: usize, strategy: &St, obs: &O) -> KnnResult
-    where
-        S: Similarity + ?Sized,
-        St: JoinStrategy,
-        O: BuildObserver,
-    {
         let n = sim.n_users();
+        let threads = self.threads.max(1);
         let start = Instant::now();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut evals = 0u64;
@@ -282,38 +282,79 @@ impl RefineEngine {
             });
         }
         let threshold = self.delta * k as f64 * n as f64;
-        let mut scratch = strategy.scratch(n);
+        // Apply shards: one contiguous target range per thread.
+        let shard_len = n.div_ceil(threads).max(1);
+        let mut workers: Vec<Worker<St::Scratch>> = (0..threads)
+            .map(|_| Worker {
+                scratch: strategy.scratch(n),
+                out: Proposals {
+                    sims: Vec::new(),
+                    buckets: vec![Vec::new(); n.div_ceil(shard_len)],
+                    evals: 0,
+                },
+            })
+            .collect();
         let mut iterations = 0u32;
 
         while iterations < self.max_iterations {
             iterations += 1;
             let _iter = trace::span_arg("engine", "iteration", iterations as u64);
             let iter_start = O::ENABLED.then(Instant::now);
-            let evals_before = evals;
 
             let plan = {
                 let _t = trace::span("phase", "candidate_generation");
-                strategy.candidates(k, &mut ListsView::Serial(&mut lists), &mut rng)
+                strategy.candidates(k, &mut lists, &mut rng)
             };
             if let Some(t) = iter_start {
                 obs.on_span(Phase::CandidateGeneration, t.elapsed());
             }
 
             let join_start = O::ENABLED.then(Instant::now);
+            let join_trace = trace::span("phase", "join");
+            let mut floors: Vec<Floor> = lists.iter().map(Floor::of).collect();
             let mut updates = 0u64;
-            {
-                let _t = trace::span("phase", "join");
-                let mut joiner = SerialJoiner {
-                    lists: &mut lists,
-                    sim,
-                    evals: &mut evals,
-                    updates: &mut updates,
-                    batch: Vec::new(),
-                };
-                for u in 0..n {
-                    strategy.join_user(&plan, u, &mut scratch, &mut joiner);
-                }
+            for lo in (0..n).step_by(WINDOW) {
+                let hi = (lo + WINDOW).min(n);
+                let span = (hi - lo).div_ceil(threads);
+                par_map_chunks(&mut workers, threads, |_, first, chunk| {
+                    for (slot, w) in (first..).zip(chunk) {
+                        w.out.buckets.iter_mut().for_each(Vec::clear);
+                        let mut scorer = Scorer {
+                            sim,
+                            floors: &floors,
+                            shard_len,
+                            out: &mut w.out,
+                        };
+                        for u in (lo + slot * span).min(hi)..(lo + (slot + 1) * span).min(hi) {
+                            strategy.join_user(&plan, u, &mut w.scratch, &mut scorer);
+                        }
+                    }
+                });
+
+                let outs: Vec<&Proposals> = workers.iter().map(|w| &w.out).collect();
+                let mut shards: Vec<Shard> = lists
+                    .chunks_mut(shard_len)
+                    .zip(floors.chunks_mut(shard_len))
+                    .enumerate()
+                    .map(|(index, (lists, floors))| Shard {
+                        index,
+                        base: index * shard_len,
+                        lists,
+                        floors,
+                        updates: 0,
+                    })
+                    .collect();
+                par_map_chunks(&mut shards, threads, |_, _, chunk| {
+                    chunk.iter_mut().for_each(|shard| shard.apply(&outs));
+                });
+                updates += shards.iter().map(|s| s.updates).sum::<u64>();
             }
+            let iter_evals: u64 = workers
+                .iter_mut()
+                .map(|w| std::mem::take(&mut w.out.evals))
+                .sum();
+            evals += iter_evals;
+            drop(join_trace);
 
             if O::ENABLED {
                 if let Some(t) = join_start {
@@ -321,7 +362,7 @@ impl RefineEngine {
                 }
                 obs.on_iteration(IterationEvent {
                     iteration: iterations,
-                    similarity_evals: evals - evals_before,
+                    similarity_evals: iter_evals,
                     pruned_evals: 0,
                     updates,
                     threshold,
@@ -344,105 +385,6 @@ impl RefineEngine {
             graph: KnnGraph::from_lists(k, neighbors),
             stats: BuildStats {
                 similarity_evals: evals,
-                pruned_evals: 0,
-                iterations,
-                wall: start.elapsed(),
-                prep_wall: Duration::ZERO,
-            },
-        }
-    }
-
-    fn run_parallel<S, St, O>(&self, sim: &S, k: usize, strategy: &St, obs: &O) -> KnnResult
-    where
-        S: Similarity + ?Sized,
-        St: JoinStrategy,
-        O: BuildObserver,
-    {
-        let n = sim.n_users();
-        let start = Instant::now();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut init_evals = 0u64;
-        let lists = random_lists(sim, k, &mut rng, &mut init_evals);
-        let locks: Vec<Mutex<NeighborList>> = lists.into_iter().map(Mutex::new).collect();
-        let evals = AtomicU64::new(init_evals);
-        if O::ENABLED {
-            obs.on_iteration(IterationEvent {
-                iteration: 0,
-                similarity_evals: init_evals,
-                pruned_evals: 0,
-                updates: 0,
-                threshold: 0.0,
-                wall: start.elapsed(),
-            });
-        }
-        let threshold = self.delta * k as f64 * n as f64;
-        let mut iterations = 0u32;
-
-        while iterations < self.max_iterations {
-            iterations += 1;
-            let _iter = trace::span_arg("engine", "iteration", iterations as u64);
-            let iter_start = O::ENABLED.then(Instant::now);
-            let evals_before = evals.load(Ordering::Relaxed);
-
-            // Planning stays sequential and seeded; only the joins fan out.
-            let plan = {
-                let _t = trace::span("phase", "candidate_generation");
-                strategy.candidates(k, &mut ListsView::Shared(&locks), &mut rng)
-            };
-            if let Some(t) = iter_start {
-                obs.on_span(Phase::CandidateGeneration, t.elapsed());
-            }
-
-            let join_start = O::ENABLED.then(Instant::now);
-            let join_trace = trace::span("phase", "join");
-            let updates = AtomicU64::new(0);
-            par_for_each_range(n, self.threads, |_, lo, hi| {
-                let mut scratch = strategy.scratch(n);
-                let mut joiner = ParJoiner {
-                    locks: &locks,
-                    sim,
-                    evals: &evals,
-                    updates: &updates,
-                    batch: Vec::new(),
-                };
-                for u in lo..hi {
-                    strategy.join_user(&plan, u, &mut scratch, &mut joiner);
-                }
-            });
-            drop(join_trace);
-
-            if O::ENABLED {
-                if let Some(t) = join_start {
-                    obs.on_span(Phase::Join, t.elapsed());
-                }
-                obs.on_iteration(IterationEvent {
-                    iteration: iterations,
-                    similarity_evals: evals.load(Ordering::Relaxed) - evals_before,
-                    pruned_evals: 0,
-                    updates: updates.load(Ordering::Relaxed),
-                    threshold,
-                    wall: iter_start.map_or(Duration::ZERO, |t| t.elapsed()),
-                });
-            }
-            if (updates.load(Ordering::Relaxed) as f64) < threshold {
-                break;
-            }
-        }
-
-        let merge_start = O::ENABLED.then(Instant::now);
-        let merge_trace = trace::span("phase", "merge");
-        let neighbors = locks
-            .iter()
-            .map(|l| l.lock().unwrap().to_sorted())
-            .collect();
-        drop(merge_trace);
-        if let Some(t) = merge_start {
-            obs.on_span(Phase::Merge, t.elapsed());
-        }
-        KnnResult {
-            graph: KnnGraph::from_lists(k, neighbors),
-            stats: BuildStats {
-                similarity_evals: evals.load(Ordering::Relaxed),
                 pruned_evals: 0,
                 iterations,
                 wall: start.elapsed(),

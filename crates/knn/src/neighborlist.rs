@@ -44,6 +44,14 @@ pub enum Offer {
     Replaced(u32),
 }
 
+/// The goodness order of list entries: `(sim, user)` outranks
+/// `(than_sim, than_user)` when its similarity is higher, or equal with a
+/// lower user id.
+#[inline]
+pub(crate) fn outranks(sim: f64, user: u32, than_sim: f64, than_user: u32) -> bool {
+    sim > than_sim || (sim == than_sim && user < than_user)
+}
+
 impl Offer {
     /// True when the offer changed the list's membership.
     pub fn accepted(&self) -> bool {
@@ -112,7 +120,7 @@ impl NeighborList {
         }
         let worst = self.worst_index();
         let w = self.entries[worst];
-        if sim > w.sim || (sim == w.sim && user < w.user) {
+        if outranks(sim, user, w.sim, w.user) {
             self.entries[worst] = entry;
             Offer::Replaced(w.user)
         } else {
@@ -139,14 +147,10 @@ impl NeighborList {
         }
     }
 
-    /// Similarity of the worst entry (`-inf` when empty, so any candidate
-    /// can pass a `sim > worst` pre-check).
-    pub fn worst_sim(&self) -> f64 {
-        if self.entries.len() < self.k {
-            f64::NEG_INFINITY
-        } else {
-            self.entries[self.worst_index()].sim
-        }
+    /// The entry an offer must outrank (see [`outranks`]) to get into the
+    /// full list — its worst one; `None` while the list has room.
+    pub(crate) fn floor(&self) -> Option<&NeighborEntry> {
+        (self.entries.len() == self.k).then(|| &self.entries[self.worst_index()])
     }
 
     /// Entries, unsorted.
@@ -188,7 +192,7 @@ impl NeighborList {
         let mut worst = 0usize;
         for (i, e) in self.entries.iter().enumerate().skip(1) {
             let w = &self.entries[worst];
-            if e.sim < w.sim || (e.sim == w.sim && e.user > w.user) {
+            if outranks(w.sim, w.user, e.sim, e.user) {
                 worst = i;
             }
         }
@@ -238,7 +242,7 @@ mod tests {
         assert!(l.insert(1, 0.5));
         assert!(!l.insert(1, 0.5), "duplicate must be rejected");
         assert!(l.insert(2, 0.3));
-        assert_eq!(l.worst_sim(), 0.3);
+        assert_eq!(l.floor().map(|e| (e.sim, e.user)), Some((0.3, 2)));
         assert!(l.insert(3, 0.4)); // replaces user 2
         assert!(!l.contains(2));
         assert!(!l.insert(4, 0.1));

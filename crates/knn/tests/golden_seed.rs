@@ -2,15 +2,20 @@
 //! a fixed synthetic population so refactors of the construction machinery
 //! can prove themselves behavior-preserving.
 //!
-//! For each `(builder, provider)` combination with a deterministic
-//! configuration (fixed seeds, serial joins — plus the parallel paths that
-//! are bit-identical by construction: Brute Force and LSH), the test
-//! computes a 64-bit FNV-1a digest over the full graph — every `(user,
-//! neighbour, similarity-bits)` triple in order — together with the exact
-//! `BuildStats` counters, and compares them against constants captured
-//! before the builder abstraction refactor. Any change to the refinement
-//! scaffolding, join order, RNG draw sequence, tie-breaking, or eval
-//! accounting shows up here as a digest or counter mismatch.
+//! For each `(builder, provider)` combination (fixed seeds; serial and
+//! 4-thread runs, which every builder makes bit-identical by
+//! construction), the test computes a 64-bit FNV-1a digest over the full
+//! graph — every `(user, neighbour, similarity-bits)` triple in order —
+//! together with the exact `BuildStats` counters, and compares them against
+//! constants captured before the builder abstraction refactor. Any change
+//! to the refinement scaffolding, join order, RNG draw sequence,
+//! tie-breaking, or eval accounting shows up here as a digest or counter
+//! mismatch. The `*/t4` rows carry the same constants as their serial rows.
+//!
+//! One exception: at 4 threads Brute Force splits its pairs between
+//! `similarity_evals` and `pruned_evals` depending on which worker folds
+//! which tile cell, so `brute/t4` is pinned on its digest, iteration count
+//! and `evals + pruned` (= n(n−1)/2) only.
 //!
 //! To regenerate after an *intentional* behavior change, run with
 //! `GF_GOLDEN_PRINT=1` and paste the printed table:
@@ -138,6 +143,15 @@ fn run_all<S: Similarity>(profiles: &ProfileStore, sim: &S, tag: &'static str) -
         sample_rate: 0.5,
         ..NNDescent::default()
     };
+    let hyrec4 = Hyrec {
+        threads: 4,
+        ..hyrec
+    };
+    let nnd4 = NNDescent { threads: 4, ..nnd };
+    let nnd_half4 = NNDescent {
+        threads: 4,
+        ..nnd_half
+    };
     let lsh1 = Lsh {
         seed: 42,
         threads: 1,
@@ -187,10 +201,13 @@ fn run_all<S: Similarity>(profiles: &ProfileStore, sim: &S, tag: &'static str) -
         ("brute/t1", brute1.build(sim, K)),
         ("brute/t4", brute4.build(sim, K)),
         ("hyrec", hyrec.build(sim, K)),
+        ("hyrec/t4", hyrec4.build(sim, K)),
         ("hyrec/iters=2", hyrec_cut.build(sim, K)),
         ("nndescent", nnd.build(sim, K)),
+        ("nndescent/t4", nnd4.build(sim, K)),
         ("nndescent/iters=2", nnd_cut.build(sim, K)),
         ("nndescent/rho=0.5", nnd_half.build(sim, K)),
+        ("nndescent/rho=0.5/t4", nnd_half4.build(sim, K)),
         ("lsh/t1", lsh1.build(profiles, sim, K)),
         ("lsh/t4", lsh4.build(profiles, sim, K)),
         ("kiff", kiff.build(profiles, sim, K)),
@@ -217,6 +234,17 @@ fn check(tag: &str, got: &[Golden], want: &[(&str, u64, u64, u64, u32)]) {
     assert_eq!(got.len(), want.len(), "{tag}: case count");
     for (g, w) in got.iter().zip(want) {
         assert_eq!(g.case, w.0, "{tag}: case order");
+        if g.case == "brute/t4" {
+            // The evaluated/pruned split is scheduler-dependent here; the
+            // graph and the pair total are not.
+            assert_eq!(
+                (g.graph, g.evals + g.pruned, g.iterations),
+                (w.1, w.2 + w.3, w.4),
+                "{tag}/{}: output drifted from the pinned golden",
+                g.case
+            );
+            continue;
+        }
         assert_eq!(
             (g.graph, g.evals, g.pruned, g.iterations),
             (w.1, w.2, w.3, w.4),
@@ -231,10 +259,13 @@ const GOLDEN_NATIVE: &[(&str, u64, u64, u64, u32)] = &[
     ("brute/t1", 0xa278dfda9aef5e00, 44848, 2, 1),
     ("brute/t4", 0xa278dfda9aef5e00, 44848, 2, 1),
     ("hyrec", 0xa278dfda9aef5e00, 27346, 0, 4),
+    ("hyrec/t4", 0xa278dfda9aef5e00, 27346, 0, 4),
     ("hyrec/iters=2", 0x412758909d45cce1, 21962, 0, 2),
     ("nndescent", 0xa278dfda9aef5e00, 46200, 0, 4),
+    ("nndescent/t4", 0xa278dfda9aef5e00, 46200, 0, 4),
     ("nndescent/iters=2", 0x16fc680d63db381d, 35661, 0, 2),
     ("nndescent/rho=0.5", 0xefa79c91f63d8996, 51351, 0, 4),
+    ("nndescent/rho=0.5/t4", 0xefa79c91f63d8996, 51351, 0, 4),
     ("lsh/t1", 0xbf32c6e50d5952b8, 11458, 0, 1),
     ("lsh/t4", 0xbf32c6e50d5952b8, 11458, 0, 1),
     ("kiff", 0xa278dfda9aef5e00, 8396, 0, 1),
@@ -252,10 +283,13 @@ const GOLDEN_SHF256: &[(&str, u64, u64, u64, u32)] = &[
     ("brute/t1", 0xaa150c85a851a1f1, 44845, 5, 1),
     ("brute/t4", 0xaa150c85a851a1f1, 44845, 5, 1),
     ("hyrec", 0xa074ac4d667e2083, 30204, 0, 5),
+    ("hyrec/t4", 0xa074ac4d667e2083, 30204, 0, 5),
     ("hyrec/iters=2", 0x4d9d67076fd4a146, 22263, 0, 2),
     ("nndescent", 0xaa150c85a851a1f1, 46511, 0, 4),
+    ("nndescent/t4", 0xaa150c85a851a1f1, 46511, 0, 4),
     ("nndescent/iters=2", 0xb5c66967c84e4799, 35610, 0, 2),
     ("nndescent/rho=0.5", 0xffeff400b83f5d46, 51244, 0, 4),
+    ("nndescent/rho=0.5/t4", 0xffeff400b83f5d46, 51244, 0, 4),
     ("lsh/t1", 0xbfd9cfe1e3507ec4, 11458, 0, 1),
     ("lsh/t4", 0xbfd9cfe1e3507ec4, 11458, 0, 1),
     ("kiff", 0xaa150c85a851a1f1, 8396, 0, 1),

@@ -2,12 +2,9 @@
 //! change what a builder produces, and the recorded per-iteration trace
 //! must sum exactly to the final `BuildStats` counters.
 //!
-//! Determinism caveat: with `threads > 1`, NNDescent and Hyrec are *not*
-//! bit-identical across runs (per-node lock interleaving decides ties), so
-//! the neutrality assertions cover Brute Force (whose parallel merge is
-//! order-independent) at several thread counts and the sequential paths of
-//! the iterative builders; parallel iterative runs are checked for trace
-//! self-consistency instead.
+//! Every builder here is bit-identical across thread counts, so neutrality
+//! is asserted at several thread counts, and parallel runs of the iterative
+//! builders must also equal their serial runs — iteration by iteration.
 
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::ExplicitJaccard;
@@ -134,28 +131,54 @@ fn lsh_observer_is_neutral() {
     assert_trace_consistent(&observed, &rec.iterations());
 }
 
+/// The per-iteration counters of a trace (wall times excluded).
+fn trace_counters(events: &[IterationEvent]) -> Vec<(u32, u64, u64)> {
+    events
+        .iter()
+        .map(|e| (e.iteration, e.similarity_evals, e.updates))
+        .collect()
+}
+
 #[test]
-fn parallel_iterative_builders_have_self_consistent_traces() {
+fn parallel_iterative_builders_are_neutral_and_equal_to_serial() {
     let profiles = clustered(12);
     let sim = ExplicitJaccard::new(&profiles);
+    let nnd = |threads| NNDescent {
+        threads,
+        seed: 7,
+        ..NNDescent::default()
+    };
+    let hyrec = |threads| Hyrec {
+        threads,
+        seed: 7,
+        ..Hyrec::default()
+    };
+    let serial_nnd = RecordingObserver::new();
+    let serial_nnd_out = nnd(1).build_observed(&sim, 5, &serial_nnd);
+    let serial_hyrec = RecordingObserver::new();
+    let serial_hyrec_out = hyrec(1).build_observed(&sim, 5, &serial_hyrec);
     for threads in [2usize, 4] {
         let rec = RecordingObserver::new();
-        let out = NNDescent {
-            threads,
-            seed: 7,
-            ..NNDescent::default()
-        }
-        .build_observed(&sim, 5, &rec);
+        let out = nnd(threads).build_observed(&sim, 5, &rec);
         assert_trace_consistent(&out, &rec.iterations());
+        assert_same_output(&out, &nnd(threads).build(&sim, 5));
+        assert_same_output(&out, &serial_nnd_out);
+        assert_eq!(
+            trace_counters(&rec.iterations()),
+            trace_counters(&serial_nnd.iterations()),
+            "nndescent/t{threads}"
+        );
 
         let rec = RecordingObserver::new();
-        let out = Hyrec {
-            threads,
-            seed: 7,
-            ..Hyrec::default()
-        }
-        .build_observed(&sim, 5, &rec);
+        let out = hyrec(threads).build_observed(&sim, 5, &rec);
         assert_trace_consistent(&out, &rec.iterations());
+        assert_same_output(&out, &hyrec(threads).build(&sim, 5));
+        assert_same_output(&out, &serial_hyrec_out);
+        assert_eq!(
+            trace_counters(&rec.iterations()),
+            trace_counters(&serial_hyrec.iterations()),
+            "hyrec/t{threads}"
+        );
     }
 }
 
@@ -225,8 +248,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Observer neutrality on arbitrary populations: recording vs no-op
-    /// observers produce bit-identical graphs and counters for the
-    /// deterministic builders.
+    /// observers produce bit-identical graphs and counters at any thread
+    /// count.
     #[test]
     fn observers_never_change_results(
         lists in proptest::collection::vec(proptest::collection::vec(0u32..200, 0..40), 3..20),
@@ -243,13 +266,13 @@ proptest! {
         assert_same_output(&observed, &unobserved);
         assert_trace_consistent(&observed, &rec.iterations());
 
-        let builder = NNDescent { threads: 1, ..NNDescent::default() };
+        let builder = NNDescent { threads, ..NNDescent::default() };
         let rec = RecordingObserver::new();
         let observed = builder.build_observed(&sim, k, &rec);
         assert_same_output(&observed, &builder.build(&sim, k));
         assert_trace_consistent(&observed, &rec.iterations());
 
-        let builder = Hyrec { threads: 1, ..Hyrec::default() };
+        let builder = Hyrec { threads, ..Hyrec::default() };
         let rec = RecordingObserver::new();
         let observed = builder.build_observed(&sim, k, &rec);
         assert_same_output(&observed, &builder.build(&sim, k));

@@ -3,10 +3,8 @@
 //! scoped threads per call (no pool installed) or broadcast to a persistent
 //! worker pool — at any pool size, including the `GF_THREADS`-sized default.
 //!
-//! NNDescent and Hyrec are covered at `threads = 1` (their multi-threaded
-//! variants are intentionally nondeterministic in update interleaving, with
-//! or without a pool); BruteForce and LSH are deterministic at any thread
-//! count and are exercised well past the pool size.
+//! Every builder here is deterministic at any thread count and is
+//! exercised well past the pool size.
 
 use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileStore;
@@ -51,8 +49,8 @@ proptest! {
         let sim = ExplicitJaccard::new(&profiles);
         let brute = BruteForce { threads, tile: 3, prune: true };
         let lsh = Lsh { threads, ..Lsh::default() };
-        let nnd = NNDescent::default(); // threads = 1
-        let hyrec = Hyrec::default(); // threads = 1
+        let nnd = NNDescent { threads, ..NNDescent::default() };
+        let hyrec = Hyrec { threads, ..Hyrec::default() };
 
         // Spawn-per-call baseline: no pool installed.
         let base_brute = brute.build(&sim, k).graph;
@@ -76,12 +74,12 @@ proptest! {
                 assert_same_graph(
                     &nnd.build(&sim, k).graph,
                     &base_nnd,
-                    &format!("nndescent, pool={size}"),
+                    &format!("nndescent, pool={size} threads={threads}"),
                 );
                 assert_same_graph(
                     &hyrec.build(&sim, k).graph,
                     &base_hyrec,
-                    &format!("hyrec, pool={size}"),
+                    &format!("hyrec, pool={size} threads={threads}"),
                 );
             });
         }

@@ -3,17 +3,20 @@
 
 use goldfinger_core::hash::{DynHasher, HasherKind};
 use goldfinger_core::kernels::{self, SimKernel};
+use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::shf::{jaccard_from_counts, ShfParams, ShfStore};
 use goldfinger_core::similarity::{ExplicitJaccard, Similarity};
 use goldfinger_knn::brute::BruteForce;
 use goldfinger_knn::cluster::Cluster;
-use goldfinger_knn::graph::KnnGraph;
+use goldfinger_knn::graph::{KnnGraph, KnnResult};
 use goldfinger_knn::hyrec::Hyrec;
 use goldfinger_knn::lsh::Lsh;
 use goldfinger_knn::metrics::{average_similarity, edge_recall};
 use goldfinger_knn::nndescent::NNDescent;
+use goldfinger_obs::RecordingObserver;
 use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 /// Arbitrary small populations: 3–25 users with 0–40 items each from a
 /// 200-item universe (dense enough for structure, small enough to be fast).
@@ -244,6 +247,99 @@ proptest! {
                                 kernel.name, threads, prune
                             );
                             prop_assert_eq!(pairs, *p0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One refine run's comparable outcome: the full `(u, v, sim-bits)` edge
+/// stream, the eval and iteration totals, and every iteration's update
+/// count.
+type RefineOutcome = (Vec<(u32, u32, u64)>, u64, u32, Vec<u64>);
+
+fn refine_outcome(result: &KnnResult, rec: &RecordingObserver) -> RefineOutcome {
+    (
+        result
+            .graph
+            .edges()
+            .map(|(u, v, s)| (u, v, s.to_bits()))
+            .collect(),
+        result.stats.similarity_evals,
+        result.stats.iterations,
+        rec.iterations().iter().map(|e| e.updates).collect(),
+    )
+}
+
+/// NNDescent at ρ = 1 and ρ = 0.5, then Hyrec, all at `threads`.
+fn refine_outcomes<S: Similarity>(sim: &S, k: usize, threads: usize) -> Vec<RefineOutcome> {
+    let mut out = Vec::new();
+    for sample_rate in [1.0, 0.5] {
+        let rec = RecordingObserver::new();
+        let nnd = NNDescent {
+            seed: 5,
+            sample_rate,
+            threads,
+            ..NNDescent::default()
+        };
+        out.push(refine_outcome(&nnd.build_observed(sim, k, &rec), &rec));
+    }
+    let rec = RecordingObserver::new();
+    let hyrec = Hyrec {
+        seed: 5,
+        threads,
+        ..Hyrec::default()
+    };
+    out.push(refine_outcome(&hyrec.build_observed(sim, k, &rec), &rec));
+    out
+}
+
+fn shared_pool() -> &'static Arc<Pool> {
+    static POOL: OnceLock<Arc<Pool>> = OnceLock::new();
+    POOL.get_or_init(|| Pool::new(4))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The refine engine's pinned invariant: NNDescent and Hyrec produce
+    /// the serial build's graph, eval and iteration counts and
+    /// per-iteration update counts at every worker count, kernel variant
+    /// and dispatch path. Populations run from below the engine's join
+    /// window (32 users) to a few uneven windows.
+    #[test]
+    fn refine_is_bit_identical_across_threads_and_kernels(
+        lists in proptest::collection::vec(proptest::collection::vec(0u32..200, 0..40), 3..70),
+        k in 1usize..8,
+    ) {
+        let profiles = ProfileStore::from_item_lists(lists);
+        let store = ShfParams::new(128, DynHasher::new(HasherKind::Jenkins, 7))
+            .fingerprint_store(&profiles);
+        let mut reference: Option<Vec<RefineOutcome>> = None;
+        for kernel in kernels::available() {
+            let sim = PinnedKernelJaccard { store: &store, kernel };
+            for threads in 1usize..=4 {
+                for pooled in [false, true] {
+                    let got = if pooled {
+                        shared_pool().install(|| refine_outcomes(&sim, k, threads))
+                    } else {
+                        refine_outcomes(&sim, k, threads)
+                    };
+                    match &reference {
+                        // The first run is the serial, unpooled build.
+                        None => reference = Some(got),
+                        Some(want) => {
+                            for (case, (g, w)) in
+                                ["nndescent", "nndescent/rho=0.5", "hyrec"].iter().zip(got.iter().zip(want))
+                            {
+                                prop_assert_eq!(
+                                    g, w,
+                                    "{} kernel={} threads={} pooled={}",
+                                    case, kernel.name, threads, pooled
+                                );
+                            }
                         }
                     }
                 }

@@ -175,12 +175,17 @@ fn run_ooc<P: goldfinger::core::profile::ProfileSource + ?Sized>(
     }
 }
 
-/// `--k`, which every graph builder requires to be positive.
-fn parse_k(cli: &Cli, default: usize) -> Result<usize, String> {
-    match cli.parse_num("k", default)? {
-        0 => Err("--k: must be at least 1".to_string()),
-        k => Ok(k),
+/// A count flag that must be positive (`--k`, `--tables`, `--bits`):
+/// zero is a usage error here rather than a panic deeper down.
+fn parse_positive<T>(cli: &Cli, name: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+{
+    let v = cli.parse_num(name, default)?;
+    if v == T::from(0) {
+        return Err(format!("--{name}: must be at least 1"));
     }
+    Ok(v)
 }
 
 fn load_dataset(cli: &Cli) -> Result<BinaryDataset, String> {
@@ -202,10 +207,10 @@ fn load_dataset(cli: &Cli) -> Result<BinaryDataset, String> {
 }
 
 fn build_graph(cli: &Cli, data: &BinaryDataset) -> Result<(KnnResult, bool), String> {
-    let k = parse_k(cli, 30)?;
+    let k = parse_positive(cli, "k", 30)?;
     let algo = cli.get_or("algo", "brute");
     let use_gf = cli.has("goldfinger");
-    let bits: u32 = cli.parse_num("bits", 1024)?;
+    let bits: u32 = parse_positive(cli, "bits", 1024)?;
     let seed: u64 = cli.parse_num("seed", 42)?;
     let profiles = data.profiles();
 
@@ -251,7 +256,7 @@ fn run() -> Result<(), String> {
             println!("{}", s.table2_row());
         }
         "fingerprint" => {
-            let bits: u32 = cli.parse_num("bits", 1024)?;
+            let bits: u32 = parse_positive(&cli, "bits", 1024)?;
             let params = ShfParams::new(bits, DynHasher::default());
             let t0 = std::time::Instant::now();
             let store = if cli.has("stream") {
@@ -344,9 +349,9 @@ fn run() -> Result<(), String> {
             use goldfinger::datasets::StreamProfiles;
             use goldfinger::knn::oocbuild::OocConfig;
 
-            let k = parse_k(&cli, 10)?;
-            let tables: usize = cli.parse_num("tables", 10)?;
-            let bits: u32 = cli.parse_num("bits", 256)?;
+            let k = parse_positive(&cli, "k", 10)?;
+            let tables: usize = parse_positive(&cli, "tables", 10)?;
+            let bits: u32 = parse_positive(&cli, "bits", 256)?;
             let seed: u64 = cli.parse_num("seed", 42)?;
             let spill_dir = cli.get_or("spill", "gf-spill");
 
@@ -472,8 +477,8 @@ fn run() -> Result<(), String> {
 
             let data = load_dataset(&cli)?;
             let n = data.n_users();
-            let k = parse_k(&cli, 30)?;
-            let bits: u32 = cli.parse_num("bits", 1024)?;
+            let k = parse_positive(&cli, "k", 30)?;
+            let bits: u32 = parse_positive(&cli, "bits", 1024)?;
             let seed: u64 = cli.parse_num("seed", 42)?;
             let n_ops: usize = cli.parse_num("replay", 100_000)?;
             let update_pct: u32 = cli.parse_num("update-pct", 30)?;
@@ -593,7 +598,7 @@ fn run() -> Result<(), String> {
         }
         "privacy" => {
             let items: usize = cli.parse_num("items", 171_356)?;
-            let bits: u32 = cli.parse_num("bits", 1024)?;
+            let bits: u32 = parse_positive(&cli, "bits", 1024)?;
             let card: u32 = cli.parse_num("cardinality", 56)?;
             let g = guarantees(items, bits, card);
             println!(

@@ -83,6 +83,26 @@ fn zero_k_is_a_usage_error() {
 }
 
 #[test]
+fn zero_tables_is_a_usage_error() {
+    let out = goldfinger(&["build", "--users", "200", "--tables", "0"]);
+    assert!(!out.status.success(), "build accepted --tables 0");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--tables"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn zero_bits_is_a_usage_error() {
+    for command in ["fingerprint", "knn", "build", "serve", "privacy"] {
+        let out = goldfinger(&[command, "--scale", "0.02", "--bits", "0"]);
+        assert!(!out.status.success(), "{command} accepted --bits 0");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--bits"), "{command}: {err}");
+        assert!(!err.contains("panicked"), "{command}: {err}");
+    }
+}
+
+#[test]
 fn build_out_writes_a_loadable_graph() {
     let dir = std::env::temp_dir().join(format!("goldfinger-cli-build-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

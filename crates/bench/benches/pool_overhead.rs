@@ -1,16 +1,17 @@
-//! Criterion bench for the persistent worker pool: pooled dispatch vs
-//! spawn-per-call scoped threads on the same helper, across work sizes, and
-//! a pooled vs spawned NNDescent iteration micro-benchmark.
+//! Criterion bench for the persistent worker pool: dispatch on an installed
+//! pool vs a call-scoped pool (built and dropped per helper call, what the
+//! helpers do when no pool is installed) on the same helper, across work
+//! sizes, and the same comparison for a multi-threaded NNDescent build.
 //!
 //! The pool exists for the per-iteration regime: NNDescent and Hyrec call a
-//! parallel helper once or twice per refinement iteration, so the fixed
-//! dispatch cost (OS spawn/join vs condvar broadcast to parked workers) is
-//! paid dozens of times per build. At n = 1k trivial tasks the dispatch
-//! cost dominates and the pooled path must win clearly; by n = 100k real
-//! work amortises both paths toward parity.
+//! parallel helper twice per join window, so the fixed dispatch cost (OS
+//! spawn/join vs condvar broadcast to parked workers) is paid many times
+//! per build. At n = 1k trivial tasks the dispatch cost dominates and the
+//! installed pool must win clearly; by n = 100k real work amortises both
+//! paths toward parity.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use goldfinger_core::parallel::par_for_each_range;
+use goldfinger_core::parallel::par_fold_dynamic;
 use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::ExplicitJaccard;
@@ -19,22 +20,16 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const THREADS: usize = 4;
 
-/// One dispatch of `n` trivial (single atomic add) tasks.
+/// One dispatch of `n` trivial (single add) tasks, one block per slot.
 fn trivial_dispatch(n: usize) -> u64 {
-    let acc = AtomicU64::new(0);
-    par_for_each_range(n, THREADS, |_, lo, hi| {
-        let mut local = 0u64;
-        for i in lo..hi {
-            local += i as u64;
-        }
-        acc.fetch_add(local, Ordering::Relaxed);
-    });
-    acc.load(Ordering::Relaxed)
+    let grain = n.div_ceil(THREADS);
+    par_fold_dynamic(n, THREADS, grain, |_| 0u64, |acc, i| *acc += i as u64)
+        .into_iter()
+        .sum()
 }
 
 fn bench_dispatch(c: &mut Criterion) {
@@ -42,7 +37,7 @@ fn bench_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_dispatch");
     for n in [1_000usize, 10_000, 100_000] {
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_function(format!("spawn_per_call_{n}"), |b| {
+        group.bench_function(format!("call_scoped_pool_{n}"), |b| {
             b.iter(|| black_box(trivial_dispatch(n)))
         });
         group.bench_function(format!("pooled_{n}"), |b| {
@@ -76,7 +71,7 @@ fn bench_nndescent_iterations(c: &mut Criterion) {
     };
     let pool = Pool::new(THREADS);
     let mut group = c.benchmark_group("pool_nndescent");
-    group.bench_function("spawn_per_iteration", |b| {
+    group.bench_function("call_scoped_pools", |b| {
         b.iter(|| black_box(builder.build(&sim, 10).stats.iterations))
     });
     group.bench_function("pooled_iterations", |b| {

@@ -24,8 +24,8 @@ use goldfinger_obs::{Json, ReportSet};
 /// Cluster configuration induced on this dataset (count, cap casualties,
 /// log2 size histogram) plus the dedup rate — the fraction of in-cluster
 /// pair slots the first-shared-table rule collapsed. `distinct_pairs` is
-/// the run's `similarity_evals + pruned_evals`, which for the Cluster
-/// builder counts every distinct co-clustered pair exactly once.
+/// the run's `similarity_evals`, which for the Cluster builder counts
+/// every distinct co-clustered pair exactly once.
 fn cluster_extra(stats: &goldfinger_knn::cluster::ClusterStats, distinct_pairs: u64) -> Json {
     let dedup_rate = if stats.pair_slots > 0 {
         1.0 - distinct_pairs as f64 / stats.pair_slots as f64
@@ -129,8 +129,7 @@ fn main() {
                 let recall = edge_recall(&out.result.graph, &exact.result.graph);
                 report.extra.push(("recall".to_string(), Json::Num(recall)));
                 if let Some(stats) = &layout {
-                    let distinct =
-                        out.result.stats.similarity_evals + out.result.stats.pruned_evals;
+                    let distinct = out.result.stats.similarity_evals;
                     report
                         .extra
                         .push(("cluster".to_string(), cluster_extra(stats, distinct)));

@@ -457,7 +457,7 @@ mod tests {
         let pool = Pool::new(2);
         let before = pool.stats();
         pool.install(|| {
-            goldfinger_core::parallel::par_dynamic(64, 2, 1, |_| {});
+            let _ = goldfinger_core::parallel::par_fold_dynamic(64, 2, 1, |_| (), |_, _| {});
         });
         record_pool_stats(&reg, &pool.stats().since(&before));
         assert_eq!(reg.gauge("pool.threads").get(), 2);

@@ -1,22 +1,23 @@
-//! Minimal data-parallel utilities, pool-backed when a [`Pool`] is
-//! installed.
+//! Minimal data-parallel utilities on top of the worker [`Pool`].
 //!
 //! The paper's evaluation runs every algorithm on 8 hardware threads. These
 //! helpers give the KNN algorithms the same structure without pulling in a
-//! full task runtime: static range splitting for regular work
-//! ([`par_for_each_range`]), per-region atomic cursors with a stealing path
-//! for irregular work ([`par_dynamic`], [`par_fold_dynamic`]), and ordered
-//! collectors ([`par_map_indexed`], [`par_map_chunks`]).
+//! full task runtime: per-region atomic cursors with a stealing path for
+//! irregular work ([`par_fold_dynamic`]) and ordered collectors
+//! ([`par_map_indexed`], [`par_map_chunks`]).
 //!
-//! Each helper has two dispatch paths with identical results:
+//! Every helper dispatches through [`Pool::scope`], on one of two pools:
 //!
-//! - **Pooled** — when a [`Pool`] is installed ([`Pool::install`]), work is
-//!   broadcast to the persistent parked workers via [`Pool::scope`]. This
-//!   is the hot path for the iterative builders, which dispatch once or
-//!   twice per refinement iteration and would otherwise pay a full OS
-//!   spawn/join round-trip each time.
-//! - **Spawn-per-call** — with no pool installed, scoped threads are
-//!   spawned for the single call, exactly as before the pool existed.
+//! - the **installed** pool ([`Pool::install`]) when it has more than one
+//!   thread — the hot path for the iterative builders, which dispatch once
+//!   or twice per join window and would otherwise pay a full OS spawn/join
+//!   round-trip each time;
+//! - otherwise a **call-scoped** pool of the requested size, built for the
+//!   one call and dropped after it, so callers that install nothing still
+//!   run in parallel.
+//!
+//! A helper called from inside a pool body runs serially on the calling
+//! thread and builds no pool.
 //!
 //! Determinism: helpers that return ordered data collect into slot-indexed
 //! storage and stitch in slot order; fold states come back indexed by slot
@@ -24,7 +25,7 @@
 //! scheduler-dependent, but the output never is.
 
 use crate::pool::{Pool, StealRegions};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 
 /// Effective thread count: `requested` capped to at least 1.
 ///
@@ -39,89 +40,28 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// The installed pool, when dispatching through it would actually go
-/// parallel.
-fn installed_pool() -> Option<Arc<Pool>> {
-    Pool::current().filter(|p| p.threads() > 1)
+/// Slots a helper over `n` items splits into: the effective `threads`
+/// capped to `n`, or 1 inside a pool body, where nested work runs inline.
+fn slot_count(n: usize, threads: usize) -> usize {
+    if Pool::in_body() {
+        1
+    } else {
+        effective_threads(threads).min(n.max(1))
+    }
 }
 
-/// Splits `0..n` into `threads` near-equal contiguous ranges and runs `f`
-/// on each range — from the installed pool's workers, or from scoped
-/// threads when no pool is installed.
-///
-/// `f` receives `(slot_index, start, end)`.
-pub fn par_for_each_range<F>(n: usize, threads: usize, f: F)
+/// Runs `body(pool, slot)` for every `slot in 0..slots` on the installed
+/// pool when it has more than one thread, else on a pool of `slots` threads
+/// built for this call.
+fn dispatch<F>(slots: usize, body: F)
 where
-    F: Fn(usize, usize, usize) + Sync,
+    F: Fn(&Pool, usize) + Sync,
 {
-    let threads = effective_threads(threads).min(n.max(1));
-    if threads <= 1 || n == 0 {
-        f(0, 0, n);
-        return;
+    let run = |pool: &Pool| pool.scope(slots, |t| body(pool, t));
+    match Pool::current().filter(|p| p.threads() > 1) {
+        Some(pool) => run(&pool),
+        None => run(&Pool::new(slots)),
     }
-    let chunk = n.div_ceil(threads);
-    if let Some(pool) = installed_pool() {
-        pool.scope(threads, |t| {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(n);
-            if start < end {
-                f(t, start, end);
-            }
-        });
-        return;
-    }
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let f = &f;
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(n);
-            if start >= end {
-                break;
-            }
-            scope.spawn(move || f(t, start, end));
-        }
-    });
-}
-
-/// Processes indices `0..n` with dynamic (work-stealing) scheduling: each
-/// slot owns a contiguous region and claims `grain`-sized blocks from it,
-/// stealing leftover blocks from other regions once its own runs dry.
-///
-/// Use this when per-index cost varies wildly (e.g. KNN candidate scans
-/// over skewed profile sizes); static splitting would leave threads idle.
-pub fn par_dynamic<F>(n: usize, threads: usize, grain: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let threads = effective_threads(threads).min(n.max(1));
-    let grain = grain.max(1);
-    if threads <= 1 || n == 0 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let regions = StealRegions::new(n, threads, grain);
-    let run_slot = |t: usize| {
-        regions.drain(t, |lo, hi| {
-            for i in lo..hi {
-                f(i);
-            }
-        })
-    };
-    if let Some(pool) = installed_pool() {
-        pool.scope(threads, |t| {
-            let steals = run_slot(t);
-            pool.record_steals(steals);
-        });
-        return;
-    }
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let run_slot = &run_slot;
-            scope.spawn(move || run_slot(t));
-        }
-    });
 }
 
 /// Maps `f` over `0..n` in parallel and collects results in index order.
@@ -133,50 +73,20 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = effective_threads(threads).min(n.max(1));
-    if threads <= 1 || n == 0 {
+    let slots = slot_count(n, threads);
+    if slots <= 1 {
         return (0..n).map(f).collect();
     }
-    let chunk = n.div_ceil(threads);
-    if let Some(pool) = installed_pool() {
-        let slots: Vec<Mutex<Option<Vec<T>>>> = (0..threads).map(|_| Mutex::new(None)).collect();
-        pool.scope(threads, |t| {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(n);
-            if start < end {
-                let part: Vec<T> = (start..end).map(&f).collect();
-                *slots[t].lock().unwrap() = Some(part);
-            }
-        });
-        return slots
-            .into_iter()
-            .filter_map(|s| s.into_inner().unwrap())
-            .flatten()
-            .collect();
-    }
-    let (tx, rx) = mpsc::sync_channel::<(usize, Vec<T>)>(threads);
-    let mut out: Vec<Option<Vec<T>>> = (0..threads).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let f = &f;
-            let tx = tx.clone();
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(n);
-            if start >= end {
-                break;
-            }
-            scope.spawn(move || {
-                let part: Vec<T> = (start..end).map(f).collect();
-                // The receiver lives until the scope ends; ignore failure.
-                let _ = tx.send((t, part));
-            });
-        }
-        drop(tx);
-        while let Ok((t, part)) = rx.recv() {
-            out[t] = Some(part);
-        }
+    let chunk = n.div_ceil(slots);
+    let parts: Vec<Mutex<Vec<T>>> = (0..slots).map(|_| Mutex::new(Vec::new())).collect();
+    dispatch(slots, |_, t| {
+        let part: Vec<T> = (t * chunk..((t + 1) * chunk).min(n)).map(&f).collect();
+        *parts[t].lock().unwrap() = part;
     });
-    out.into_iter().flatten().flatten().collect()
+    parts
+        .into_iter()
+        .flat_map(|p| p.into_inner().unwrap())
+        .collect()
 }
 
 /// Folds indices `0..n` into per-slot accumulators with dynamic
@@ -196,55 +106,30 @@ where
     I: Fn(usize) -> T + Sync,
     F: Fn(&mut T, usize) + Sync,
 {
-    let threads = effective_threads(threads).min(n.max(1));
-    let grain = grain.max(1);
-    if threads <= 1 {
+    let slots = slot_count(n, threads);
+    if slots <= 1 {
         let mut state = init(0);
         for i in 0..n {
             fold(&mut state, i);
         }
         return vec![state];
     }
-    let regions = StealRegions::new(n, threads, grain);
-    let run_slot = |t: usize| {
+    let regions = StealRegions::new(n, slots, grain);
+    let states: Vec<Mutex<Option<T>>> = (0..slots).map(|_| Mutex::new(None)).collect();
+    dispatch(slots, |pool, t| {
         let mut state = init(t);
         let steals = regions.drain(t, |lo, hi| {
             for i in lo..hi {
                 fold(&mut state, i);
             }
         });
-        (state, steals)
-    };
-    if let Some(pool) = installed_pool() {
-        let slots: Vec<Mutex<Option<T>>> = (0..threads).map(|_| Mutex::new(None)).collect();
-        pool.scope(threads, |t| {
-            let (state, steals) = run_slot(t);
-            pool.record_steals(steals);
-            *slots[t].lock().unwrap() = Some(state);
-        });
-        return slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("every slot ran"))
-            .collect();
-    }
-    let (tx, rx) = mpsc::sync_channel::<(usize, T)>(threads);
-    let mut out: Vec<Option<T>> = (0..threads).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let run_slot = &run_slot;
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let (state, _) = run_slot(t);
-                // The receiver lives until the scope ends; ignore failure.
-                let _ = tx.send((t, state));
-            });
-        }
-        drop(tx);
-        while let Ok((t, state)) = rx.recv() {
-            out[t] = Some(state);
-        }
+        pool.record_steals(steals);
+        *states[t].lock().unwrap() = Some(state);
     });
-    out.into_iter().flatten().collect()
+    states
+        .into_iter()
+        .map(|s| s.into_inner().unwrap().expect("every slot ran"))
+        .collect()
 }
 
 /// Maps `f` over mutable, disjoint chunks of `data` in parallel.
@@ -260,28 +145,19 @@ where
     F: Fn(usize, usize, &mut [T]) + Sync,
 {
     let n = data.len();
-    let threads = effective_threads(threads).min(n.max(1));
-    if threads <= 1 || n == 0 {
+    let slots = slot_count(n, threads);
+    if slots <= 1 {
         f(0, 0, data);
         return;
     }
-    let chunk = n.div_ceil(threads);
-    if let Some(pool) = installed_pool() {
-        let pieces: Vec<Mutex<Option<&mut [T]>>> = data
-            .chunks_mut(chunk)
-            .map(|piece| Mutex::new(Some(piece)))
-            .collect();
-        pool.scope(pieces.len(), |t| {
-            let piece = pieces[t].lock().unwrap().take().expect("chunk taken once");
-            f(t, t * chunk, piece);
-        });
-        return;
-    }
-    std::thread::scope(|scope| {
-        for (t, piece) in data.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(t, t * chunk, piece));
-        }
+    let chunk = n.div_ceil(slots);
+    let pieces: Vec<Mutex<Option<&mut [T]>>> = data
+        .chunks_mut(chunk)
+        .map(|piece| Mutex::new(Some(piece)))
+        .collect();
+    dispatch(pieces.len(), |_, t| {
+        let piece = pieces[t].lock().unwrap().take().expect("chunk taken once");
+        f(t, t * chunk, piece);
     });
 }
 
@@ -289,10 +165,9 @@ where
 mod tests {
     use super::*;
     use crate::pool::Pool;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Runs `check` twice: with no pool installed (spawn-per-call path) and
-    /// under an installed 4-thread pool (pooled path).
+    /// Runs `check` twice: with no pool installed (a call-scoped pool per
+    /// helper call) and under an installed 4-thread pool.
     fn on_both_paths(check: impl Fn()) {
         check();
         Pool::new(4).install(&check);
@@ -305,50 +180,15 @@ mod tests {
     }
 
     #[test]
-    fn ranges_cover_everything_exactly_once() {
+    fn map_indexed_preserves_order() {
         on_both_paths(|| {
             for threads in [1usize, 2, 3, 7, 16] {
                 for n in [0usize, 1, 5, 64, 1000] {
-                    let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                    par_for_each_range(n, threads, |_, s, e| {
-                        for h in &hits[s..e] {
-                            h.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                    assert!(
-                        hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                        "threads={threads} n={n}"
-                    );
+                    let out = par_map_indexed(n, threads, |i| i * i);
+                    let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+                    assert_eq!(out, want, "threads={threads} n={n}");
                 }
             }
-        });
-    }
-
-    #[test]
-    fn dynamic_covers_everything_exactly_once() {
-        on_both_paths(|| {
-            for grain in [1usize, 3, 64] {
-                let n = 257;
-                let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                par_dynamic(n, 4, grain, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "grain={grain}"
-                );
-            }
-        });
-    }
-
-    #[test]
-    fn map_indexed_preserves_order() {
-        on_both_paths(|| {
-            for threads in [1usize, 2, 5] {
-                let out = par_map_indexed(100, threads, |i| i * i);
-                assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-            }
-            assert!(par_map_indexed(0, 4, |i| i).is_empty());
         });
     }
 
@@ -356,17 +196,23 @@ mod tests {
     fn fold_dynamic_partitions_all_indices() {
         on_both_paths(|| {
             for threads in [1usize, 2, 4, 7] {
-                let states = par_fold_dynamic(
-                    500,
-                    threads,
-                    8,
-                    |_| Vec::new(),
-                    |state: &mut Vec<usize>, i| state.push(i),
-                );
-                assert!(states.len() <= threads);
-                let mut all: Vec<usize> = states.into_iter().flatten().collect();
-                all.sort_unstable();
-                assert_eq!(all, (0..500).collect::<Vec<_>>(), "threads={threads}");
+                for grain in [1usize, 3, 64] {
+                    let states = par_fold_dynamic(
+                        500,
+                        threads,
+                        grain,
+                        |_| Vec::new(),
+                        |state: &mut Vec<usize>, i| state.push(i),
+                    );
+                    assert!(states.len() <= threads);
+                    let mut all: Vec<usize> = states.into_iter().flatten().collect();
+                    all.sort_unstable();
+                    assert_eq!(
+                        all,
+                        (0..500).collect::<Vec<_>>(),
+                        "threads={threads} grain={grain}"
+                    );
+                }
             }
         });
     }
@@ -384,12 +230,12 @@ mod tests {
         });
     }
 
-    /// Regression (satellite of the pool PR): when `n % chunk != 0`, the
-    /// final chunk produced by `chunks_mut` is short, and its
-    /// `first_element_index` must still be the true offset of its first
-    /// element — `chunk_index * ceil(n / threads)` — on **both** dispatch
-    /// paths, at several thread counts. A base derived from the short
-    /// chunk's own length would be wrong exactly here.
+    /// Regression: when `n % chunk != 0`, the final chunk produced by
+    /// `chunks_mut` is short, and its `first_element_index` must still be
+    /// the true offset of its first element — `chunk_index * ceil(n /
+    /// threads)` — with and without an installed pool, at several thread
+    /// counts. A base derived from the short chunk's own length would be
+    /// wrong exactly here.
     #[test]
     fn map_chunks_base_is_exact_for_short_final_chunk() {
         on_both_paths(|| {
@@ -411,11 +257,41 @@ mod tests {
         });
     }
 
+    /// A helper called from inside a pool body — installed or call-scoped —
+    /// runs on the calling thread, builds no pool, and returns the serial
+    /// result (one fold state).
+    #[test]
+    fn helpers_inside_a_pool_body_run_inline_and_serially() {
+        let nested = || {
+            let here = std::thread::current().id();
+            let squares = par_map_indexed(100, 4, |i| {
+                assert_eq!(std::thread::current().id(), here);
+                i * i
+            });
+            assert_eq!(squares, (0..100).map(|i| i * i).collect::<Vec<_>>());
+            let states = par_fold_dynamic(
+                100,
+                4,
+                1,
+                |_| Vec::new(),
+                |state: &mut Vec<usize>, i| {
+                    assert_eq!(std::thread::current().id(), here);
+                    state.push(i);
+                },
+            );
+            assert_eq!(states, vec![(0..100).collect::<Vec<_>>()]);
+        };
+        let pool = Pool::new(4);
+        pool.install(|| pool.scope(4, |_| nested()));
+        assert_eq!(pool.stats().dispatches, 1, "nested calls dispatched");
+        par_map_indexed(4, 4, |_| nested());
+    }
+
     #[test]
     fn pooled_helpers_count_steals_and_avoid_spawns() {
         let pool = Pool::new(4);
         pool.install(|| {
-            par_dynamic(1000, 4, 1, |_| {});
+            let _ = par_map_indexed(1000, 4, |i| i);
             let _ = par_fold_dynamic(1000, 4, 1, |_| 0u64, |s, _| *s += 1);
         });
         let stats = pool.stats();

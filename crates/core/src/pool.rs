@@ -2,13 +2,13 @@
 //!
 //! The paper's headline numbers are end-to-end wall-clock speedups on 8
 //! hardware threads, and the iterative builders (NNDescent, Hyrec) call the
-//! [`crate::parallel`] helpers once or twice **per refinement iteration**.
-//! Spawning and joining fresh OS threads on every helper call — what
-//! `std::thread::scope` does — costs tens of microseconds per dispatch and
-//! dominates exactly in the small-per-iteration-work regime the paper's
-//! convergence figures study. This module fixes that the way real runtimes
-//! (rayon, Cilk-style schedulers) do: spawn the workers **once**, park them
-//! on a condvar when idle, and feed them work through a shared slot.
+//! [`crate::parallel`] helpers once or twice **per join window**. Spawning
+//! and joining fresh OS threads on every helper call costs tens of
+//! microseconds per dispatch and dominates exactly in the
+//! small-per-iteration-work regime the paper's convergence figures study.
+//! This module fixes that the way real runtimes (rayon, Cilk-style
+//! schedulers) do: spawn the workers **once**, park them on a condvar when
+//! idle, and feed them work through a shared slot.
 //!
 //! ## Model
 //!
@@ -23,25 +23,25 @@
 //! - [`Pool::install(f)`](Pool::install) makes the pool the *current* pool
 //!   for the duration of `f` (a thread-local stack, so installs nest). The
 //!   [`crate::parallel`] helpers consult [`Pool::current`] and dispatch on
-//!   the installed pool instead of spawning; with no pool installed they
-//!   keep the historical spawn-per-call behaviour.
+//!   the installed pool; with none installed (or a 1-thread one) they build
+//!   a pool for the one call, so every parallel helper call goes through
+//!   [`Pool::scope`].
 //!
 //! ## Work stealing
 //!
 //! The pool distributes *slots* dynamically (an atomic cursor over
-//! `0..slots`), and the index-driven helpers (`par_dynamic`,
-//! `par_fold_dynamic`) layer per-worker chunked ranges on top: each slot
-//! owns a contiguous region of the index space and claims `grain`-sized
-//! blocks from its own region first, then steals blocks from other regions
-//! once its own runs dry (see [`StealRegions`]). Steals are counted in the
-//! pool's [`PoolStats`].
+//! `0..slots`), and the index-driven helper (`par_fold_dynamic`) layers
+//! per-worker chunked ranges on top: each slot owns a contiguous region of
+//! the index space and claims `grain`-sized blocks from its own region
+//! first, then steals blocks from other regions once its own runs dry (see
+//! [`StealRegions`]). Steals are counted in the pool's [`PoolStats`].
 //!
 //! ## Determinism
 //!
 //! The pool never changes *what* is computed, only *which thread* computes
 //! it. Helpers that must produce ordered output collect into slot-indexed
-//! storage and stitch in slot order, so results are bit-identical to the
-//! spawn-per-call path (property-tested in `goldfinger-knn`).
+//! storage and stitch in slot order, so results are bit-identical on any
+//! pool, installed or call-scoped (property-tested in `goldfinger-knn`).
 
 use goldfinger_obs::trace;
 use std::cell::{Cell, RefCell};
@@ -75,8 +75,8 @@ pub struct PoolStats {
     pub parks: u64,
     /// Times a sleeping worker was woken by a dispatch (or shutdown).
     pub unparks: u64,
-    /// OS thread spawns avoided versus the spawn-per-call path (one per
-    /// slot of every parallel dispatch).
+    /// OS thread spawns a persistent pool saves over spawning one thread per
+    /// slot of every parallel dispatch.
     pub spawns_avoided: u64,
 }
 
@@ -273,6 +273,12 @@ impl Pool {
         CURRENT.with(|c| c.borrow().last().cloned())
     }
 
+    /// Whether this thread is running a pool body, as a worker or as the
+    /// participating dispatcher: a dispatch from here runs inline.
+    pub(crate) fn in_body() -> bool {
+        IN_WORKER.with(Cell::get)
+    }
+
     /// Runs `body(slot)` for every `slot in 0..slots` across the pool's
     /// workers and the calling thread, blocking until all slots complete.
     ///
@@ -302,7 +308,7 @@ impl Pool {
         }
         // Inline paths: nothing to parallelise, no workers to hand off to,
         // or we *are* a worker (re-entering the slot would deadlock).
-        if slots == 1 || self.workers.is_empty() || IN_WORKER.with(Cell::get) {
+        if slots == 1 || self.workers.is_empty() || Pool::in_body() {
             let core = JobCore {
                 body,
                 next: AtomicUsize::new(0),
@@ -351,7 +357,7 @@ impl Pool {
         }
         let c = &self.shared.counters;
         c.dispatches.fetch_add(1, Ordering::Relaxed);
-        // Spawn-per-call would have spawned one OS thread per slot.
+        // Spawning per dispatch would have cost one OS thread per slot.
         c.spawns_avoided.fetch_add(slots as u64, Ordering::Relaxed);
 
         // Participate: the dispatching thread is a worker too. Mark it as

@@ -112,14 +112,6 @@ impl TopK {
         }
     }
 
-    /// Empties the selector, keeping `k` and the allocated capacity — for
-    /// callers that reuse one selector per work unit (the clustered scan
-    /// resets its per-cluster partials this way instead of reallocating).
-    #[inline]
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
     /// Offers a candidate; returns `true` if it was kept.
     ///
     /// The caller is responsible for not offering duplicates (KNN algorithms
@@ -287,19 +279,6 @@ mod tests {
         let ub: Vec<u32> = b.into_sorted().iter().map(|s| s.user).collect();
         assert_eq!(ua, vec![3, 7]);
         assert_eq!(ua, ub);
-    }
-
-    #[test]
-    fn clear_resets_without_changing_k() {
-        let mut t = TopK::new(2);
-        t.offer(0.5, 1);
-        t.offer(0.6, 2);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.k(), 2);
-        assert_eq!(t.threshold(), None);
-        t.offer(0.1, 9);
-        assert_eq!(t.into_sorted()[0].user, 9);
     }
 
     #[test]

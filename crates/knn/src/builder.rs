@@ -276,9 +276,9 @@ impl KnnBuilder for Cluster {
         "Cluster"
     }
 
-    // Clusters are scanned as atomic units with cluster-local prune state
-    // and merged deterministically, so any thread count is bit-identical —
-    // counters included.
+    // The visited pairs are fixed by the cluster assignment and the
+    // per-worker partials merge deterministically, so any thread count is
+    // bit-identical — counters included.
     fn deterministic(&self) -> bool {
         true
     }

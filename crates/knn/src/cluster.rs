@@ -23,17 +23,13 @@
 //! [`Similarity::similarity_batch`] (the SIMD gather kernels for
 //! fingerprint providers), each unordered pair visited **once globally** —
 //! a pair co-clustered in several tables is charged to the first table
-//! where it shares an uncapped cluster. By default every surviving pair
-//! scores straight into the worker's global top-k partials; the opt-in
-//! [`Cluster::prune`] path instead tracks per-cluster-local top-k
-//! thresholds and skips pairs whose
-//! [`Similarity::similarity_upper_bound`] cannot beat them. Local
-//! thresholds only ever under-estimate the merged ones, so pruning never
-//! changes the output; and because both paths depend only on the
-//! assignment and each cluster's own fixed scan order (never on which
-//! worker got which cluster), the graph *and* the eval counters are
-//! bit-identical for any thread count, kernel, and work-stealing
-//! schedule. DESIGN.md §17.
+//! where it shares an uncapped cluster. Every surviving pair scores
+//! straight into the worker's global top-k partials. Because the visited
+//! pairs depend only on the assignment (never on which worker got which
+//! cluster) and the top-k kept set is insertion-order independent, the
+//! graph *and* the eval counter are bit-identical for any thread count,
+//! kernel, and work-stealing schedule. Nothing is pruned:
+//! [`BuildStats::pruned_evals`] is always 0, as for LSH. DESIGN.md §17.
 
 use crate::graph::{BuildStats, CsrBuilder, KnnResult};
 use crate::lsh::table_seed;
@@ -46,13 +42,13 @@ use goldfinger_obs::trace;
 use goldfinger_obs::{BuildObserver, IterationEvent, NoopObserver, Phase};
 use std::time::{Duration, Instant};
 
-/// Default blip width in 64-bit words: 16384 bucket slots per table — wide
-/// enough that paper-scale profiles (tens to a few hundred items) set
-/// nearly one bit per item, so the blip Jaccard tracks the profile Jaccard
-/// and per-table collision probabilities match LSH's, while the 2 KiB blip
+/// Blip width in 64-bit words: 16384 bucket slots per table — wide enough
+/// that paper-scale profiles (tens to a few hundred items) set nearly one
+/// bit per item, so the blip Jaccard tracks the profile Jaccard and
+/// per-table collision probabilities match LSH's, while the 2 KiB blip
 /// stays comfortably cache-resident (and, with the set bits collected
 /// once, the per-table argmin never rescans it).
-const DEFAULT_BLIP_WORDS: usize = 256;
+const BLIP_WORDS: usize = 256;
 
 /// Key of a user with an empty profile: member of no cluster in any table.
 const NO_KEY: u32 = u32::MAX;
@@ -62,9 +58,6 @@ const NO_KEY: u32 = u32::MAX;
 pub struct Cluster {
     /// Number of independent clusterings (one bit-priority hash each).
     pub tables: usize,
-    /// Blip width in 64-bit words (`0` = default of 256, i.e. 16384
-    /// cluster slots per table). Wider blips make smaller, purer clusters.
-    pub blip_words: usize,
     /// Skip clusters larger than this many users (`0` = no cap), mirroring
     /// `oocbuild`'s `max_bucket`: Zipf-hot buckets would otherwise devolve
     /// into quadratic scans of near-random candidates.
@@ -75,25 +68,15 @@ pub struct Cluster {
     /// `1` = serial). Output and counters are bit-identical for any thread
     /// count.
     pub threads: usize,
-    /// Skip evaluations whose [`Similarity::similarity_upper_bound`] cannot
-    /// beat the pair's per-cluster-local top-k thresholds. Never changes
-    /// the output graph; skipped pairs land in [`BuildStats::pruned_evals`].
-    /// Off by default: at the paper's parameters clusters are smaller than
-    /// `k`, so the thresholds needed to prune never materialise and the
-    /// bookkeeping only slows the scan down (the fast path skips the
-    /// cluster-local heaps entirely).
-    pub prune: bool,
 }
 
 impl Default for Cluster {
     fn default() -> Self {
         Cluster {
             tables: 14,
-            blip_words: 0,
             max_cluster: 256,
             seed: 0xC1A5,
             threads: 1,
-            prune: false,
         }
     }
 }
@@ -148,8 +131,8 @@ pub struct ClusterStats {
     pub mean_size: f64,
     /// Σ `size·(size−1)/2` over scannable clusters: every in-cluster pair
     /// slot before cross-table dedup. Together with the build's
-    /// `similarity_evals + pruned_evals` (the *distinct* co-clustered
-    /// pairs) this yields the dedup rate.
+    /// `similarity_evals` (the *distinct* co-clustered pairs) this yields
+    /// the dedup rate.
     pub pair_slots: u64,
     /// `size_hist[i]`: non-empty clusters with `floor(log2(size)) == i`.
     pub size_hist: Vec<u64>,
@@ -207,16 +190,6 @@ impl ClusterAssignment {
 }
 
 impl Cluster {
-    /// Blip width in words after applying the default.
-    #[inline]
-    fn words(&self) -> usize {
-        if self.blip_words == 0 {
-            DEFAULT_BLIP_WORDS
-        } else {
-            self.blip_words
-        }
-    }
-
     /// Assigns every user to its per-table clusters: one blip per user
     /// (each item hashed exactly once), one min-wise bit key per table,
     /// counting-sort into CSR membership lists.
@@ -227,8 +200,7 @@ impl Cluster {
         assert!(self.tables > 0, "need at least one table");
         let n = profiles.n_users();
         let tables = self.tables;
-        let words = self.words();
-        let buckets = words * 64;
+        let buckets = BLIP_WORDS * 64;
         let blip_seed = splitmix64_mix(self.seed ^ 0xB11F);
         let seeds: Vec<u64> = (0..tables).map(|t| table_seed(self.seed, t)).collect();
 
@@ -241,7 +213,7 @@ impl Cluster {
         let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
         let workers = goldfinger_core::parallel::effective_threads(self.threads).min(hw);
         let key_rows: Vec<Vec<u32>> = par_map_indexed(n, workers, |u| {
-            let mut blip = vec![0u64; words];
+            let mut blip = [0u64; BLIP_WORDS];
             for &item in profiles.items(u as u32) {
                 let h = splitmix64_mix(item as u64 ^ blip_seed);
                 let b = (h % buckets as u64) as usize;
@@ -391,19 +363,14 @@ impl Cluster {
         }
 
         // One worker's private fold state: global top-k partials over every
-        // user (merged deterministically afterwards, BruteForce-style),
-        // per-cluster-local partials for the prune thresholds, and the
-        // batched-scoring buffers. No locks on the hot path.
+        // user (merged deterministically afterwards, BruteForce-style) and
+        // the batched-scoring buffers. No locks on the hot path.
         struct ScanState {
             tops: Vec<TopK>,
-            local: Vec<TopK>,
             ids: Vec<u32>,
-            pos: Vec<u32>,
             sims: Vec<f64>,
             evals: u64,
-            pruned: u64,
         }
-        let prune = self.prune;
         let asg = &assignment;
         // The output is worker-count invariant, so workers beyond the
         // hardware parallelism buy nothing — each one would only add an
@@ -419,111 +386,52 @@ impl Cluster {
             1,
             |_| ScanState {
                 tops: (0..n).map(|_| TopK::new(k)).collect(),
-                local: Vec::new(),
                 ids: Vec::new(),
-                pos: Vec::new(),
                 sims: Vec::new(),
                 evals: 0,
-                pruned: 0,
             },
             |state, c| {
                 let (fb, start, len) = asg.clusters[asg.scannable[c] as usize];
                 let t = fb as usize / asg.buckets;
                 let m = &asg.members[start as usize..(start + len) as usize];
-                if !prune {
-                    // Fast path: no thresholds to track, so every surviving
-                    // pair scores straight into the worker's global
-                    // partials. The visited-pair set is fixed by the
-                    // assignment alone (dedup is a pure key lookup) and the
-                    // top-k kept set is insertion-order independent, so this
-                    // stays bit-identical for any schedule while skipping
-                    // the per-cluster heap churn: clusters are usually
-                    // smaller than k, so cluster-local heaps accept every
-                    // single offer and then replay them all into the global
-                    // partials — twice the heap work for nothing.
-                    for i in 0..m.len() {
-                        let u = m[i];
-                        state.ids.clear();
-                        for &v in &m[i + 1..] {
-                            if !asg.seen_before_table(u, v, t) {
-                                state.ids.push(v);
-                            }
+                // Every surviving pair scores straight into the worker's
+                // global partials. The visited-pair set is fixed by the
+                // assignment alone (dedup is a pure key lookup) and the
+                // top-k kept set is insertion-order independent, so this is
+                // bit-identical for any schedule. Clusters are usually
+                // smaller than k, so cluster-local heaps would accept every
+                // offer and then replay them all into the global partials —
+                // twice the heap work for nothing.
+                for i in 0..m.len() {
+                    let u = m[i];
+                    state.ids.clear();
+                    for &v in &m[i + 1..] {
+                        if !asg.seen_before_table(u, v, t) {
+                            state.ids.push(v);
                         }
-                        if state.ids.is_empty() {
-                            continue;
-                        }
-                        state.evals += state.ids.len() as u64;
-                        if state.ids.len() <= 2 {
-                            // Sparse populations leave most rows with one
-                            // or two survivors; the per-pair entry point
-                            // computes bit-identical values without the
-                            // gather-batch setup.
-                            for &v in &state.ids {
-                                let s = sim.similarity(u, v);
-                                state.tops[u as usize].offer(s, v);
-                                state.tops[v as usize].offer(s, u);
-                            }
-                            continue;
-                        }
-                        state.sims.clear();
-                        state.sims.resize(state.ids.len(), 0.0);
-                        sim.similarity_batch(u, &state.ids, &mut state.sims);
-                        for (&v, &s) in state.ids.iter().zip(&state.sims) {
+                    }
+                    if state.ids.is_empty() {
+                        continue;
+                    }
+                    state.evals += state.ids.len() as u64;
+                    if state.ids.len() <= 2 {
+                        // Sparse populations leave most rows with one or
+                        // two survivors; the per-pair entry point computes
+                        // bit-identical values without the gather-batch
+                        // setup.
+                        for &v in &state.ids {
+                            let s = sim.similarity(u, v);
                             state.tops[u as usize].offer(s, v);
                             state.tops[v as usize].offer(s, u);
                         }
-                    }
-                    return;
-                }
-                while state.local.len() < m.len() {
-                    state.local.push(TopK::new(k));
-                }
-                for top in &mut state.local[..m.len()] {
-                    top.clear();
-                }
-                for i in 0..m.len() {
-                    let u = m[i];
-                    // Decide the whole row first — dedup against earlier
-                    // tables, then the upper bound against the thresholds
-                    // as of the row start — so the survivors score through
-                    // one gather-kernel batch. Freezing the thresholds for
-                    // the row keeps decisions a pure function of the
-                    // cluster's scan order (thread- and
-                    // schedule-independent) and only ever under-prunes.
-                    state.ids.clear();
-                    state.pos.clear();
-                    let ti = state.local[i].threshold();
-                    for (j, &v) in m.iter().enumerate().skip(i + 1) {
-                        if asg.seen_before_table(u, v, t) {
-                            continue;
-                        }
-                        if let (Some(tu), Some(tv)) = (ti, state.local[j].threshold()) {
-                            if sim
-                                .similarity_upper_bound(u, v)
-                                .is_some_and(|b| b < tu && b < tv)
-                            {
-                                state.pruned += 1;
-                                continue;
-                            }
-                        }
-                        state.ids.push(v);
-                        state.pos.push(j as u32);
-                    }
-                    if state.ids.is_empty() {
                         continue;
                     }
                     state.sims.clear();
                     state.sims.resize(state.ids.len(), 0.0);
                     sim.similarity_batch(u, &state.ids, &mut state.sims);
-                    state.evals += state.ids.len() as u64;
-                    for ((&v, &j), &s) in state.ids.iter().zip(&state.pos).zip(&state.sims) {
-                        state.local[i].offer(s, v);
-                        state.local[j as usize].offer(s, u);
-                    }
-                }
-                for (i, &u) in m.iter().enumerate() {
-                    for e in state.local[i].entries() {
-                        state.tops[u as usize].offer(e.sim, e.user);
+                    for (&v, &s) in state.ids.iter().zip(&state.sims) {
+                        state.tops[u as usize].offer(s, v);
+                        state.tops[v as usize].offer(s, u);
                     }
                 }
             },
@@ -543,7 +451,6 @@ impl Cluster {
         let mut merged = states.remove(0);
         for state in states {
             merged.evals += state.evals;
-            merged.pruned += state.pruned;
             for (top, part) in merged.tops.iter_mut().zip(&state.tops) {
                 for e in part.entries() {
                     top.offer(e.sim, e.user);
@@ -566,7 +473,7 @@ impl Cluster {
             obs.on_iteration(IterationEvent {
                 iteration: 1,
                 similarity_evals: merged.evals,
-                pruned_evals: merged.pruned,
+                pruned_evals: 0,
                 updates: 0,
                 threshold: 0.0,
                 wall,
@@ -576,7 +483,7 @@ impl Cluster {
             graph,
             stats: BuildStats {
                 similarity_evals: merged.evals,
-                pruned_evals: merged.pruned,
+                pruned_evals: 0,
                 iterations: 1,
                 wall,
                 prep_wall: Duration::ZERO,
@@ -663,10 +570,10 @@ mod tests {
             let r = c.build(&profiles, &sim, 5);
             let distinct = distinct_coclustered_pairs(&c, &profiles);
             assert_eq!(
-                r.stats.similarity_evals + r.stats.pruned_evals,
-                distinct,
-                "cap={cap}: evals+pruned must equal the distinct co-clustered pairs"
+                r.stats.similarity_evals, distinct,
+                "cap={cap}: evals must equal the distinct co-clustered pairs"
             );
+            assert_eq!(r.stats.pruned_evals, 0, "cap={cap}: nothing is pruned");
             let stats = c.assign(&profiles).stats();
             assert!(
                 distinct <= stats.pair_slots,
@@ -687,41 +594,10 @@ mod tests {
             }
             .build(&profiles, &sim, 5);
             assert_eq!(par.stats.similarity_evals, serial.stats.similarity_evals);
-            assert_eq!(par.stats.pruned_evals, serial.stats.pruned_evals);
             for u in 0..20u32 {
                 assert_eq!(
                     par.graph.neighbors(u),
                     serial.graph.neighbors(u),
-                    "threads={threads} u={u}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pruning_never_changes_the_graph() {
-        let profiles = clustered();
-        let sim = ExplicitJaccard::new(&profiles);
-        let unpruned = Cluster {
-            prune: false,
-            ..Cluster::default()
-        }
-        .build(&profiles, &sim, 3);
-        for threads in [1usize, 4] {
-            let pruned = Cluster {
-                threads,
-                ..Cluster::default()
-            }
-            .build(&profiles, &sim, 3);
-            assert_eq!(
-                unpruned.stats.similarity_evals,
-                pruned.stats.similarity_evals + pruned.stats.pruned_evals,
-                "pair accounting"
-            );
-            for u in 0..20u32 {
-                assert_eq!(
-                    unpruned.graph.neighbors(u),
-                    pruned.graph.neighbors(u),
                     "threads={threads} u={u}"
                 );
             }
@@ -764,7 +640,7 @@ mod tests {
         let c = Cluster::default();
         let stats = c.assign(&profiles).stats();
         assert_eq!(stats.tables, Cluster::default().tables);
-        assert_eq!(stats.buckets, DEFAULT_BLIP_WORDS * 64);
+        assert_eq!(stats.buckets, BLIP_WORDS * 64);
         assert!(stats.clusters > 0);
         assert_eq!(stats.size_hist.iter().sum::<u64>(), stats.clusters as u64);
         assert!(stats.max_size <= 20);

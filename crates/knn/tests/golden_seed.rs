@@ -167,9 +167,7 @@ fn run_all<S: Similarity>(profiles: &ProfileStore, sim: &S, tag: &'static str) -
         candidate_factor: 2,
         max_item_degree: Some(200),
     };
-    // Cluster is bit-identical for any thread count by construction, and
-    // the pruned variant must match the fast path exactly (pruning only
-    // skips evaluations that cannot enter the top-k).
+    // Cluster is bit-identical for any thread count by construction.
     let cluster1 = Cluster {
         seed: 42,
         threads: 1,
@@ -179,10 +177,6 @@ fn run_all<S: Similarity>(profiles: &ProfileStore, sim: &S, tag: &'static str) -
         seed: 42,
         threads: 4,
         ..Cluster::default()
-    };
-    let cluster_pruned = Cluster {
-        prune: true,
-        ..cluster1
     };
 
     // Truncated runs freeze the refinement mid-trajectory: unlike the
@@ -214,7 +208,6 @@ fn run_all<S: Similarity>(profiles: &ProfileStore, sim: &S, tag: &'static str) -
         ("kiff/capped", kiff_capped.build(profiles, sim, K)),
         ("cluster/t1", cluster1.build(profiles, sim, K)),
         ("cluster/t4", cluster4.build(profiles, sim, K)),
-        ("cluster/prune", cluster_pruned.build(profiles, sim, K)),
     ];
     let _ = tag;
     cases.iter().map(|(c, r)| golden(c, r)).collect()
@@ -275,7 +268,6 @@ const GOLDEN_NATIVE: &[(&str, u64, u64, u64, u32)] = &[
     // exactly what the blip keys recover.
     ("cluster/t1", 0xa278dfda9aef5e00, 7311, 0, 1),
     ("cluster/t4", 0xa278dfda9aef5e00, 7311, 0, 1),
-    ("cluster/prune", 0xa278dfda9aef5e00, 7311, 0, 1),
 ];
 
 /// Pinned pre-refactor outputs, GoldFinger provider (256-bit SHF).
@@ -296,7 +288,6 @@ const GOLDEN_SHF256: &[(&str, u64, u64, u64, u32)] = &[
     ("kiff/capped", 0x08ca07912666121e, 4200, 0, 1),
     ("cluster/t1", 0x32054bdbe6f79ac8, 7311, 0, 1),
     ("cluster/t4", 0x32054bdbe6f79ac8, 7311, 0, 1),
-    ("cluster/prune", 0x32054bdbe6f79ac8, 7311, 0, 1),
 ];
 
 #[test]

@@ -212,11 +212,9 @@ proptest! {
 
     /// The clustered build's pinned invariant: for a fixed seed the graph
     /// *and* the distinct co-clustered pair count are bit-identical across
-    /// worker counts, kernel variants, and the prune flag (pruning only
-    /// skips evaluations that could never enter the top-k, moving them
-    /// from `similarity_evals` to `pruned_evals`).
+    /// worker counts and kernel variants.
     #[test]
-    fn cluster_is_bit_identical_across_threads_kernels_and_prune(
+    fn cluster_is_bit_identical_across_threads_and_kernels(
         lists in population(),
         k in 1usize..8,
     ) {
@@ -228,26 +226,25 @@ proptest! {
         for kernel in kernels::available() {
             let sim = PinnedKernelJaccard { store: &store, kernel };
             for threads in [1usize, 4] {
-                for prune in [false, true] {
-                    let r = Cluster { seed: 9, threads, prune, ..Cluster::default() }
-                        .build(&profiles, &sim, k);
-                    assert_graph_invariants(&r.graph, n, k);
-                    let edges: Vec<(u32, u32, u64)> = r
-                        .graph
-                        .edges()
-                        .map(|(u, v, s)| (u, v, s.to_bits()))
-                        .collect();
-                    let pairs = r.stats.similarity_evals + r.stats.pruned_evals;
-                    match &reference {
-                        None => reference = Some((edges, pairs)),
-                        Some((e0, p0)) => {
-                            prop_assert_eq!(
-                                &edges, e0,
-                                "kernel={} threads={} prune={}",
-                                kernel.name, threads, prune
-                            );
-                            prop_assert_eq!(pairs, *p0);
-                        }
+                let r = Cluster { seed: 9, threads, ..Cluster::default() }
+                    .build(&profiles, &sim, k);
+                assert_graph_invariants(&r.graph, n, k);
+                let edges: Vec<(u32, u32, u64)> = r
+                    .graph
+                    .edges()
+                    .map(|(u, v, s)| (u, v, s.to_bits()))
+                    .collect();
+                prop_assert_eq!(r.stats.pruned_evals, 0);
+                let pairs = r.stats.similarity_evals;
+                match &reference {
+                    None => reference = Some((edges, pairs)),
+                    Some((e0, p0)) => {
+                        prop_assert_eq!(
+                            &edges, e0,
+                            "kernel={} threads={}",
+                            kernel.name, threads
+                        );
+                        prop_assert_eq!(pairs, *p0);
                     }
                 }
             }

@@ -530,6 +530,12 @@ fn run() -> Result<(), String> {
                         .map_err(|e| format!("opening --ops-file {path}: {e}"))?;
                     let path = path.to_string();
                     Box::new(OpLogReader::new(file).map(move |r| match r {
+                        Ok(Op::Update { user, .. }) if user as usize >= n => {
+                            eprintln!(
+                                "reading --ops-file {path}: update for user {user} out of range (population {n})"
+                            );
+                            std::process::exit(1);
+                        }
                         Ok(op) => op,
                         Err(e) => {
                             eprintln!("reading --ops-file {path}: {e}");
@@ -546,9 +552,8 @@ fn run() -> Result<(), String> {
                 )),
             };
             let t0 = std::time::Instant::now();
-            // Route the parallel drain phases through the work-stealing
-            // pool (rather than the raw scoped-thread fallback) so traced
-            // runs attribute them to pool tasks.
+            // One pool for the whole replay, so the drain phases reuse its
+            // parked workers instead of building a pool per helper call.
             let threads: usize = cli.parse_num("threads", 1)?;
             let outcome = if threads > 1 {
                 goldfinger::core::pool::Pool::new(threads).install(|| replay_stream(&svc, ops))

@@ -197,6 +197,35 @@ fn recommend_rejects_out_of_range_user() {
 }
 
 #[test]
+fn out_of_range_ops_file_user_is_an_error() {
+    let dir = std::env::temp_dir().join(format!("goldfinger-cli-ops-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ops = dir.join("ops.log");
+    std::fs::write(&ops, "L 0\nU 999999 1,2\n").unwrap();
+    let out = goldfinger(&[
+        "serve",
+        "--synth",
+        "ml1m",
+        "--scale",
+        "0.02",
+        "--k",
+        "5",
+        "--bits",
+        "256",
+        "--ops-file",
+        ops.to_str().unwrap(),
+    ]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(
+        err.contains("user 999999 out of range (population"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn privacy_reports_the_paper_numbers() {
     let out = goldfinger(&[
         "privacy",

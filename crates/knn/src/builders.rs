@@ -105,10 +105,10 @@ static REGISTRY: [BuilderSpec; 6] = [
     BuilderSpec {
         name: "KIFF",
         in_paper: false,
-        make: |_cfg| {
+        make: |cfg| {
             Box::new(Kiff {
-                candidate_factor: 4,
-                max_item_degree: None,
+                threads: cfg.threads,
+                ..Kiff::default()
             })
         },
     },

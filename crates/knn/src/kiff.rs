@@ -12,12 +12,27 @@
 //!
 //! Like every other algorithm in this crate, the candidate *scoring* goes
 //! through a [`Similarity`] provider, so KIFF too is GoldFinger-ready.
+//!
+//! The build has two phases:
+//!
+//! - **Inverted index** (candidate generation): a counting-sort CSR —
+//!   `offsets` plus one flat array of user ids, each item's raters in id
+//!   order — built in two passes over the profiles, with two allocations
+//!   however large the item universe is.
+//! - **Per-user scan** (the join): each user counts co-ratings over its
+//!   items' rater lists, keeps the top `candidate_factor · k` candidates by
+//!   `(count desc, id asc)` with a linear-time selection followed by a sort
+//!   of the survivors only, and scores them in one batched call. Every scan
+//!   is self-contained (per-worker counts and buffers), so users are handed
+//!   to [`Kiff::threads`] workers with dynamic scheduling and the lists are
+//!   scattered back by user id: the graph and the evaluation count are
+//!   bit-identical to the serial build at any thread count.
 
 use crate::graph::{BuildStats, KnnGraph, KnnResult};
+use goldfinger_core::parallel::par_fold_dynamic;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
-use goldfinger_core::topk::TopK;
-use goldfinger_core::visit::VisitStamp;
+use goldfinger_core::topk::{Scored, TopK};
 use goldfinger_obs::trace;
 use goldfinger_obs::{BuildObserver, IterationEvent, NoopObserver, Phase};
 use std::time::Instant;
@@ -49,6 +64,11 @@ pub struct Kiff {
     /// little signal — this is the sparse-vs-dense lever of the paper's
     /// related-work discussion.
     pub max_item_degree: Option<usize>,
+    /// Worker threads for the per-user candidate scan (`0` = default
+    /// parallelism, `1` = serial). Every user's scan is self-contained, so
+    /// the graph and the evaluation count are bit-identical for any thread
+    /// count, at the price of one O(n) count array per worker.
+    pub threads: usize,
 }
 
 impl Default for Kiff {
@@ -56,8 +76,83 @@ impl Default for Kiff {
         Kiff {
             candidate_factor: 4,
             max_item_degree: None,
+            threads: 1,
         }
     }
+}
+
+/// Item → raters inverted index in CSR form: item `i`'s raters are
+/// `users[offsets[i]..offsets[i + 1]]`, in increasing id order.
+struct ItemIndex {
+    offsets: Vec<u32>,
+    users: Vec<u32>,
+}
+
+impl ItemIndex {
+    /// Counting sort of the (user, item) associations by item. Users are
+    /// visited in id order, so every rater list comes out sorted.
+    fn new(profiles: &ProfileStore) -> Self {
+        let bound = profiles.item_universe_bound() as usize;
+        let mut offsets = vec![0u32; bound + 1];
+        for (_, items) in profiles.iter() {
+            for &i in items {
+                offsets[i as usize + 1] += 1;
+            }
+        }
+        for i in 0..bound {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..bound].to_vec();
+        let mut users = vec![0u32; offsets[bound] as usize];
+        for (u, items) in profiles.iter() {
+            for &i in items {
+                let c = &mut cursor[i as usize];
+                users[*c as usize] = u;
+                *c += 1;
+            }
+        }
+        ItemIndex { offsets, users }
+    }
+
+    fn raters(&self, item: u32) -> &[u32] {
+        let i = item as usize;
+        &self.users[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// Ranks `candidates` by `(count desc, id asc)` and keeps the first
+/// `budget`: a linear-time selection of the survivors, then a sort of
+/// those alone. Ids are unique, so the order is total and the result is
+/// exactly the shortlist, in the same order, that sorting every candidate
+/// and truncating gives.
+///
+/// The order is encoded in one `u64` key per candidate (`!count` above the
+/// id), so comparisons need no lookups into `count`. Building the keys
+/// zeroes every candidate's count, kept or not, ready for the next user.
+fn shortlist(candidates: &mut Vec<u32>, count: &mut [u32], keys: &mut Vec<u64>, budget: usize) {
+    keys.clear();
+    keys.extend(candidates.iter().map(|&v| {
+        let c = std::mem::take(&mut count[v as usize]);
+        (u64::from(!c) << 32) | u64::from(v)
+    }));
+    if keys.len() > budget {
+        keys.select_nth_unstable(budget - 1);
+        keys.truncate(budget);
+    }
+    keys.sort_unstable();
+    candidates.clear();
+    candidates.extend(keys.iter().map(|&k| k as u32));
+}
+
+/// One scan worker's scratch and output.
+struct ScanSlot {
+    /// Co-rating counts; zero outside the current user's scan.
+    count: Vec<u32>,
+    candidates: Vec<u32>,
+    keys: Vec<u64>,
+    sims: Vec<f64>,
+    evals: u64,
+    out: Vec<(u32, Vec<Scored>)>,
 }
 
 impl Kiff {
@@ -107,18 +202,11 @@ impl Kiff {
         let n = profiles.n_users();
         let start = Instant::now();
 
-        // Inverted index: item → users having it (users arrive in id order).
-        // This phase reads explicit profiles and is not accelerated by
-        // GoldFinger, like LSH's bucketing.
+        // The inverted index reads explicit profiles and is not accelerated
+        // by GoldFinger, like LSH's bucketing.
         let index_start = O::ENABLED.then(Instant::now);
         let index_trace = trace::span("phase", "candidate_generation");
-        let bound = profiles.item_universe_bound() as usize;
-        let mut index: Vec<Vec<u32>> = vec![Vec::new(); bound];
-        for (u, items) in profiles.iter() {
-            for &i in items {
-                index[i as usize].push(u);
-            }
-        }
+        let index = ItemIndex::new(profiles);
         drop(index_trace);
         if let Some(t) = index_start {
             obs.on_span(Phase::CandidateGeneration, t.elapsed());
@@ -126,53 +214,69 @@ impl Kiff {
 
         let degree_cap = self.max_item_degree.unwrap_or(usize::MAX);
         let budget = self.candidate_factor * k;
-        let mut evals = 0u64;
 
-        // Per-user scratch: co-rating counts with stamp-based reset.
         let score_start = O::ENABLED.then(Instant::now);
         let score_trace = trace::span("phase", "join");
-        let mut count = vec![0u32; n];
-        let mut visited = VisitStamp::new(n);
-        let mut sims: Vec<f64> = Vec::new();
-        let mut neighbors = Vec::with_capacity(n);
-        for u in 0..n as u32 {
-            visited.next_round();
-            visited.mark(u as usize);
-            let mut touched: Vec<u32> = Vec::new();
-            for &i in profiles.items(u) {
-                let raters = &index[i as usize];
-                if raters.len() > degree_cap {
-                    continue;
-                }
-                for &v in raters {
-                    if v == u {
+        let states = par_fold_dynamic(
+            n,
+            self.threads,
+            32,
+            |_| ScanSlot {
+                count: vec![0; n],
+                candidates: Vec::new(),
+                keys: Vec::new(),
+                sims: Vec::new(),
+                evals: 0,
+                out: Vec::new(),
+            },
+            |slot: &mut ScanSlot, u| {
+                let u = u as u32;
+                // A zero count marks a candidate's first co-rated item.
+                slot.candidates.clear();
+                for &i in profiles.items(u) {
+                    let raters = index.raters(i);
+                    if raters.len() > degree_cap {
                         continue;
                     }
-                    if visited.mark(v as usize) {
-                        count[v as usize] = 0;
-                        touched.push(v);
+                    for &v in raters {
+                        if v == u {
+                            continue;
+                        }
+                        let c = &mut slot.count[v as usize];
+                        if *c == 0 {
+                            slot.candidates.push(v);
+                        }
+                        *c += 1;
                     }
-                    count[v as usize] += 1;
                 }
+                // Spend similarity evaluations on the best `budget`
+                // candidates by co-rating count (ties: lower id first),
+                // scored in one batched call (the gather kernel for
+                // fingerprint providers) and offered in ranked order.
+                shortlist(
+                    &mut slot.candidates,
+                    &mut slot.count,
+                    &mut slot.keys,
+                    budget,
+                );
+                slot.evals += slot.candidates.len() as u64;
+                slot.sims.clear();
+                slot.sims.resize(slot.candidates.len(), 0.0);
+                sim.similarity_batch(u, &slot.candidates, &mut slot.sims);
+                let mut top = TopK::new(k);
+                for (&v, &s) in slot.candidates.iter().zip(&slot.sims) {
+                    top.offer(s, v);
+                }
+                slot.out.push((u, top.into_sorted()));
+            },
+        );
+        let mut evals = 0u64;
+        let mut neighbors = vec![Vec::new(); n];
+        for slot in states {
+            evals += slot.evals;
+            for (u, list) in slot.out {
+                neighbors[u as usize] = list;
             }
-            // Rank candidates by co-rating count (ties: lower id first) and
-            // spend similarity evaluations on the best `budget`.
-            touched.sort_unstable_by(|&a, &b| {
-                count[b as usize].cmp(&count[a as usize]).then(a.cmp(&b))
-            });
-            touched.truncate(budget);
-            // Score the whole ranked shortlist in one batched call (the
-            // gather kernel for fingerprint providers), then offer the
-            // values in the same ranked order as the per-pair loop did.
-            evals += touched.len() as u64;
-            sims.clear();
-            sims.resize(touched.len(), 0.0);
-            sim.similarity_batch(u, &touched, &mut sims);
-            let mut top = TopK::new(k);
-            for (&v, &s) in touched.iter().zip(&sims) {
-                top.offer(s, v);
-            }
-            neighbors.push(top.into_sorted());
         }
         drop(score_trace);
 
@@ -210,6 +314,7 @@ mod tests {
     use crate::brute::BruteForce;
     use crate::metrics::quality;
     use goldfinger_core::similarity::ExplicitJaccard;
+    use std::sync::Mutex;
 
     fn clustered() -> ProfileStore {
         let mut lists = Vec::new();
@@ -298,5 +403,69 @@ mod tests {
         assert_eq!(result.graph.n_users(), 3);
         assert!(result.graph.neighbors(0).is_empty());
         assert_eq!(result.graph.neighbors(1)[0].user, 2);
+    }
+
+    /// Records every scoring batch the builder issues, in call order.
+    struct Recording<'a> {
+        inner: ExplicitJaccard<'a>,
+        batches: Mutex<Vec<(u32, Vec<u32>)>>,
+    }
+
+    impl Similarity for Recording<'_> {
+        fn n_users(&self) -> usize {
+            self.inner.n_users()
+        }
+        fn similarity(&self, u: u32, v: u32) -> f64 {
+            self.inner.similarity(u, v)
+        }
+        fn bytes_per_eval(&self, u: u32, v: u32) -> u64 {
+            self.inner.bytes_per_eval(u, v)
+        }
+        fn similarity_batch(&self, u: u32, vs: &[u32], out: &mut [f64]) {
+            self.batches.lock().unwrap().push((u, vs.to_vec()));
+            self.inner.similarity_batch(u, vs, out);
+        }
+    }
+
+    #[test]
+    fn ties_at_the_budget_cut_keep_the_lowest_ids() {
+        // Everyone rates item 1; users 0, 5 and 6 also rate item 2. With a
+        // budget of 3, every user has 7 candidates and the cut falls inside
+        // a run of equal co-rating counts.
+        let lists = (0..8u32)
+            .map(|u| match u {
+                0 | 5 | 6 => vec![1, 2],
+                _ => vec![1],
+            })
+            .collect();
+        let profiles = ProfileStore::from_item_lists(lists);
+        let want: Vec<(u32, Vec<u32>)> = vec![
+            // Counts 2 (users 5, 6), then five users tied at 1: user 1.
+            (0, vec![5, 6, 1]),
+            // Seven candidates all tied at 1: the three lowest ids.
+            (1, vec![0, 2, 3]),
+            (2, vec![0, 1, 3]),
+            (3, vec![0, 1, 2]),
+            (4, vec![0, 1, 2]),
+            (5, vec![0, 6, 1]),
+            (6, vec![0, 5, 1]),
+            (7, vec![0, 1, 2]),
+        ];
+        for threads in [1, 3] {
+            let sim = Recording {
+                inner: ExplicitJaccard::new(&profiles),
+                batches: Mutex::new(Vec::new()),
+            };
+            let kiff = Kiff {
+                candidate_factor: 3,
+                threads,
+                ..Kiff::default()
+            };
+            let result = kiff.build(&profiles, &sim, 1);
+            assert_eq!(result.stats.similarity_evals, 8 * 3);
+            let mut got = sim.batches.into_inner().unwrap();
+            got.sort_by_key(|(u, _)| *u);
+            assert_eq!(got, want, "threads={threads}");
+        }
     }
 }

@@ -92,7 +92,11 @@ fn metrics_endpoint_serves_live_series_during_a_replay() {
 
     // Scrape continuously while the replay runs: every response must be a
     // complete 200 with parseable content, no matter where the drain is.
+    // The replay starts only once the scraper has finished one full scrape,
+    // so a replay that ends before the scraper thread is scheduled cannot
+    // leave the scrape count at zero.
     let done = AtomicBool::new(false);
+    let scraped_once = AtomicBool::new(false);
     let outcome = std::thread::scope(|scope| {
         let scraper = scope.spawn(|| {
             let mut scrapes = 0usize;
@@ -108,9 +112,15 @@ fn metrics_endpoint_serves_live_series_during_a_replay() {
                     );
                 }
                 scrapes += 1;
+                scraped_once.store(true, Ordering::Release);
             }
             scrapes
         });
+        // A scraper that panics before its first scrape ends the wait too;
+        // the join below then reports its panic.
+        while !scraped_once.load(Ordering::Acquire) && !scraper.is_finished() {
+            std::thread::yield_now();
+        }
         let ops = synth_ops(60, 5000, 4000, 40, 33);
         let outcome = replay(&svc, &ops);
         done.store(true, Ordering::Relaxed);

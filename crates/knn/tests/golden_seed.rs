@@ -166,6 +166,12 @@ fn run_all<S: Similarity>(profiles: &ProfileStore, sim: &S, tag: &'static str) -
     let kiff_capped = Kiff {
         candidate_factor: 2,
         max_item_degree: Some(200),
+        ..Kiff::default()
+    };
+    let kiff4 = Kiff { threads: 4, ..kiff };
+    let kiff_capped4 = Kiff {
+        threads: 4,
+        ..kiff_capped
     };
     // Cluster is bit-identical for any thread count by construction.
     let cluster1 = Cluster {
@@ -206,6 +212,8 @@ fn run_all<S: Similarity>(profiles: &ProfileStore, sim: &S, tag: &'static str) -
         ("lsh/t4", lsh4.build(profiles, sim, K)),
         ("kiff", kiff.build(profiles, sim, K)),
         ("kiff/capped", kiff_capped.build(profiles, sim, K)),
+        ("kiff/t4", kiff4.build(profiles, sim, K)),
+        ("kiff/capped/t4", kiff_capped4.build(profiles, sim, K)),
         ("cluster/t1", cluster1.build(profiles, sim, K)),
         ("cluster/t4", cluster4.build(profiles, sim, K)),
     ];
@@ -263,6 +271,8 @@ const GOLDEN_NATIVE: &[(&str, u64, u64, u64, u32)] = &[
     ("lsh/t4", 0xbf32c6e50d5952b8, 11458, 0, 1),
     ("kiff", 0xa278dfda9aef5e00, 8396, 0, 1),
     ("kiff/capped", 0x99ee006d80126df9, 4200, 0, 1),
+    ("kiff/t4", 0xa278dfda9aef5e00, 8396, 0, 1),
+    ("kiff/capped/t4", 0x99ee006d80126df9, 4200, 0, 1),
     // The clustered scan recovers the exact brute-force graph here (same
     // digest) from ~6× fewer evaluations: the synthetic taste clusters are
     // exactly what the blip keys recover.
@@ -286,6 +296,8 @@ const GOLDEN_SHF256: &[(&str, u64, u64, u64, u32)] = &[
     ("lsh/t4", 0xbfd9cfe1e3507ec4, 11458, 0, 1),
     ("kiff", 0xaa150c85a851a1f1, 8396, 0, 1),
     ("kiff/capped", 0x08ca07912666121e, 4200, 0, 1),
+    ("kiff/t4", 0xaa150c85a851a1f1, 8396, 0, 1),
+    ("kiff/capped/t4", 0x08ca07912666121e, 4200, 0, 1),
     ("cluster/t1", 0x32054bdbe6f79ac8, 7311, 0, 1),
     ("cluster/t4", 0x32054bdbe6f79ac8, 7311, 0, 1),
 ];

@@ -11,6 +11,7 @@ use goldfinger_knn::brute::BruteForce;
 use goldfinger_knn::cluster::Cluster;
 use goldfinger_knn::graph::{KnnGraph, KnnResult};
 use goldfinger_knn::hyrec::Hyrec;
+use goldfinger_knn::kiff::Kiff;
 use goldfinger_knn::lsh::Lsh;
 use goldfinger_knn::metrics::{average_similarity, edge_recall};
 use goldfinger_knn::nndescent::NNDescent;
@@ -337,6 +338,66 @@ proptest! {
                                     case, kernel.name, threads, pooled
                                 );
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One KIFF run's comparable outcome: the full `(u, v, sim-bits)` edge
+/// stream and the eval count.
+type KiffOutcome = (Vec<(u32, u32, u64)>, u64);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// KIFF's pinned invariant: the parallel per-user scan produces the
+    /// serial build's graph and eval count at every worker count, kernel
+    /// variant and dispatch path, with and without a degree cap. Budgets of
+    /// `k`–`3k` cover both the selection path (more candidates than the
+    /// budget) and the short-list path, which the cap and the empty
+    /// profile appended to every population reach.
+    #[test]
+    fn kiff_is_bit_identical_across_threads_and_kernels(
+        lists in proptest::collection::vec(proptest::collection::vec(0u32..200, 0..40), 3..70),
+        k in 1usize..8,
+        candidate_factor in 1usize..4,
+        cap in 2usize..12,
+    ) {
+        let mut lists = lists;
+        lists.push(Vec::new()); // always at least one empty profile
+        let n = lists.len();
+        let profiles = ProfileStore::from_item_lists(lists);
+        let store = ShfParams::new(128, DynHasher::new(HasherKind::Jenkins, 7))
+            .fingerprint_store(&profiles);
+        for max_item_degree in [None, Some(cap)] {
+            let mut reference: Option<KiffOutcome> = None;
+            for kernel in kernels::available() {
+                let sim = PinnedKernelJaccard { store: &store, kernel };
+                for threads in 1usize..=4 {
+                    for pooled in [false, true] {
+                        let kiff = Kiff { candidate_factor, max_item_degree, threads };
+                        let r = if pooled {
+                            shared_pool().install(|| kiff.build(&profiles, &sim, k))
+                        } else {
+                            kiff.build(&profiles, &sim, k)
+                        };
+                        assert_graph_invariants(&r.graph, n, k);
+                        prop_assert!(r.stats.similarity_evals <= (n * candidate_factor * k) as u64);
+                        let got: KiffOutcome = (
+                            r.graph.edges().map(|(u, v, s)| (u, v, s.to_bits())).collect(),
+                            r.stats.similarity_evals,
+                        );
+                        match &reference {
+                            // The first run is the serial, unpooled build.
+                            None => reference = Some(got),
+                            Some(want) => prop_assert_eq!(
+                                &got, want,
+                                "cap={:?} kernel={} threads={} pooled={}",
+                                max_item_degree, kernel.name, threads, pooled
+                            ),
                         }
                     }
                 }

@@ -1,13 +1,13 @@
 //! Criterion bench for the tiled brute-force scan engine: the fused batch
-//! AND+popcount kernel against the per-pair kernel, and the pruned scan
-//! against the unpruned one.
+//! AND+popcount kernel against the per-pair kernel, and the whole scan on
+//! explicit and fingerprint providers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use goldfinger_core::bits::{and_count_words, and_count_words_batch, BitArray};
 use goldfinger_core::hash::{DynHasher, HasherKind};
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::shf::ShfParams;
-use goldfinger_core::similarity::ShfJaccard;
+use goldfinger_core::similarity::{ExplicitJaccard, ShfJaccard, Similarity};
 use goldfinger_knn::brute::BruteForce;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -23,7 +23,7 @@ fn random_fp(bits: u32, rng: &mut StdRng) -> BitArray {
     BitArray::from_positions(bits, positions)
 }
 
-/// Skewed profile sizes so the size-ratio bound has pairs to prune.
+/// Profiles of skewed sizes, 1–120 items each.
 fn skewed_profiles(n: usize, rng: &mut StdRng) -> ProfileStore {
     let lists = (0..n)
         .map(|_| {
@@ -71,35 +71,18 @@ fn bench_scan(c: &mut Criterion) {
     let store =
         ShfParams::new(BITS, DynHasher::new(HasherKind::Jenkins, 42)).fingerprint_store(&profiles);
 
-    // Pruning pays when an evaluation is expensive (explicit profile
-    // merges); on 1024-bit SHFs a comparison is a handful of nanoseconds
-    // and the bound check can cost as much as it saves — both sides are
-    // reported so the trade-off is visible.
+    let explicit = ExplicitJaccard::new(&profiles);
+    let shf = ShfJaccard::new(&store);
+    let providers: [(&str, &dyn Similarity); 2] = [("explicit", &explicit), ("shf", &shf)];
     let mut group = c.benchmark_group("brute_scan_engine");
-    for (name, prune) in [("explicit_unpruned", false), ("explicit_pruned", true)] {
-        let sim = goldfinger_core::similarity::ExplicitJaccard::new(&profiles);
+    for (name, sim) in providers {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let r = BruteForce {
                     threads: 1,
                     tile: 0,
-                    prune,
                 }
-                .build(&sim, 5);
-                black_box(r.stats.similarity_evals)
-            })
-        });
-    }
-    for (name, prune) in [("shf_unpruned", false), ("shf_pruned", true)] {
-        let sim = ShfJaccard::new(&store);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let r = BruteForce {
-                    threads: 1,
-                    tile: 0,
-                    prune,
-                }
-                .build(&sim, 5);
+                .build(sim, 5);
                 black_box(r.stats.similarity_evals)
             })
         });

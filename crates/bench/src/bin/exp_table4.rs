@@ -67,7 +67,6 @@ fn main() {
         ),
         &[
             "dataset", "algo", "t nat.", "t GolFi", "gain %", "q nat.", "q GolFi", "loss",
-            "prune % n/GF",
         ],
     );
     let mut fig6 = Table::new(
@@ -151,13 +150,6 @@ fn main() {
                 format!("{q_nat:.2}"),
                 format!("{q_gf:.2}"),
                 format!("{:.2}", q_nat - q_gf),
-                // Upper-bound pruning only fires in the exhaustive scan;
-                // other algorithms report 0/0.
-                format!(
-                    "{:.1}/{:.1}",
-                    100.0 * nat.result.stats.prune_rate(),
-                    100.0 * gf.result.stats.prune_rate()
-                ),
             ]);
             if kind != AlgoKind::Lsh {
                 fig6.push(vec![

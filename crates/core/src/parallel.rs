@@ -97,9 +97,9 @@ where
 /// them in with `fold(&mut state, index)`. The states come back indexed by
 /// slot, so deterministic reducers can merge them in a fixed order.
 ///
-/// This is the engine behind the pruned brute-force scan: each slot keeps
-/// private top-k partials (no locks on the hot path) that the caller merges
-/// afterwards.
+/// This is the engine behind the Brute Force and Cluster scans: each slot
+/// keeps private top-k partials (no locks on the hot path) that the caller
+/// merges afterwards.
 pub fn par_fold_dynamic<T, I, F>(n: usize, threads: usize, grain: usize, init: I, fold: F) -> Vec<T>
 where
     T: Send,

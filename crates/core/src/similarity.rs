@@ -27,19 +27,12 @@ pub trait Similarity: Sync {
     /// fingerprints and their cached cardinalities.
     fn bytes_per_eval(&self, u: u32, v: u32) -> u64;
 
-    /// A cheap upper bound on `similarity(u, v)` computed from per-user
-    /// metadata alone (cached cardinalities or profile sizes) — no scan of
-    /// the payloads.
+    /// A cheap upper bound on `similarity(u, v)` from per-user metadata
+    /// alone, or `None` when the provider offers none (the default).
     ///
-    /// Exhaustive builders use this to skip the full evaluation when the
-    /// bound cannot beat the current top-k threshold (DESIGN.md §7). The
-    /// contract is `similarity(u, v) <= similarity_upper_bound(u, v)` for
-    /// every pair; `None` means "no bound available" and disables pruning.
-    ///
-    /// For intersection-driven measures the bound follows from
-    /// `|A ∩ B| ≤ min(|A|, |B|)`:
-    /// - Jaccard: `J = |A∩B| / |A∪B| ≤ min / max`;
-    /// - cosine: `|A∩B| / √(|A|·|B|) ≤ min / √(min·max) = √(min / max)`.
+    /// No builder calls it: the exhaustive scans evaluate every pair
+    /// through the batched kernels instead (DESIGN.md §7). It stays on the
+    /// trait because the benchmark package's timing wrapper forwards it.
     fn similarity_upper_bound(&self, u: u32, v: u32) -> Option<f64> {
         let _ = (u, v);
         None
@@ -62,17 +55,6 @@ pub trait Similarity: Sync {
         for (&v, o) in vs.iter().zip(out.iter_mut()) {
             *o = self.similarity(u, v);
         }
-    }
-}
-
-/// `min(c1,c2) / max(c1,c2)`, the Jaccard upper bound (0 when both empty).
-#[inline]
-fn size_ratio(c1: u64, c2: u64) -> f64 {
-    let (lo, hi) = if c1 <= c2 { (c1, c2) } else { (c2, c1) };
-    if hi == 0 {
-        0.0
-    } else {
-        lo as f64 / hi as f64
     }
 }
 
@@ -116,14 +98,6 @@ impl Similarity for ExplicitJaccard<'_> {
         // bounded above by reading each list once.
         ((a.len() + b.len() - inter) as u64) * 4
     }
-
-    #[inline]
-    fn similarity_upper_bound(&self, u: u32, v: u32) -> Option<f64> {
-        Some(size_ratio(
-            self.profiles.items(u).len() as u64,
-            self.profiles.items(v).len() as u64,
-        ))
-    }
 }
 
 /// Native provider: cosine similarity on explicit binary profiles,
@@ -161,17 +135,6 @@ impl Similarity for ExplicitCosine<'_> {
     fn bytes_per_eval(&self, u: u32, v: u32) -> u64 {
         ((self.profiles.items(u).len() + self.profiles.items(v).len()) as u64) * 4
     }
-
-    #[inline]
-    fn similarity_upper_bound(&self, u: u32, v: u32) -> Option<f64> {
-        Some(
-            size_ratio(
-                self.profiles.items(u).len() as u64,
-                self.profiles.items(v).len() as u64,
-            )
-            .sqrt(),
-        )
-    }
 }
 
 /// GoldFinger provider: the SHF Jaccard estimator over packed fingerprints.
@@ -206,17 +169,6 @@ impl Similarity for ShfJaccard<'_> {
     #[inline]
     fn bytes_per_eval(&self, _u: u32, _v: u32) -> u64 {
         self.store.bytes_per_comparison()
-    }
-
-    /// `|B1∧B2| ≤ min(c1,c2)` and `|B1∨B2| ≥ max(c1,c2)`, so the estimate
-    /// (Eq. 4) is bounded by `min(c1,c2) / max(c1,c2)` using the cached
-    /// cardinalities alone — no fingerprint words are touched.
-    #[inline]
-    fn similarity_upper_bound(&self, u: u32, v: u32) -> Option<f64> {
-        Some(size_ratio(
-            self.store.cardinality(u) as u64,
-            self.store.cardinality(v) as u64,
-        ))
     }
 
     #[inline]
@@ -260,17 +212,6 @@ impl Similarity for ShfCosine<'_> {
     #[inline]
     fn bytes_per_eval(&self, _u: u32, _v: u32) -> u64 {
         self.store.bytes_per_comparison()
-    }
-
-    #[inline]
-    fn similarity_upper_bound(&self, u: u32, v: u32) -> Option<f64> {
-        Some(
-            size_ratio(
-                self.store.cardinality(u) as u64,
-                self.store.cardinality(v) as u64,
-            )
-            .sqrt(),
-        )
     }
 
     #[inline]

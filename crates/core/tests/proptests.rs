@@ -8,9 +8,6 @@ use goldfinger_core::hash::{DynHasher, HasherKind, ItemHasher};
 use goldfinger_core::kernels;
 use goldfinger_core::profile::{intersection_size_sorted, Profile, ProfileStore};
 use goldfinger_core::shf::ShfParams;
-use goldfinger_core::similarity::{
-    ExplicitCosine, ExplicitJaccard, ShfCosine, ShfJaccard, Similarity,
-};
 use goldfinger_core::topk::TopK;
 use proptest::prelude::*;
 
@@ -185,34 +182,6 @@ proptest! {
                     or_count_words(query.words(), fp.words())
                 );
             }
-        }
-    }
-
-    /// `similarity_upper_bound` dominates `similarity` on every provider —
-    /// the invariant the pruned brute-force scan relies on (DESIGN.md §7).
-    #[test]
-    fn upper_bound_dominates_similarity(
-        xs in item_set(),
-        ys in item_set(),
-        bits in prop_oneof![Just(64u32), Just(256), Just(1024)],
-        seed in 0u64..8,
-    ) {
-        let profiles = ProfileStore::from_item_lists(vec![xs, ys]);
-        let store = ShfParams::new(bits, DynHasher::new(HasherKind::Jenkins, seed))
-            .fingerprint_store(&profiles);
-        let providers: [&dyn Similarity; 4] = [
-            &ExplicitJaccard::new(&profiles),
-            &ExplicitCosine::new(&profiles),
-            &ShfJaccard::new(&store),
-            &ShfCosine::new(&store),
-        ];
-        for (i, p) in providers.iter().enumerate() {
-            let bound = p.similarity_upper_bound(0, 1).expect("all providers bound");
-            let sim = p.similarity(0, 1);
-            prop_assert!(
-                sim <= bound + 1e-12,
-                "provider {i}: sim {sim} exceeds bound {bound}"
-            );
         }
     }
 

@@ -1,21 +1,21 @@
 //! Exact KNN graph construction by exhaustive pairwise comparison.
 //!
 //! The scan is *tiled* (users are processed in cache-sized blocks so both
-//! sides of a comparison stay hot), *parallel* (tile cells are dispatched to
-//! worker threads over a work-stealing counter, each thread folding into
-//! private top-k partials that are merged deterministically afterwards) and
-//! *pruned* (a cheap [`Similarity::similarity_upper_bound`] skips the full
-//! evaluation when the pair cannot enter either endpoint's current top-k —
-//! DESIGN.md §7). Each unordered pair is considered exactly once, and the
-//! output is bit-identical to the naive `O(n²)` double loop.
+//! sides of a comparison stay hot) and *parallel* (tile cells are dispatched
+//! to worker threads over a work-stealing counter). Every row of a cell is
+//! scored through one [`Similarity::similarity_batch`] call — the gather
+//! kernel for fingerprint providers — and folded into the worker's
+//! floor-filtered top-k partials, which are merged deterministically
+//! afterwards (`crate::partials`, DESIGN.md §7). Each unordered pair is
+//! evaluated exactly once, so `similarity_evals` is `n(n−1)/2` at any
+//! thread count, and the output is bit-identical to the naive `O(n²)`
+//! double loop.
 
-use crate::graph::{BuildStats, KnnGraph, KnnResult};
-use goldfinger_core::parallel::par_fold_dynamic;
+use crate::graph::KnnResult;
+use crate::partials::fold_scan;
 use goldfinger_core::similarity::Similarity;
-use goldfinger_core::topk::TopK;
-use goldfinger_obs::trace;
-use goldfinger_obs::{BuildObserver, IterationEvent, NoopObserver, Phase};
-use std::time::{Duration, Instant};
+use goldfinger_obs::{BuildObserver, NoopObserver};
+use std::time::Instant;
 
 /// Default tile edge in users: two tiles of 128 fingerprints at the paper's
 /// 1024-bit width are 32 KiB — both sides of a cell fit in L1/L2.
@@ -26,17 +26,13 @@ const DEFAULT_TILE: usize = 128;
 /// the reference point of every experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct BruteForce {
-    /// Number of worker threads (0 = available parallelism). When a
-    /// `goldfinger_core::pool::Pool` is installed, tile cells are dispatched
-    /// to its persistent workers instead of freshly spawned threads; the
-    /// graph is bit-identical either way.
+    /// Number of worker threads (0 = available parallelism), clamped to the
+    /// hardware parallelism. When a `goldfinger_core::pool::Pool` is
+    /// installed, tile cells are dispatched to its persistent workers; the
+    /// graph and the counters are bit-identical at any thread count.
     pub threads: usize,
     /// Tile edge in users (0 = default of 128).
     pub tile: usize,
-    /// Skip evaluations whose [`Similarity::similarity_upper_bound`] cannot
-    /// beat the current top-k thresholds. Never changes the output graph;
-    /// skipped pairs are reported in [`BuildStats::pruned_evals`].
-    pub prune: bool,
 }
 
 impl Default for BruteForce {
@@ -44,20 +40,8 @@ impl Default for BruteForce {
         BruteForce {
             threads: 1,
             tile: 0,
-            prune: true,
         }
     }
-}
-
-/// One worker's private fold state: top-k partials over every user plus the
-/// evaluation counters and the batched-scoring buffers. No locks are taken
-/// on the hot path.
-struct ScanState {
-    tops: Vec<TopK>,
-    evals: u64,
-    pruned: u64,
-    ids: Vec<u32>,
-    sims: Vec<f64>,
 }
 
 impl BruteForce {
@@ -70,9 +54,10 @@ impl BruteForce {
     }
 
     /// Builds the exact KNN graph, reporting progress to `obs`: one span for
-    /// the pair scan ([`Phase::Join`]), one for the deterministic reduction
-    /// ([`Phase::Merge`]), and a single [`IterationEvent`] with the final
-    /// counters. Observation never changes the output; with the default
+    /// the pair scan ([`goldfinger_obs::Phase::Join`]), one for the
+    /// deterministic reduction ([`goldfinger_obs::Phase::Merge`]), and a
+    /// single [`goldfinger_obs::IterationEvent`] with the final counters.
+    /// Observation never changes the output; with the default
     /// [`NoopObserver`] the hooks compile to nothing.
     ///
     /// # Panics
@@ -101,126 +86,19 @@ impl BruteForce {
                 cells.push((ti, tj));
             }
         }
-        let prune = self.prune;
-        let scan_start = O::ENABLED.then(Instant::now);
-        let scan_trace = trace::span_arg("phase", "join", cells.len() as u64);
-        let mut states = par_fold_dynamic(
-            cells.len(),
-            self.threads,
-            1,
-            |_| ScanState {
-                tops: (0..n).map(|_| TopK::new(k)).collect(),
-                evals: 0,
-                pruned: 0,
-                ids: Vec::new(),
-                sims: Vec::new(),
-            },
-            |state, c| {
-                let (ti, tj) = cells[c];
-                let (ue, ve) = (((ti + 1) * tile).min(n), ((tj + 1) * tile).min(n));
-                for u in (ti * tile)..ue {
-                    // The diagonal cell covers only its own upper triangle.
-                    let v0 = if ti == tj { u + 1 } else { tj * tile };
-                    if !prune {
-                        // No prune decisions to interleave, so the whole row
-                        // of the cell batches through one `similarity_batch`
-                        // call (the gather kernel for fingerprint
-                        // providers); offers happen in the same ascending-v
-                        // order as the per-pair loop.
-                        if v0 >= ve {
-                            continue;
-                        }
-                        let uu = u as u32;
-                        state.ids.clear();
-                        state.ids.extend(v0 as u32..ve as u32);
-                        state.sims.clear();
-                        state.sims.resize(state.ids.len(), 0.0);
-                        sim.similarity_batch(uu, &state.ids, &mut state.sims);
-                        state.evals += state.ids.len() as u64;
-                        for (&vv, &s) in state.ids.iter().zip(&state.sims) {
-                            state.tops[u].offer(s, vv);
-                            state.tops[vv as usize].offer(s, uu);
-                        }
-                        continue;
-                    }
-                    for v in v0..ve {
-                        let (uu, vv) = (u as u32, v as u32);
-                        // Only consult the bound once both sides are full:
-                        // an underfull top-k admits everything. The prune
-                        // check reads both endpoints' *evolving* thresholds,
-                        // so pruned scans stay per-pair — deferring offers
-                        // behind a batch would change which pairs get
-                        // pruned, breaking the pinned counters.
-                        if let (Some(tu), Some(tv)) =
-                            (state.tops[u].threshold(), state.tops[v].threshold())
-                        {
-                            // Strictly below both thresholds ⇒ `offer`
-                            // would reject the pair on both sides even
-                            // on a similarity tie (ties are admitted
-                            // towards lower user ids, hence the strict
-                            // comparison).
-                            if sim
-                                .similarity_upper_bound(uu, vv)
-                                .is_some_and(|b| b < tu && b < tv)
-                            {
-                                state.pruned += 1;
-                                continue;
-                            }
-                        }
-                        let s = sim.similarity(uu, vv);
-                        state.evals += 1;
-                        state.tops[u].offer(s, vv);
-                        state.tops[v].offer(s, uu);
-                    }
-                }
-            },
-        );
-        drop(scan_trace);
-        if let Some(t) = scan_start {
-            obs.on_span(Phase::Join, t.elapsed());
-        }
-        // Deterministic reduction: fold every worker's partials into the
-        // first state. The kept set of a `TopK` does not depend on insertion
-        // order, so the merge result is independent of how cells were
-        // distributed across threads.
-        let merge_start = O::ENABLED.then(Instant::now);
-        let merge_trace = trace::span("phase", "merge");
-        let mut merged = states.remove(0);
-        for state in states {
-            merged.evals += state.evals;
-            merged.pruned += state.pruned;
-            for (top, part) in merged.tops.iter_mut().zip(&state.tops) {
-                for e in part.entries() {
-                    top.offer(e.sim, e.user);
+        fold_scan(n, k, self.threads, cells.len(), obs, start, &|p, c| {
+            let (ti, tj) = cells[c];
+            let (ue, ve) = (((ti + 1) * tile).min(n), ((tj + 1) * tile).min(n));
+            for u in (ti * tile)..ue {
+                // The diagonal cell covers only its own upper triangle.
+                let v0 = if ti == tj { u + 1 } else { tj * tile };
+                if v0 < ve {
+                    p.ids.clear();
+                    p.ids.extend(v0 as u32..ve as u32);
+                    p.score_row(sim, u as u32);
                 }
             }
-        }
-        let neighbors: Vec<_> = merged.tops.into_iter().map(TopK::into_sorted).collect();
-        drop(merge_trace);
-        let wall = start.elapsed();
-        if O::ENABLED {
-            if let Some(t) = merge_start {
-                obs.on_span(Phase::Merge, t.elapsed());
-            }
-            obs.on_iteration(IterationEvent {
-                iteration: 1,
-                similarity_evals: merged.evals,
-                pruned_evals: merged.pruned,
-                updates: 0,
-                threshold: 0.0,
-                wall,
-            });
-        }
-        KnnResult {
-            graph: KnnGraph::from_lists(k, neighbors),
-            stats: BuildStats {
-                similarity_evals: merged.evals,
-                pruned_evals: merged.pruned,
-                iterations: 1,
-                wall,
-                prep_wall: Duration::ZERO,
-            },
-        }
+        })
     }
 }
 
@@ -231,6 +109,7 @@ mod tests {
     use goldfinger_core::profile::ProfileStore;
     use goldfinger_core::shf::ShfParams;
     use goldfinger_core::similarity::{ExplicitCosine, ExplicitJaccard, ShfCosine, ShfJaccard};
+    use goldfinger_core::topk::TopK;
 
     fn store() -> ProfileStore {
         ProfileStore::from_item_lists(vec![
@@ -241,8 +120,8 @@ mod tests {
         ])
     }
 
-    /// Profiles with wildly skewed sizes: plenty of pairs where the size
-    /// ratio bound actually prunes.
+    /// Profiles with wildly skewed sizes over a small item universe: many
+    /// similarity ties and many offers below a full list's floor.
     fn skewed_store(n: usize) -> ProfileStore {
         let mut x = 0x243F6A8885A308D3u64;
         let lists = (0..n)
@@ -281,52 +160,19 @@ mod tests {
 
     #[test]
     fn eval_count_is_exact() {
-        let profiles = store();
-        let sim = ExplicitJaccard::new(&profiles);
-        // Unpruned: every unordered pair is evaluated exactly once.
-        let full = BruteForce {
-            prune: false,
-            ..BruteForce::default()
-        }
-        .build(&sim, 2);
-        assert_eq!(full.stats.similarity_evals, 4 * 3 / 2);
-        assert_eq!(full.stats.pruned_evals, 0);
-        assert_eq!(full.stats.iterations, 1);
-        // Pruned: every unordered pair is either evaluated or pruned.
-        let pruned = BruteForce::default().build(&sim, 2);
-        assert_eq!(
-            pruned.stats.similarity_evals + pruned.stats.pruned_evals,
-            4 * 3 / 2
-        );
-    }
-
-    #[test]
-    fn pair_accounting_is_exact_on_larger_population() {
         let profiles = skewed_store(100);
         let sim = ExplicitJaccard::new(&profiles);
         for threads in [1usize, 4] {
             for tile in [0usize, 7, 1000] {
-                let r = BruteForce {
-                    threads,
-                    tile,
-                    prune: true,
-                }
-                .build(&sim, 5);
+                let r = BruteForce { threads, tile }.build(&sim, 5);
                 assert_eq!(
-                    r.stats.similarity_evals + r.stats.pruned_evals,
-                    100 * 99 / 2,
+                    (r.stats.similarity_evals, r.stats.pruned_evals),
+                    (100 * 99 / 2, 0),
                     "threads={threads} tile={tile}"
                 );
+                assert_eq!(r.stats.iterations, 1);
             }
         }
-    }
-
-    #[test]
-    fn pruning_actually_fires_on_skewed_profiles() {
-        let profiles = skewed_store(100);
-        let sim = ExplicitJaccard::new(&profiles);
-        let r = BruteForce::default().build(&sim, 3);
-        assert!(r.stats.pruned_evals > 0, "stats: {:?}", r.stats);
     }
 
     #[test]
@@ -348,12 +194,12 @@ mod tests {
         }
     }
 
-    /// The acceptance bar of the pruned engine: graph-for-graph identical to
-    /// the unpruned scan on all four providers, across thread and tile
-    /// shapes.
+    /// Graph-for-graph identical to the naive `O(n²)` double loop on all
+    /// four providers, across thread and tile shapes.
     #[test]
-    fn pruned_graph_identical_on_all_providers() {
-        let profiles = skewed_store(80);
+    fn graph_identical_to_the_naive_scan_on_all_providers() {
+        let n = 80;
+        let profiles = skewed_store(n);
         let shf = ShfParams::new(256, DynHasher::default()).fingerprint_store(&profiles);
         let providers: Vec<Box<dyn Similarity + '_>> = vec![
             Box::new(ExplicitJaccard::new(&profiles)),
@@ -362,24 +208,22 @@ mod tests {
             Box::new(ShfCosine::new(&shf)),
         ];
         for (p, sim) in providers.iter().enumerate() {
-            let baseline = BruteForce {
-                threads: 1,
-                tile: 0,
-                prune: false,
+            let mut tops: Vec<TopK> = (0..n).map(|_| TopK::new(4)).collect();
+            for u in 0..n as u32 {
+                for v in (u + 1)..n as u32 {
+                    let s = sim.similarity(u, v);
+                    tops[u as usize].offer(s, v);
+                    tops[v as usize].offer(s, u);
+                }
             }
-            .build(sim.as_ref(), 4);
+            let naive: Vec<_> = tops.into_iter().map(TopK::into_sorted).collect();
             for threads in [1usize, 4] {
                 for tile in [0usize, 13] {
-                    let pruned = BruteForce {
-                        threads,
-                        tile,
-                        prune: true,
-                    }
-                    .build(sim.as_ref(), 4);
-                    for u in 0..80u32 {
+                    let r = BruteForce { threads, tile }.build(sim.as_ref(), 4);
+                    for u in 0..n as u32 {
                         assert_eq!(
-                            baseline.graph.neighbors(u),
-                            pruned.graph.neighbors(u),
+                            r.graph.neighbors(u),
+                            &naive[u as usize][..],
                             "provider={p} threads={threads} tile={tile} u={u}"
                         );
                     }

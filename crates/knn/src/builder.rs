@@ -86,21 +86,21 @@ impl<S: ?Sized> Copy for BuildInput<'_, S> {}
 /// The determinism contract mirrors the golden-seed suite: when
 /// [`deterministic`](KnnBuilder::deterministic) reports `true`, repeated
 /// builds over the same input produce bit-identical graphs and identical
-/// `BuildStats` counters (except Brute Force's evaluated/pruned split at
-/// more than one thread, whose sum is fixed), and plugging in any observer
-/// never changes the output.
+/// `BuildStats` counters, and plugging in any observer never changes the
+/// output.
 pub trait KnnBuilder: Sync {
     /// Display name, as printed in the paper's tables.
     fn name(&self) -> &'static str;
 
     /// Whether this configuration yields bit-identical output on repeated
     /// runs. Brute Force, LSH, KIFF and Cluster report `true` for any
-    /// thread count; the greedy refiners only with `threads <= 1`. Their
-    /// plan/score/apply join in fact reproduces the serial loop at every
-    /// thread count (pinned by `golden_seed`'s `*/t4` rows and the
-    /// `refine_is_bit_identical` property test), but the benchmark
-    /// package's tests and digest-repeat check key on this flag at two
-    /// threads, so widening it is left to a change that updates them too.
+    /// thread count; the greedy refiners only with `threads <= 1`. Every
+    /// builder in fact reproduces its serial output, counters included, at
+    /// every thread count (pinned by `golden_seed`'s `*/t4` rows and the
+    /// `*_is_bit_identical` property tests), so the answers are unchanged
+    /// only because the benchmark package's tests and digest-repeat check
+    /// key on this flag at two threads. The method stays for that package;
+    /// retiring it is left to a change that updates it too.
     fn deterministic(&self) -> bool;
 
     /// Whether [`BuildInput::profiles`] must be present.
@@ -184,12 +184,9 @@ impl KnnBuilder for BruteForce {
         "Brute Force"
     }
 
-    // Tile cells fold into private partials merged deterministically, so
-    // the graph is bit-identical at any thread count. One caveat: with
-    // threads > 1 the split of the n(n−1)/2 pairs between
-    // `similarity_evals` and `pruned_evals` depends on which worker folds
-    // which cell (each worker's prune thresholds evolve on their own);
-    // their sum does not.
+    // Tile cells fold into private partials merged deterministically, and
+    // every pair is evaluated exactly once, so graph and counters are
+    // bit-identical at any thread count.
     fn deterministic(&self) -> bool {
         true
     }

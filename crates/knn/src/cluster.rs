@@ -24,23 +24,24 @@
 //! fingerprint providers), each unordered pair visited **once globally** —
 //! a pair co-clustered in several tables is charged to the first table
 //! where it shares an uncapped cluster. Every surviving pair scores
-//! straight into the worker's global top-k partials. Because the visited
+//! straight into the worker's global top-k partials, the floor-filtered
+//! fold Brute Force uses too (`crate::partials`). Because the visited
 //! pairs depend only on the assignment (never on which worker got which
 //! cluster) and the top-k kept set is insertion-order independent, the
 //! graph *and* the eval counter are bit-identical for any thread count,
 //! kernel, and work-stealing schedule. Nothing is pruned:
-//! [`BuildStats::pruned_evals`] is always 0, as for LSH. DESIGN.md §17.
+//! [`crate::graph::BuildStats::pruned_evals`] is always 0. DESIGN.md §17.
 
-use crate::graph::{BuildStats, CsrBuilder, KnnResult};
+use crate::graph::KnnResult;
 use crate::lsh::table_seed;
+use crate::partials::{fold_scan, scan_workers};
 use goldfinger_core::hash::splitmix64_mix;
-use goldfinger_core::parallel::{par_fold_dynamic, par_map_indexed};
+use goldfinger_core::parallel::par_map_indexed;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
-use goldfinger_core::topk::TopK;
 use goldfinger_obs::trace;
-use goldfinger_obs::{BuildObserver, IterationEvent, NoopObserver, Phase};
-use std::time::{Duration, Instant};
+use goldfinger_obs::{BuildObserver, NoopObserver, Phase};
+use std::time::Instant;
 
 /// Blip width in 64-bit words: 16384 bucket slots per table — wide enough
 /// that paper-scale profiles (tens to a few hundred items) set nearly one
@@ -210,9 +211,7 @@ impl Cluster {
         // stack; its set bits are then collected once, so the per-table
         // argmin costs O(popcount) instead of rescanning every word per
         // table.
-        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let workers = goldfinger_core::parallel::effective_threads(self.threads).min(hw);
-        let key_rows: Vec<Vec<u32>> = par_map_indexed(n, workers, |u| {
+        let key_rows: Vec<Vec<u32>> = par_map_indexed(n, scan_workers(self.threads), |u| {
             let mut blip = [0u64; BLIP_WORDS];
             for &item in profiles.items(u as u32) {
                 let h = splitmix64_mix(item as u64 ^ blip_seed);
@@ -362,35 +361,15 @@ impl Cluster {
             obs.on_span(Phase::CandidateGeneration, t.elapsed());
         }
 
-        // One worker's private fold state: global top-k partials over every
-        // user (merged deterministically afterwards, BruteForce-style) and
-        // the batched-scoring buffers. No locks on the hot path.
-        struct ScanState {
-            tops: Vec<TopK>,
-            ids: Vec<u32>,
-            sims: Vec<f64>,
-            evals: u64,
-        }
         let asg = &assignment;
-        // The output is worker-count invariant, so workers beyond the
-        // hardware parallelism buy nothing — each one would only add an
-        // n-sized top-k fold state to thrash the cache during the scan and
-        // lengthen the merge. Clamp the requested count to the hardware.
-        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let workers = goldfinger_core::parallel::effective_threads(self.threads).min(hw);
-        let scan_start = O::ENABLED.then(Instant::now);
-        let scan_trace = trace::span_arg("phase", "join", asg.scannable.len() as u64);
-        let mut states = par_fold_dynamic(
+        fold_scan(
+            n,
+            k,
+            self.threads,
             asg.scannable.len(),
-            workers,
-            1,
-            |_| ScanState {
-                tops: (0..n).map(|_| TopK::new(k)).collect(),
-                ids: Vec::new(),
-                sims: Vec::new(),
-                evals: 0,
-            },
-            |state, c| {
+            obs,
+            start,
+            &|p, c| {
                 let (fb, start, len) = asg.clusters[asg.scannable[c] as usize];
                 let t = fb as usize / asg.buckets;
                 let m = &asg.members[start as usize..(start + len) as usize];
@@ -404,91 +383,27 @@ impl Cluster {
                 // twice the heap work for nothing.
                 for i in 0..m.len() {
                     let u = m[i];
-                    state.ids.clear();
+                    p.ids.clear();
                     for &v in &m[i + 1..] {
                         if !asg.seen_before_table(u, v, t) {
-                            state.ids.push(v);
+                            p.ids.push(v);
                         }
                     }
-                    if state.ids.is_empty() {
-                        continue;
-                    }
-                    state.evals += state.ids.len() as u64;
-                    if state.ids.len() <= 2 {
+                    if p.ids.len() <= 2 {
                         // Sparse populations leave most rows with one or
                         // two survivors; the per-pair entry point computes
                         // bit-identical values without the gather-batch
                         // setup.
-                        for &v in &state.ids {
-                            let s = sim.similarity(u, v);
-                            state.tops[u as usize].offer(s, v);
-                            state.tops[v as usize].offer(s, u);
+                        for j in 0..p.ids.len() {
+                            let v = p.ids[j];
+                            p.score_pair(sim, u, v);
                         }
-                        continue;
-                    }
-                    state.sims.clear();
-                    state.sims.resize(state.ids.len(), 0.0);
-                    sim.similarity_batch(u, &state.ids, &mut state.sims);
-                    for (&v, &s) in state.ids.iter().zip(&state.sims) {
-                        state.tops[u as usize].offer(s, v);
-                        state.tops[v as usize].offer(s, u);
+                    } else {
+                        p.score_row(sim, u);
                     }
                 }
             },
-        );
-        drop(scan_trace);
-        if let Some(t) = scan_start {
-            obs.on_span(Phase::Join, t.elapsed());
-        }
-
-        // Deterministic reduction in slot order: each distinct pair was
-        // scanned by exactly one worker (clusters are atomic units and the
-        // first-shared-table rule dedups across tables), so folding the
-        // insertion-order-independent partials yields the exact top-k of
-        // all offered pairs, bit-identical for any schedule.
-        let merge_start = O::ENABLED.then(Instant::now);
-        let merge_trace = trace::span("phase", "merge");
-        let mut merged = states.remove(0);
-        for state in states {
-            merged.evals += state.evals;
-            for (top, part) in merged.tops.iter_mut().zip(&state.tops) {
-                for e in part.entries() {
-                    top.offer(e.sim, e.user);
-                }
-            }
-        }
-        // Drain each selector straight into the CSR arena: sort in place,
-        // no per-user intermediate list.
-        let mut csr = CsrBuilder::with_capacity(k, n);
-        for top in &mut merged.tops {
-            csr.push_sorted(top.sorted_entries());
-        }
-        let graph = csr.finish();
-        drop(merge_trace);
-        let wall = start.elapsed();
-        if O::ENABLED {
-            if let Some(t) = merge_start {
-                obs.on_span(Phase::Merge, t.elapsed());
-            }
-            obs.on_iteration(IterationEvent {
-                iteration: 1,
-                similarity_evals: merged.evals,
-                pruned_evals: 0,
-                updates: 0,
-                threshold: 0.0,
-                wall,
-            });
-        }
-        KnnResult {
-            graph,
-            stats: BuildStats {
-                similarity_evals: merged.evals,
-                pruned_evals: 0,
-                iterations: 1,
-                wall,
-                prep_wall: Duration::ZERO,
-            },
-        }
+        )
     }
 }
 

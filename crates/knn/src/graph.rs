@@ -198,10 +198,9 @@ impl CsrBuilder {
 pub struct BuildStats {
     /// Number of similarity evaluations performed.
     pub similarity_evals: u64,
-    /// Number of candidate pairs skipped by a cheap upper bound before the
-    /// full similarity evaluation (0 for algorithms without pruning). For a
-    /// pruned exhaustive scan, `similarity_evals + pruned_evals` equals the
-    /// `n(n-1)/2` unordered pairs.
+    /// Candidate pairs skipped before the full similarity evaluation.
+    /// Always 0: no builder prunes. The field stays because the benchmark
+    /// package and the run reports read it.
     pub pruned_evals: u64,
     /// Number of refinement iterations (1 for one-shot algorithms).
     pub iterations: u32,
@@ -227,8 +226,9 @@ impl BuildStats {
         self.similarity_evals as f64 / brute
     }
 
-    /// Fraction of considered pairs skipped by upper-bound pruning, in
-    /// `[0, 1]` (0 when the algorithm does not prune).
+    /// Fraction of considered pairs skipped before evaluation, in
+    /// `[0, 1]`. Always 0, since no builder prunes; it stays because the
+    /// benchmark package reports it.
     pub fn prune_rate(&self) -> f64 {
         let total = self.similarity_evals + self.pruned_evals;
         if total == 0 {

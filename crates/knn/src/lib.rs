@@ -57,6 +57,7 @@ pub mod neighborlist;
 pub mod nndescent;
 pub mod oocbuild;
 pub mod oplog;
+mod partials;
 pub mod serve;
 pub mod shard;
 

@@ -47,7 +47,7 @@ proptest! {
     ) {
         let profiles = ProfileStore::from_item_lists(lists);
         let sim = ExplicitJaccard::new(&profiles);
-        let brute = BruteForce { threads, tile: 3, prune: true };
+        let brute = BruteForce { threads, tile: 3 };
         let lsh = Lsh { threads, ..Lsh::default() };
         let nnd = NNDescent { threads, ..NNDescent::default() };
         let hyrec = Hyrec { threads, ..Hyrec::default() };

@@ -6,7 +6,8 @@ use goldfinger_core::kernels::{self, SimKernel};
 use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::shf::{jaccard_from_counts, ShfParams, ShfStore};
-use goldfinger_core::similarity::{ExplicitJaccard, Similarity};
+use goldfinger_core::similarity::{ExplicitJaccard, ShfJaccard, Similarity};
+use goldfinger_core::topk::TopK;
 use goldfinger_knn::brute::BruteForce;
 use goldfinger_knn::cluster::Cluster;
 use goldfinger_knn::graph::{KnnGraph, KnnResult};
@@ -75,32 +76,6 @@ proptest! {
         for (u, v, s) in g.edges() {
             prop_assert!((s - sim.similarity(u, v)).abs() < 1e-12);
         }
-    }
-
-    /// Pruning, tiling and threading are pure optimisations: the pruned
-    /// engine must return exactly the graph of the naive unpruned scan, and
-    /// evaluated + pruned pairs must account for every unordered pair.
-    #[test]
-    fn pruned_scan_is_identical_to_unpruned(
-        lists in population(),
-        k in 1usize..8,
-        threads in 1usize..5,
-        tile in prop_oneof![Just(0usize), Just(3), Just(64)],
-    ) {
-        let n = lists.len();
-        let profiles = ProfileStore::from_item_lists(lists);
-        let sim = ExplicitJaccard::new(&profiles);
-        let baseline = BruteForce { threads: 1, tile: 0, prune: false }.build(&sim, k);
-        let pruned = BruteForce { threads, tile, prune: true }.build(&sim, k);
-        for u in 0..n as u32 {
-            prop_assert_eq!(baseline.graph.neighbors(u), pruned.graph.neighbors(u));
-        }
-        let pairs = (n as u64) * (n as u64 - 1) / 2;
-        prop_assert_eq!(baseline.stats.similarity_evals, pairs);
-        prop_assert_eq!(
-            pruned.stats.similarity_evals + pruned.stats.pruned_evals,
-            pairs
-        );
     }
 
     #[test]
@@ -183,13 +158,6 @@ impl Similarity for PinnedKernelJaccard<'_> {
 
     fn bytes_per_eval(&self, _u: u32, _v: u32) -> u64 {
         (self.store.words_per_fingerprint() * 2 * 8) as u64
-    }
-
-    // Same bound as the production provider: cardinalities alone.
-    fn similarity_upper_bound(&self, u: u32, v: u32) -> Option<f64> {
-        let (a, b) = (self.store.cardinality(u), self.store.cardinality(v));
-        let (mn, mx) = (a.min(b), a.max(b));
-        Some(if mx == 0 { 0.0 } else { mn as f64 / mx as f64 })
     }
 
     fn similarity_batch(&self, u: u32, vs: &[u32], out: &mut [f64]) {
@@ -339,6 +307,84 @@ proptest! {
                                 );
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The `(u, v, sim-bits)` edge stream of the naive `O(n²)` scan: every
+/// unordered pair offered to both ends of one `TopK` per user.
+fn naive_edges<S: Similarity + ?Sized>(sim: &S, k: usize) -> Vec<(u32, u32, u64)> {
+    let n = sim.n_users();
+    let mut tops: Vec<TopK> = (0..n).map(|_| TopK::new(k)).collect();
+    for u in 0..n as u32 {
+        for v in (u + 1)..n as u32 {
+            let s = sim.similarity(u, v);
+            tops[u as usize].offer(s, v);
+            tops[v as usize].offer(s, u);
+        }
+    }
+    let mut edges = Vec::new();
+    for (u, top) in tops.into_iter().enumerate() {
+        for e in top.into_sorted() {
+            edges.push((u as u32, e.user, e.sim.to_bits()));
+        }
+    }
+    edges
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Brute Force's pinned invariant: tiling, threading, the floor filter
+    /// and the batched kernels are pure optimisations. At every worker
+    /// count, tile edge, dispatch path and kernel variant the graph is the
+    /// naive scan's, bit for bit, and every unordered pair is evaluated
+    /// exactly once. An empty profile is appended to every population.
+    #[test]
+    fn brute_is_bit_identical_to_the_naive_scan(
+        lists in population(),
+        k in 1usize..8,
+    ) {
+        let mut lists = lists;
+        lists.push(Vec::new());
+        let n = lists.len();
+        let pairs = (n * (n - 1) / 2) as u64;
+        let profiles = ProfileStore::from_item_lists(lists);
+        let store = ShfParams::new(128, DynHasher::new(HasherKind::Jenkins, 7))
+            .fingerprint_store(&profiles);
+        let explicit = ExplicitJaccard::new(&profiles);
+        let shf = ShfJaccard::new(&store);
+        let pinned: Vec<PinnedKernelJaccard<'_>> = kernels::available()
+            .into_iter()
+            .map(|kernel| PinnedKernelJaccard { store: &store, kernel })
+            .collect();
+        let mut providers: Vec<(&str, &dyn Similarity)> =
+            vec![("explicit", &explicit), ("shf", &shf)];
+        for p in &pinned {
+            providers.push((p.kernel.name, p));
+        }
+        for (name, sim) in providers {
+            let want = naive_edges(sim, k);
+            for threads in 1usize..=4 {
+                for tile in [0usize, 3, 64] {
+                    for pooled in [false, true] {
+                        let brute = BruteForce { threads, tile };
+                        let r = if pooled {
+                            shared_pool().install(|| brute.build(sim, k))
+                        } else {
+                            brute.build(sim, k)
+                        };
+                        let got: Vec<(u32, u32, u64)> =
+                            r.graph.edges().map(|(u, v, s)| (u, v, s.to_bits())).collect();
+                        prop_assert_eq!(
+                            &got, &want,
+                            "{} threads={} tile={} pooled={}",
+                            name, threads, tile, pooled
+                        );
+                        prop_assert_eq!(r.stats.similarity_evals, pairs);
                     }
                 }
             }

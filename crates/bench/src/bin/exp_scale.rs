@@ -8,6 +8,9 @@
 //! RSS peak against `--mem-budget`. This is the driver behind the
 //! `BENCH_pr9.json` scale rows and the CI bounded-RSS smoke leg.
 //!
+//! The build runs on a worker pool of `GF_THREADS` threads (the machine's
+//! parallelism when unset); the graph is the same at any thread count.
+//!
 //! ```text
 //! cargo run --release -p goldfinger-bench --bin exp_scale -- \
 //!     --users 10000000 --mem-budget 1g --max-bucket 256 --json scale.json
@@ -15,6 +18,7 @@
 
 use goldfinger_bench::{emit_if_requested, mem_json, prep_json, Args};
 use goldfinger_core::hash::DynHasher;
+use goldfinger_core::pool::{self, Pool};
 use goldfinger_core::shf::ShfParams;
 use goldfinger_datasets::synth::{StreamProfiles, SynthConfig};
 use goldfinger_knn::oocbuild::{self, OocConfig};
@@ -73,26 +77,25 @@ fn main() {
          {tables} tables, {bits}-bit SHFs",
         synth.name, synth.mean_profile
     );
+    let pool = Pool::new(pool::default_threads());
     println!(
-        "       budget {} · spill {} · max-bucket {}",
+        "       budget {} · spill {} · max-bucket {} · {} threads",
         if mem_budget > 0 {
             format!("{} MiB", mem_budget >> 20)
         } else {
             "unbounded".to_string()
         },
         if cfg.spill { "on" } else { "off" },
-        cfg.max_bucket
+        cfg.max_bucket,
+        pool.threads()
     );
 
     let out = spill_dir.join("graph.gfg");
     std::fs::create_dir_all(&spill_dir).expect("creating spill dir");
-    let stats = oocbuild::build_to_disk(
-        &source,
-        &ShfParams::new(bits, DynHasher::default()),
-        &cfg,
-        &out,
-    )
-    .expect("out-of-core build");
+    let params = ShfParams::new(bits, DynHasher::default());
+    let stats = pool
+        .install(|| oocbuild::build_to_disk(&source, &params, &cfg, &out))
+        .expect("out-of-core build");
     let graph_bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
 
     let snap = goldfinger_obs::mem::snapshot().unwrap_or_default();
@@ -195,6 +198,7 @@ fn main() {
             ("graph_bytes".to_string(), Json::Num(graph_bytes as f64)),
             ("max_bucket".to_string(), Json::Num(cfg.max_bucket as f64)),
             ("backend".to_string(), Json::Str(stats.backend.to_string())),
+            ("threads".to_string(), Json::Num(pool.threads() as f64)),
         ],
     };
     let mut set = ReportSet::new("scale");

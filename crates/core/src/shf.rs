@@ -295,6 +295,27 @@ impl ShfStreamWriter {
         });
     }
 
+    /// Hands the arena out as consecutive chunks of `users` rows each (the
+    /// last may be shorter): chunk `c` holds rows `c·users..`. Callers that
+    /// fingerprint disjoint users on several threads write through these
+    /// instead of [`ShfStreamWriter::ingest_batch`]. A chunk only ORs item
+    /// bits into its rows, so the padding stays zero, and the finished
+    /// store is the same whatever the chunking or the write order.
+    ///
+    /// # Panics
+    /// Panics if `users == 0`.
+    pub fn row_chunks_mut(&mut self, users: usize) -> impl Iterator<Item = RowChunk<'_>> {
+        assert!(users > 0, "chunks need at least one row");
+        let (bits, row_words) = (self.bits, self.row_words);
+        self.data
+            .chunks_mut(users * row_words)
+            .map(move |words| RowChunk {
+                bits,
+                row_words,
+                words,
+            })
+    }
+
     /// Seals the arena into an [`ShfStore`], computing every cached
     /// cardinality with one parallel popcount sweep.
     ///
@@ -330,6 +351,28 @@ impl ShfStreamWriter {
         };
         store.seal_spill().expect("sealing spilled arena store");
         store
+    }
+}
+
+/// A run of consecutive arena rows of an [`ShfStreamWriter`], from
+/// [`ShfStreamWriter::row_chunks_mut`].
+#[derive(Debug)]
+pub struct RowChunk<'a> {
+    bits: u32,
+    row_words: usize,
+    words: &'a mut [u64],
+}
+
+impl RowChunk<'_> {
+    /// ORs `item`'s bit into row `row` of this chunk (counted from the
+    /// chunk's first row).
+    ///
+    /// # Panics
+    /// Panics if `row` is past the chunk's end.
+    #[inline]
+    pub fn insert<H: ItemHasher>(&mut self, row: usize, item: ItemId, hasher: &H) {
+        let pos = hasher.bit_position(item as u64, self.bits);
+        self.words[row * self.row_words + (pos / 64) as usize] |= 1u64 << (pos % 64);
     }
 }
 
@@ -1087,6 +1130,32 @@ mod tests {
         let pooled = Pool::new(4).install(|| p.fingerprint_store(&profiles));
         assert_eq!(pooled.data, serial.data);
         assert_eq!(pooled.cards, serial.cards);
+    }
+
+    #[test]
+    fn row_chunks_write_the_same_store_in_any_order() {
+        let lists: Vec<Vec<u32>> = (0..53)
+            .map(|u| ((u * 7)..(u * 7 + u % 11)).collect())
+            .collect();
+        let profiles = ProfileStore::from_item_lists(lists);
+        let p = params(200); // not a multiple of 64: rows carry padding
+        let want = p.fingerprint_store_threads(&profiles, 1);
+        for users in [1usize, 4, 10, 53, 100] {
+            let mut w = ShfStreamWriter::new(p.bits(), profiles.n_users());
+            let mut chunks: Vec<RowChunk> = w.row_chunks_mut(users).collect();
+            assert_eq!(chunks.len(), profiles.n_users().div_ceil(users));
+            // Last chunk first: the order of the writes must not matter.
+            for (c, chunk) in chunks.iter_mut().enumerate().rev() {
+                for row in 0..users.min(profiles.n_users() - c * users) {
+                    for &it in profiles.items((c * users + row) as u32) {
+                        chunk.insert(row, it, p.hasher());
+                    }
+                }
+            }
+            let got = w.finish();
+            assert_eq!(&got.data[..], &want.data[..], "users={users}");
+            assert_eq!(got.cards, want.cards, "users={users}");
+        }
     }
 
     #[test]

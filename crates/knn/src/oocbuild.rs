@@ -9,26 +9,33 @@
 //! provider, and the one knob that changes that (the bucket cap) is off
 //! by default.
 //!
-//! Pipeline, in four phases:
+//! Pipeline, in four phases. Phases 1 and 3 run on the installed
+//! [`Pool`] (serially when none is installed); the output file and every
+//! [`OocStats`] counter are byte-identical at any thread count.
 //!
 //! 1. **Fingerprint** — stream profiles once from a
 //!    [`ProfileSource`], OR-ing fingerprints into an [`ShfStore`] whose
 //!    arena lives on the spill backend, and recording each user's
 //!    per-table MinHash key ([`crate::lsh::bucket_key`]) in a spilled
-//!    key arena. Peak memory: one profile + one ingest batch.
+//!    user-major key arena, `keys[u·tables + t]`. Workers claim chunks
+//!    of `FINGERPRINT_CHUNK` users; a chunk's arena rows and key slots
+//!    are two disjoint slices, so no two workers write the same word.
+//!    Peak memory: one profile per worker.
 //! 2. **Index** — per table, sort the `(key, user)` pairs into two
 //!    spilled arrays; a bucket is a run of equal keys, found by binary
 //!    search. Users enter in ascending id order and the sort is stable,
 //!    so in-bucket order matches the `HashMap<_, Vec<u32>>` insertion
 //!    order of the in-RAM LSH — the determinism contract.
-//! 3. **Scan** — users are partitioned into contiguous shards; each
-//!    shard scans its users' buckets across all tables (visit-stamp
-//!    deduplicated, exactly the LSH candidate sequence), scores
-//!    candidates through the batched gather kernels, and streams its
-//!    top-k lists into an on-disk `GFCS` segment
-//!    ([`crate::csr::SegmentWriter`]). After a shard, the arena and key
-//!    pages it touched are advised cold, bounding resident growth to
-//!    roughly one shard's working set.
+//! 3. **Scan** — users are partitioned into contiguous shards, scanned
+//!    one after the other. Inside a shard, blocks of `SCAN_BLOCK` users
+//!    are split across the workers, each with its own visit stamp: a user
+//!    scans its buckets across all tables (stamp-deduplicated, exactly
+//!    the LSH candidate sequence) and scores candidates through the
+//!    batched gather kernels. Each block's top-k lists then go to the
+//!    shard's on-disk `GFCS` segment ([`crate::csr::SegmentWriter`]) in
+//!    user order. After a shard, the arena and key pages it touched are
+//!    advised cold, bounding resident growth to roughly one shard's
+//!    working set.
 //! 4. **Stitch** — segments are replayed in shard order into a
 //!    [`CsrBuilder`] ([`build`]) or streamed through one
 //!    [`SegmentWriter`] into a whole-graph `GFCS` file
@@ -40,20 +47,27 @@ use crate::graph::{CsrBuilder, KnnGraph};
 use crate::lsh::{bucket_key, table_seed};
 use goldfinger_core::arena::ArenaBackend;
 use goldfinger_core::hash::ItemHasher;
+use goldfinger_core::parallel::{par_fold_dynamic, par_map_chunks};
+use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileSource;
 use goldfinger_core::shf::{ShfParams, ShfStore, ShfStreamWriter};
-use goldfinger_core::topk::TopK;
+use goldfinger_core::topk::{Scored, TopK};
 use goldfinger_core::visit::VisitStamp;
 use goldfinger_obs::trace;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Ingest batch size of the fingerprint phase, in (user, item)
-/// associations: large enough to amortize the parallel hash dispatch,
-/// small enough to stay cache-resident.
-const INGEST_BATCH: usize = 1 << 16;
+/// Users per work unit of the fingerprint phase: small enough to balance
+/// the workers, large enough that claiming a unit costs nothing.
+const FINGERPRINT_CHUNK: usize = 1024;
+
+/// Users per parallel block of a shard scan: the block's lists are held
+/// in RAM until they are written, in user order, to the segment.
+const SCAN_BLOCK: usize = 4096;
 
 /// Configuration of an out-of-core build.
 #[derive(Debug, Clone)]
@@ -101,8 +115,10 @@ impl OocConfig {
     /// The shard count the build will actually run with: the configured
     /// one, or — when `shards == 0` — derived so one shard's share of the
     /// spilled state (arena + key index) is about a quarter of
-    /// `mem_budget`, leaving the rest for the stamp array, the scan
-    /// buffers, and the segment writer. Unbounded budget ⇒ one shard.
+    /// `mem_budget`, leaving the rest for the scan's transient state —
+    /// one 4·n-byte visit stamp per pool worker, the block's lists and
+    /// candidate buffers — and the segment writer. Unbounded budget ⇒ one
+    /// shard.
     pub fn effective_shards(&self, n_users: usize, arena_bytes: u64) -> usize {
         if self.shards > 0 {
             return self.shards.min(n_users.max(1));
@@ -152,8 +168,8 @@ pub struct OocStats {
 /// The spilled state shared by the scan phase.
 struct OocState {
     store: ShfStore,
-    /// Per-table MinHash keys, `keys[t * n + u]` (undefined where
-    /// `cardinality(u) == 0` — empty profiles hash nowhere).
+    /// Per-table MinHash keys, user-major: `keys[u * tables + t]` (zero
+    /// where `cardinality(u) == 0` — empty profiles hash nowhere).
     keys: ArenaBackend,
     /// Per-table sorted bucket index: `(index_keys[t], index_users[t])`
     /// aligned pairs sorted by key (stable ⇒ users ascending per key).
@@ -196,16 +212,21 @@ fn make_arena(cfg: &OocConfig, name: &str, len: usize) -> io::Result<ArenaBacken
 }
 
 /// Phase 1+2: stream profiles into a (possibly spilled) fingerprint store
-/// and per-table key arena, then sort the per-table bucket indexes.
+/// and per-user key arena, then sort the per-table bucket indexes.
 fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     source: &P,
     params: &ShfParams<H>,
     cfg: &OocConfig,
+    threads: usize,
     stats: &mut OocStats,
 ) -> io::Result<OocState> {
     let n = source.n_users();
+    let tables = cfg.tables;
 
-    // Fingerprint + keys in one streaming pass over the profiles.
+    // Fingerprint + keys in one streaming pass over the profiles. A unit
+    // is one chunk of users: their arena rows and their key slots. ORs
+    // into disjoint rows commute, so the store does not depend on which
+    // worker ran which unit, or when.
     let t0 = Instant::now();
     let _span = trace::span_arg("phase", "ooc_fingerprint", n as u64);
     std::fs::create_dir_all(&cfg.spill_dir)?;
@@ -214,27 +235,39 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     } else {
         ShfStreamWriter::new(params.bits(), n)
     };
-    let mut keys = make_arena(cfg, "keys.words", cfg.tables * n)?;
-    let mut items: Vec<u32> = Vec::new();
-    let mut batch: Vec<(u32, u32)> = Vec::with_capacity(INGEST_BATCH);
-    for u in 0..n as u32 {
-        source.items_into(u, &mut items);
-        stats.associations += items.len() as u64;
-        for t in 0..cfg.tables {
-            if let Some(key) = bucket_key(&items, table_seed(cfg.seed, t)) {
-                keys[t * n + u as usize] = key;
+    let mut keys = make_arena(cfg, "keys.words", n * tables)?;
+    let units: Vec<Mutex<Option<_>>> = writer
+        .row_chunks_mut(FINGERPRINT_CHUNK)
+        .zip(keys.chunks_mut(FINGERPRINT_CHUNK * tables))
+        .map(|unit| Mutex::new(Some(unit)))
+        .collect();
+    let per_worker = par_fold_dynamic(
+        units.len(),
+        threads,
+        1,
+        |_| (0u64, Vec::new()),
+        |(associations, items), c| {
+            let (mut rows, keys) = units[c]
+                .lock()
+                .expect("no worker panics holding a unit")
+                .take()
+                .expect("each unit is claimed once");
+            for (row, keys) in keys.chunks_mut(tables).enumerate() {
+                source.items_into((c * FINGERPRINT_CHUNK + row) as u32, items);
+                *associations += items.len() as u64;
+                for (t, slot) in keys.iter_mut().enumerate() {
+                    if let Some(key) = bucket_key(items, table_seed(cfg.seed, t)) {
+                        *slot = key;
+                    }
+                }
+                for &it in items.iter() {
+                    rows.insert(row, it, params.hasher());
+                }
             }
-        }
-        for &it in &items {
-            batch.push((u, it));
-            if batch.len() == INGEST_BATCH {
-                writer.ingest_batch(&batch, params.hasher());
-                batch.clear();
-            }
-        }
-    }
-    writer.ingest_batch(&batch, params.hasher());
-    drop(batch);
+        },
+    );
+    drop(units);
+    stats.associations = per_worker.iter().map(|&(a, _)| a).sum();
     let store = writer.finish();
     keys.sync()?;
     drop(_span);
@@ -250,7 +283,7 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     for t in 0..cfg.tables {
         let mut pairs: Vec<(u64, u32)> = (0..n as u32)
             .filter(|&u| store.cardinality(u) != 0)
-            .map(|u| (keys[t * n + u as usize], u))
+            .map(|u| (keys[u as usize * tables + t], u))
             .collect();
         // Stable by key: equal-key users stay in ascending-id order,
         // matching the insertion order of the in-RAM bucket vectors.
@@ -278,56 +311,99 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     })
 }
 
+/// One worker's scan state, allocated once per build: the visit stamp
+/// over all `n` users and the candidate and similarity buffers.
+struct ScanScratch {
+    stamp: VisitStamp,
+    candidates: Vec<u32>,
+    sims: Vec<f64>,
+}
+
+/// Scores user `u` against its deduplicated bucket-mates and returns its
+/// top-k list plus the similarity-evaluation count.
+///
+/// Kept out of line on purpose: inlined into the scan's worker closure,
+/// this loop moved the code placement of unrelated builders, and the
+/// KIFF build was seen to slow down from that alone.
+#[inline(never)]
+fn scan_user(state: &OocState, cfg: &OocConfig, u: u32, w: &mut ScanScratch) -> (Vec<Scored>, u64) {
+    let ScanScratch {
+        stamp,
+        candidates,
+        sims,
+    } = w;
+    stamp.next_round();
+    stamp.mark(u as usize);
+    candidates.clear();
+    if state.store.cardinality(u) != 0 {
+        let keys = &state.keys[u as usize * cfg.tables..][..cfg.tables];
+        for (t, &key) in keys.iter().enumerate() {
+            let ik: &[u64] = &state.index_keys[t];
+            let start = ik.partition_point(|&x| x < key);
+            let end = ik.partition_point(|&x| x <= key);
+            if cfg.max_bucket != 0 && end - start > cfg.max_bucket {
+                continue; // capped: this bucket is too hot to scan
+            }
+            for &v in &state.index_users[t][start..end] {
+                if stamp.mark(v as usize) {
+                    candidates.push(v as u32);
+                }
+            }
+        }
+    }
+    sims.clear();
+    sims.resize(candidates.len(), 0.0);
+    state.store.jaccard_batch(u, candidates, sims);
+    let mut top = TopK::new(cfg.k);
+    for (&v, &s) in candidates.iter().zip(sims.iter()) {
+        top.offer(s, v);
+    }
+    (top.into_sorted(), candidates.len() as u64)
+}
+
 /// Phase 3: scan one shard's users and spill their top-k lists as a
 /// `GFCS` segment. Returns the similarity-evaluation count.
+///
+/// Blocks of [`SCAN_BLOCK`] users are split across the workers (worker
+/// `t` scans with `scratch[t]`); each block's lists are written in user
+/// order once the whole block is scored, so the segment does not depend
+/// on the thread count.
 fn scan_shard(
     state: &OocState,
     cfg: &OocConfig,
     shard: usize,
-    lo: u32,
-    hi: u32,
-    stamp: &mut VisitStamp,
+    (lo, hi): (u32, u32),
+    scratch: &[Mutex<ScanScratch>],
     seg_path: &Path,
 ) -> io::Result<u64> {
     let _span = trace::span_arg("phase", "ooc_shard", shard as u64);
-    let n = state.store.len();
     let file = BufWriter::new(File::create(seg_path)?);
     let mut seg = SegmentWriter::new(file, cfg.k, u64::from(lo), u64::from(hi - lo))?;
-    let mut candidates: Vec<u32> = Vec::new();
-    let mut sims: Vec<f64> = Vec::new();
-    let mut evals = 0u64;
-    for u in lo..hi {
-        stamp.next_round();
-        stamp.mark(u as usize);
-        candidates.clear();
-        if state.store.cardinality(u) != 0 {
-            for t in 0..cfg.tables {
-                let key = state.keys[t * n + u as usize];
-                let ik: &[u64] = &state.index_keys[t];
-                let start = ik.partition_point(|&x| x < key);
-                let end = ik.partition_point(|&x| x <= key);
-                if cfg.max_bucket != 0 && end - start > cfg.max_bucket {
-                    continue; // capped: this bucket is too hot to scan
-                }
-                for &v in &state.index_users[t][start..end] {
-                    if stamp.mark(v as usize) {
-                        candidates.push(v as u32);
-                    }
-                }
+    let evals = AtomicU64::new(0);
+    let mut lists: Vec<Vec<Scored>> = Vec::new();
+    for block_lo in (lo..hi).step_by(SCAN_BLOCK) {
+        let block_hi = (block_lo as usize + SCAN_BLOCK).min(hi as usize) as u32;
+        lists.clear();
+        lists.resize_with((block_hi - block_lo) as usize, Vec::new);
+        par_map_chunks(&mut lists, scratch.len(), |t, base, out| {
+            let mut w = scratch[t]
+                .lock()
+                .expect("no worker panics holding its scratch");
+            let mut chunk_evals = 0;
+            for (off, list) in out.iter_mut().enumerate() {
+                let u = block_lo + (base + off) as u32;
+                let (top, e) = scan_user(state, cfg, u, &mut w);
+                *list = top;
+                chunk_evals += e;
             }
+            evals.fetch_add(chunk_evals, Ordering::Relaxed);
+        });
+        for list in &lists {
+            seg.push_list(list)?;
         }
-        evals += candidates.len() as u64;
-        sims.clear();
-        sims.resize(candidates.len(), 0.0);
-        state.store.jaccard_batch(u, &candidates, &mut sims);
-        let mut top = TopK::new(cfg.k);
-        for (&v, &s) in candidates.iter().zip(&sims) {
-            top.offer(s, v);
-        }
-        seg.push_list(&top.into_sorted())?;
     }
     seg.finish()?;
-    Ok(evals)
+    Ok(evals.into_inner())
 }
 
 /// Reads back one spilled segment of a graph over `n` users, with the
@@ -346,8 +422,9 @@ fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
 ) -> io::Result<(OocState, Vec<PathBuf>, OocStats)> {
     assert!(cfg.k > 0, "k must be positive");
     assert!(cfg.tables > 0, "need at least one hash table");
+    let threads = Pool::current().map_or(1, |p| p.threads());
     let mut stats = OocStats::default();
-    let state = prepare(source, params, cfg, &mut stats)?;
+    let state = prepare(source, params, cfg, threads, &mut stats)?;
     let n = state.store.len();
 
     let arena_bytes = state.store.arena_words().len() as u64 * 8;
@@ -356,7 +433,15 @@ fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     stats.shards = shards;
 
     let t0 = Instant::now();
-    let mut stamp = VisitStamp::new(n);
+    let scratch: Vec<Mutex<ScanScratch>> = (0..threads)
+        .map(|_| {
+            Mutex::new(ScanScratch {
+                stamp: VisitStamp::new(n),
+                candidates: Vec::new(),
+                sims: Vec::new(),
+            })
+        })
+        .collect();
     let mut segments = Vec::with_capacity(shards);
     let per = n.div_ceil(shards.max(1)).max(1);
     for s in 0..shards {
@@ -364,7 +449,7 @@ fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
         let hi = ((s + 1) * per).min(n) as u32;
         let path = cfg.spill_dir.join(format!("seg-{s:05}.gfcs"));
         let t_shard = Instant::now();
-        let evals = scan_shard(&state, cfg, s, lo, hi, &mut stamp, &path)?;
+        let evals = scan_shard(&state, cfg, s, (lo, hi), &scratch, &path)?;
         stats.similarity_evals += evals;
         stats.shard_walls.push(t_shard.elapsed());
         // Drop this shard's page residency before the next one starts:
@@ -456,6 +541,7 @@ mod tests {
     use goldfinger_core::hash::{DynHasher, HasherKind};
     use goldfinger_core::profile::ProfileStore;
     use goldfinger_core::similarity::ShfJaccard;
+    use std::sync::Arc;
 
     fn fixture() -> ProfileStore {
         // Clustered + ragged + one empty profile: every routing edge case.
@@ -481,6 +567,21 @@ mod tests {
         dir
     }
 
+    /// No pool, then installed pools of 1 to 4 threads: the build must be
+    /// byte-identical across all of them.
+    fn pools() -> Vec<Option<Arc<Pool>>> {
+        std::iter::once(None)
+            .chain((1..=4).map(|t| Some(Pool::new(t))))
+            .collect()
+    }
+
+    fn on<R>(pool: &Option<Arc<Pool>>, f: impl FnOnce() -> R) -> R {
+        match pool {
+            Some(p) => p.install(f),
+            None => f(),
+        }
+    }
+
     fn reference(profiles: &ProfileStore, tables: usize, seed: u64, k: usize) -> KnnGraph {
         let fps = params().fingerprint_store(profiles);
         Lsh {
@@ -496,23 +597,31 @@ mod tests {
     fn matches_in_ram_lsh_for_any_shard_count() {
         let profiles = fixture();
         let expected = reference(&profiles, 4, 99, 3);
+        let mut serial_evals = None;
         for shards in [1usize, 2, 5, 29] {
-            let dir = tmp(&format!("eq{shards}"));
-            let mut cfg = OocConfig::new(3, 4, 99, &dir);
-            cfg.shards = shards;
-            cfg.spill = false;
-            let (graph, stats) = build(&profiles, &params(), &cfg).unwrap();
-            assert_eq!(graph.n_users(), expected.n_users());
-            for u in 0..graph.n_users() as u32 {
+            for pool in pools() {
+                let dir = tmp(&format!("eq{shards}"));
+                let mut cfg = OocConfig::new(3, 4, 99, &dir);
+                cfg.shards = shards;
+                cfg.spill = false;
+                let (graph, stats) = on(&pool, || build(&profiles, &params(), &cfg)).unwrap();
+                assert_eq!(graph.n_users(), expected.n_users());
+                for u in 0..graph.n_users() as u32 {
+                    assert_eq!(
+                        graph.neighbors(u),
+                        expected.neighbors(u),
+                        "shards={shards} pool={pool:?} u={u}"
+                    );
+                }
+                assert_eq!(stats.shards, shards.min(profiles.n_users()));
+                assert!(stats.similarity_evals > 0);
+                let evals = *serial_evals.get_or_insert(stats.similarity_evals);
                 assert_eq!(
-                    graph.neighbors(u),
-                    expected.neighbors(u),
-                    "shards={shards} u={u}"
+                    stats.similarity_evals, evals,
+                    "shards={shards} pool={pool:?}"
                 );
+                let _ = std::fs::remove_dir_all(&dir);
             }
-            assert_eq!(stats.shards, shards.min(profiles.n_users()));
-            assert!(stats.similarity_evals > 0);
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -542,14 +651,57 @@ mod tests {
         cfg.shards = 4;
         cfg.spill = false;
         let (graph, _) = build(&profiles, &params(), &cfg).unwrap();
-        let out = dir.join("graph.gfg");
-        build_to_disk(&profiles, &params(), &cfg, &out).unwrap();
         let mut expected = Vec::new();
         write_knn_graph(&graph, &mut expected).unwrap();
+        let out = dir.join("graph.gfg");
+        for pool in pools() {
+            let (in_ram, _) = on(&pool, || build(&profiles, &params(), &cfg)).unwrap();
+            let mut in_ram_bytes = Vec::new();
+            write_knn_graph(&in_ram, &mut in_ram_bytes).unwrap();
+            assert_eq!(in_ram_bytes, expected, "pool={pool:?}");
+            on(&pool, || build_to_disk(&profiles, &params(), &cfg, &out)).unwrap();
+            let bytes = std::fs::read(&out).unwrap();
+            assert_eq!(bytes, expected, "pool={pool:?}");
+        }
         let bytes = std::fs::read(&out).unwrap();
-        assert_eq!(bytes, expected);
         let loaded = read_knn_graph(&mut bytes.as_slice()).unwrap();
         assert_eq!((loaded.n_users(), loaded.k()), (graph.n_users(), graph.k()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A population spanning several fingerprint units and scan blocks,
+    /// with ragged tails on both: the unit and block seams must not show
+    /// in the output at any thread count.
+    #[test]
+    fn unit_and_block_seams_are_invisible_at_any_thread_count() {
+        let n = 2 * SCAN_BLOCK + 123;
+        let lists: Vec<Vec<u32>> = (0..n as u32)
+            .map(|u| (0..u % 9).map(|i| (u * 31 + i * 977) % 3000).collect())
+            .collect();
+        let profiles = ProfileStore::from_item_lists(lists);
+        let dir = tmp("seams");
+        let mut cfg = OocConfig::new(4, 3, 17, &dir);
+        cfg.shards = 2;
+        cfg.spill = false;
+        let out = dir.join("graph.gfg");
+        let mut expected = None;
+        for pool in pools() {
+            let stats = on(&pool, || build_to_disk(&profiles, &params(), &cfg, &out)).unwrap();
+            let got = (
+                std::fs::read(&out).unwrap(),
+                stats.similarity_evals,
+                stats.associations,
+            );
+            assert_eq!(
+                &got,
+                expected.get_or_insert_with(|| got.clone()),
+                "pool={pool:?}"
+            );
+        }
+        let (graph, _) = build(&profiles, &params(), &cfg).unwrap();
+        let mut in_ram = Vec::new();
+        write_knn_graph(&graph, &mut in_ram).unwrap();
+        assert_eq!(in_ram, expected.unwrap().0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,9 +1,10 @@
 //! CSR graph properties: the flat-array `KnnGraph` and its `GFCS` file
 //! form must be loss-free for every builder in the registry, and the
 //! sharded out-of-core pipeline must reproduce the in-RAM LSH build
-//! bit-for-bit at any shard count.
+//! bit-for-bit at any shard count and any pool size.
 
 use goldfinger_core::hash::{DynHasher, HasherKind};
+use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::shf::ShfParams;
 use goldfinger_core::similarity::ShfJaccard;
@@ -14,7 +15,9 @@ use goldfinger_knn::graph::{CsrBuilder, KnnGraph};
 use goldfinger_knn::lsh::Lsh;
 use goldfinger_knn::oocbuild::{self, OocConfig};
 use goldfinger_knn::NoopObserver;
+use proptest::prelude::*;
 use std::io::Cursor;
+use std::sync::{Arc, OnceLock};
 
 const K: usize = 6;
 
@@ -160,4 +163,64 @@ fn budget_derived_sharding_is_output_invariant() {
     assert!(stats.shards > 1, "tiny budget must force sharding");
     assert!(graphs_equal(&graph, &reference));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Installed pools of 1 to 4 threads, built once for the whole suite.
+fn pools() -> &'static [Arc<Pool>] {
+    static POOLS: OnceLock<Vec<Arc<Pool>>> = OnceLock::new();
+    POOLS.get_or_init(|| (1..=4).map(Pool::new).collect())
+}
+
+/// What an out-of-core build must reproduce: the graph file's bytes,
+/// the similarity-evaluation count and the association count.
+type OocOutcome = (Vec<u8>, u64, u64);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The out-of-core build takes its threads from the installed pool.
+    /// Its graph file and counters must equal the serial run's (no pool)
+    /// at every pool size, for every shard count, with and without
+    /// spilling, with and without a bucket cap. Every population holds an
+    /// empty profile, and populations reach past one 1,024-user
+    /// fingerprint unit.
+    #[test]
+    fn ooc_is_byte_identical_at_any_thread_count(
+        lists in proptest::collection::vec(proptest::collection::vec(0u32..2000, 0..12), 3..2200),
+        cap in 2usize..8,
+    ) {
+        let mut lists = lists;
+        lists.push(Vec::new());
+        let profiles = ProfileStore::from_item_lists(lists);
+        let params = ShfParams::new(128, DynHasher::new(HasherKind::Jenkins, 5));
+        let dir = std::env::temp_dir().join(format!("gf-csrprops-threads-{}", std::process::id()));
+        let run = |cfg: &OocConfig| -> OocOutcome {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let out = dir.join("graph.gfg");
+            let stats = oocbuild::build_to_disk(&profiles, &params, cfg, &out).unwrap();
+            let bytes = std::fs::read(&out).unwrap();
+            (bytes, stats.similarity_evals, stats.associations)
+        };
+        for shards in [1usize, 3, 7] {
+            for spill in [false, cfg!(target_os = "linux")] {
+                for max_bucket in [0, cap] {
+                    let mut cfg = OocConfig::new(4, 3, 21, dir.join("spill"));
+                    cfg.shards = shards;
+                    cfg.spill = spill;
+                    cfg.max_bucket = max_bucket;
+                    let serial = run(&cfg);
+                    for pool in pools() {
+                        let got = pool.install(|| run(&cfg));
+                        prop_assert!(
+                            got == serial,
+                            "shards={} spill={} max_bucket={} threads={}",
+                            shards, spill, max_bucket, pool.threads()
+                        );
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -88,7 +88,8 @@ fn usage() -> &'static str {
                                 into a sealed on-disk store under DIR\n\
      knn:         --algo brute|hyrec|nndescent|lsh|kiff|cluster (default brute)\n\
                   --k K (default 30)  --goldfinger [--bits B]  --out FILE (GFCS)\n\
-     build:       sharded out-of-core GoldFinger LSH build (spill-to-disk)\n\
+     build:       sharded out-of-core GoldFinger LSH build (spill-to-disk),\n\
+                  on GF_THREADS threads; the graph is the same at any count\n\
                   --users N          synthetic population size (overrides --scale)\n\
                   --k K (default 10) --tables T (default 10) --bits B (default 256)\n\
                   --shards N         contiguous user shards (default 0 = derive\n\
@@ -114,7 +115,8 @@ fn usage() -> &'static str {
      environment:\n\
        GF_TRACE=FILE.json      record a flight-recorder trace of the run and\n\
                                write it as Chrome trace-event JSON on exit\n\
-       GF_TRACE_CAP=N          per-thread event-ring capacity (default 2^20)"
+       GF_TRACE_CAP=N          per-thread event-ring capacity (default 2^20)\n\
+       GF_THREADS=N            worker threads of `build` (default: all cores)"
 }
 
 fn synth_preset(name: &str) -> Result<SynthConfig, String> {
@@ -364,12 +366,13 @@ fn run() -> Result<(), String> {
             cfg.spill = !cli.has("no-spill");
             cfg.max_bucket = cli.parse_num("max-bucket", 0)?;
             let params = ShfParams::new(bits, DynHasher::default());
+            let pool = goldfinger::core::pool::Pool::new(goldfinger::core::pool::default_threads());
 
             // Profile source: a per-user-derivable synthetic stream (any
             // size, no materialization) or an in-memory loaded dataset.
             let (stats, stitched) = if cli.get("ratings").is_some() {
                 let data = load_dataset(&cli)?;
-                run_ooc(&cli, data.profiles(), &params, &cfg)?
+                pool.install(|| run_ooc(&cli, data.profiles(), &params, &cfg))?
             } else {
                 let preset = synth_preset(&cli.get_or("synth", "ml1m"))?;
                 let scale: f64 = cli.parse_num("scale", 0.1)?;
@@ -384,13 +387,14 @@ fn run() -> Result<(), String> {
                     "streaming {} synthetic users ({}, ~{:.0} items/user)",
                     synth.n_users, synth.name, synth.mean_profile
                 );
-                run_ooc(&cli, &source, &params, &cfg)?
+                pool.install(|| run_ooc(&cli, &source, &params, &cfg))?
             };
             println!(
-                "ooc build: {} users, {} shards, {} evals, backend {} \
+                "ooc build: {} users, {} shards, {} threads, {} evals, backend {} \
                  ({} spilled bytes)",
                 stats.n_users,
                 stats.shards,
+                pool.threads(),
                 stats.similarity_evals,
                 stats.backend,
                 stats.spilled_bytes

@@ -121,6 +121,11 @@ fn build_out_writes_a_loadable_graph() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(" threads, "),
+        "no thread count in: {stdout}"
+    );
     let bytes = std::fs::read(&graph_path).unwrap();
     let graph = goldfinger::knn::read_knn_graph(&mut bytes.as_slice()).unwrap();
     assert_eq!(graph.n_users(), 2000);

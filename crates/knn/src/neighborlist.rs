@@ -27,36 +27,12 @@ pub struct NeighborList {
     entries: Vec<NeighborEntry>,
 }
 
-/// What happened to an offered candidate — the eviction-reporting variant
-/// of [`NeighborList::insert`] that reverse-adjacency maintenance needs:
-/// every membership change the list makes is visible to the caller, so an
-/// inverted index can be updated without rescanning the list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Offer {
-    /// The candidate was already present; the list is unchanged.
-    Duplicate,
-    /// The list was full and the candidate did not beat the worst entry.
-    Rejected,
-    /// The candidate was appended to a non-full list.
-    Added,
-    /// The candidate replaced the worst entry; the evicted user is carried
-    /// so reverse indices can drop the stale edge.
-    Replaced(u32),
-}
-
 /// The goodness order of list entries: `(sim, user)` outranks
 /// `(than_sim, than_user)` when its similarity is higher, or equal with a
 /// lower user id.
 #[inline]
 pub(crate) fn outranks(sim: f64, user: u32, than_sim: f64, than_user: u32) -> bool {
     sim > than_sim || (sim == than_sim && user < than_user)
-}
-
-impl Offer {
-    /// True when the offer changed the list's membership.
-    pub fn accepted(&self) -> bool {
-        matches!(self, Offer::Added | Offer::Replaced(_))
-    }
 }
 
 impl NeighborList {
@@ -98,16 +74,9 @@ impl NeighborList {
     /// candidate is strictly better (ties towards lower user id). Inserted
     /// entries carry `is_new = true`.
     pub fn insert(&mut self, user: u32, sim: f64) -> bool {
-        self.offer(user, sim).accepted()
-    }
-
-    /// [`NeighborList::insert`] with a full account of the outcome: whether
-    /// the candidate was a duplicate, was rejected, was appended, or
-    /// replaced (and if so, whom it evicted).
-    pub fn offer(&mut self, user: u32, sim: f64) -> Offer {
         debug_assert!(!sim.is_nan(), "similarity must not be NaN");
         if self.contains(user) {
-            return Offer::Duplicate;
+            return false;
         }
         let entry = NeighborEntry {
             sim,
@@ -116,34 +85,15 @@ impl NeighborList {
         };
         if self.entries.len() < self.k {
             self.entries.push(entry);
-            return Offer::Added;
+            return true;
         }
         let worst = self.worst_index();
         let w = self.entries[worst];
         if outranks(sim, user, w.sim, w.user) {
             self.entries[worst] = entry;
-            Offer::Replaced(w.user)
+            true
         } else {
-            Offer::Rejected
-        }
-    }
-
-    /// Overwrites the stored similarity of `user` in place, preserving its
-    /// membership and `is_new` flag. Returns `false` when `user` is not in
-    /// the list.
-    ///
-    /// This is the correct move when a *member's* similarity changes (e.g.
-    /// its profile was updated): the entry may now be the worst and get
-    /// displaced by future candidates, but it must not jump the
-    /// replace-the-worst queue the way a remove-then-insert would.
-    pub fn update_sim(&mut self, user: u32, sim: f64) -> bool {
-        debug_assert!(!sim.is_nan(), "similarity must not be NaN");
-        match self.entries.iter_mut().find(|e| e.user == user) {
-            Some(e) => {
-                e.sim = sim;
-                true
-            }
-            None => false,
+            false
         }
     }
 
@@ -151,6 +101,66 @@ impl NeighborList {
     /// full list — its worst one; `None` while the list has room.
     pub(crate) fn floor(&self) -> Option<&NeighborEntry> {
         (self.entries.len() == self.k).then(|| &self.entries[self.worst_index()])
+    }
+
+    /// Replaces every entry with `entries`, which the caller guarantees
+    /// are at most `k` distinct users (a `TopK` selection), all with
+    /// `is_new = true`. Reuses the list's buffer.
+    pub(crate) fn refill(&mut self, entries: impl IntoIterator<Item = Scored>) {
+        self.entries.clear();
+        self.entries
+            .extend(entries.into_iter().map(|s| NeighborEntry {
+                sim: s.sim,
+                user: s.user,
+                is_new: true,
+            }));
+        debug_assert!(self.entries.len() <= self.k);
+    }
+
+    /// One-scan offer for a caller that already knows the outcome: sets a
+    /// member `user`'s similarity in place (`evict == None`, `is_new`
+    /// kept), puts `(user, sim)` in the slot of the full list's floor user
+    /// `evict`, or appends it to a list with room (`evict == None`, `user`
+    /// absent). Returns the new [`NeighborList::floor`] as `(sim, user)`,
+    /// found in the same scan.
+    ///
+    /// A member's changed similarity is set in place, never removed and
+    /// re-offered: the entry may now be the worst and get displaced by
+    /// later candidates, but must not jump the replace-the-worst queue the
+    /// way a remove-then-insert would.
+    pub(crate) fn upsert(&mut self, user: u32, sim: f64, evict: Option<u32>) -> Option<Scored> {
+        debug_assert!(!sim.is_nan(), "similarity must not be NaN");
+        let fresh = NeighborEntry {
+            sim,
+            user,
+            is_new: true,
+        };
+        let target = evict.unwrap_or(user);
+        let mut found = false;
+        let mut worst: Option<Scored> = None;
+        for e in &mut self.entries {
+            if e.user == target {
+                found = true;
+                match evict {
+                    Some(_) => *e = fresh,
+                    None => e.sim = sim,
+                }
+            }
+            if worst.is_none_or(|w| outranks(w.sim, w.user, e.sim, e.user)) {
+                worst = Some(Scored {
+                    sim: e.sim,
+                    user: e.user,
+                });
+            }
+        }
+        if !found {
+            debug_assert!(evict.is_none() && self.entries.len() < self.k);
+            self.entries.push(fresh);
+            if worst.is_none_or(|w| outranks(w.sim, w.user, sim, user)) {
+                worst = Some(Scored { sim, user });
+            }
+        }
+        worst.filter(|_| self.entries.len() == self.k)
     }
 
     /// Entries, unsorted.
@@ -250,31 +260,30 @@ mod tests {
     }
 
     #[test]
-    fn offer_reports_membership_changes() {
-        let mut l = NeighborList::new(2);
-        assert_eq!(l.offer(1, 0.5), Offer::Added);
-        assert_eq!(l.offer(1, 0.9), Offer::Duplicate);
-        assert_eq!(l.offer(2, 0.3), Offer::Added);
-        assert_eq!(l.offer(3, 0.4), Offer::Replaced(2));
-        assert_eq!(l.offer(4, 0.1), Offer::Rejected);
-        assert!(Offer::Added.accepted() && Offer::Replaced(7).accepted());
-        assert!(!Offer::Rejected.accepted() && !Offer::Duplicate.accepted());
-    }
-
-    #[test]
-    fn update_sim_changes_value_in_place() {
-        let mut l = NeighborList::new(2);
-        l.insert(1, 0.5);
-        l.insert(2, 0.8);
-        l.entries_mut()[0].is_new = false;
-        assert!(l.update_sim(1, 0.1));
-        assert!(!l.update_sim(9, 0.7), "absent user cannot be updated");
-        let e = l.entries().iter().find(|e| e.user == 1).unwrap();
-        assert_eq!(e.sim, 0.1);
-        assert!(!e.is_new, "in-place update must preserve the flag");
-        assert_eq!(l.len(), 2);
-        // The downgraded entry is now the worst and loses to a fresh offer.
-        assert_eq!(l.offer(3, 0.4), Offer::Replaced(1));
+    fn upsert_appends_updates_in_place_and_evicts_the_floor() {
+        let floor = |l: &NeighborList| l.floor().map(|e| (e.sim, e.user));
+        let mut l = NeighborList::new(3);
+        // Appends to a list with room report the floor once it is full.
+        assert_eq!(l.upsert(4, 0.5, None), None);
+        assert_eq!(l.upsert(2, 0.2, None), None);
+        let f = l.upsert(9, 0.2, None).unwrap();
+        assert_eq!((f.sim, f.user), (0.2, 9));
+        // A member's similarity changes in place, keeping its flag; the
+        // downgraded entry becomes the floor.
+        l.entries_mut()[1].is_new = false;
+        let f = l.upsert(2, 0.1, None).unwrap();
+        assert_eq!((f.sim, f.user), (0.1, 2));
+        assert_eq!(l.entries()[1].sim, 0.1);
+        assert!(!l.entries()[1].is_new, "in-place update must keep the flag");
+        // A non-member that beats the floor takes the floor's slot, as
+        // `insert` would, and the next floor is found in the same scan.
+        let mut scanned = l.clone();
+        assert!(scanned.insert(7, 0.3));
+        let f = l.upsert(7, 0.3, Some(2)).unwrap();
+        assert_eq!((f.sim, f.user), (0.2, 9));
+        assert_eq!(l.entries(), scanned.entries());
+        assert_eq!(floor(&l), Some((0.2, 9)));
+        assert!(l.entries()[1].is_new);
     }
 
     #[test]

@@ -19,9 +19,17 @@
 //!    the frozen shards via the work-stealing pool; every plan depends
 //!    only on the pre-drain state, never on sibling plans.
 //! 4. **Apply plans** — serial, in ascending user order: `O(k)` list
-//!    surgery per plan.
-//! 5. **Publish** — only dirty shards rebuild their snapshot (in
-//!    parallel); one `RwLock` write swaps in the new epoch.
+//!    surgery per plan, marking every list it mutates dirty.
+//! 5. **Publish: dirty pages, incremental digest** — a snapshot is a
+//!    vector of `Arc` pages of 64 users each (`PAGE`). Only the pages that
+//!    hold a dirty list are rebuilt (in parallel); inside one, unchanged
+//!    lists are copied from the previous page and only the dirty ones are
+//!    sorted. Every other page is shared with the previous epoch. The
+//!    digest moves by two terms per dirty user, and one `RwLock` write
+//!    swaps in the new epoch.
+//!
+//! A drain therefore costs `O(batch)` list work plus one `Arc` clone per
+//! page, not a rebuild of all `n` lists.
 //!
 //! Because phase 3 is the only parallel phase that feeds graph state and
 //! it is read-only with a fixed output order, the final graph digest is
@@ -30,8 +38,8 @@
 //! produce the same epoch, digest, and lookup results.
 
 use crate::graph::KnnGraph;
-use crate::shard::{Repair, Shard, ShardSet};
-use goldfinger_core::hash::ItemHasher;
+use crate::shard::{Repair, ShardSet};
+use goldfinger_core::hash::{splitmix64_mix, ItemHasher};
 use goldfinger_core::parallel::{par_map_chunks, par_map_indexed};
 use goldfinger_core::shf::ShfStore;
 use goldfinger_core::topk::Scored;
@@ -39,6 +47,7 @@ use goldfinger_obs::trace;
 use goldfinger_obs::{Counter, Gauge, Histogram, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -48,6 +57,23 @@ const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
 fn fnv(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(FNV_PRIME)
+}
+
+/// Users per snapshot page — the copy-on-write unit of a drain.
+const PAGE: usize = 64;
+
+/// FNV-1a hash of one served list's `(neighbour, similarity)` pairs.
+fn list_hash(list: &[Scored]) -> u64 {
+    list.iter().fold(FNV_OFFSET, |h, s| {
+        fnv(fnv(h, s.user as u64), s.sim.to_bits())
+    })
+}
+
+/// User `u`'s term of the snapshot digest: its list hash keyed by the
+/// user id through a splitmix64 finalizer, so the wrapping sum of all
+/// terms depends on which user holds which list but not on any order.
+fn digest_term(u: usize, hash: u64) -> u64 {
+    splitmix64_mix(hash ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Serving-layer configuration.
@@ -96,59 +122,81 @@ pub enum Op {
     },
 }
 
-/// Immutable published top-k lists of one shard.
+/// One immutable page of a snapshot: the sorted top-k lists of users
+/// `PAGE·p ..` as one CSR slab, plus each list's hash.
 #[derive(Debug)]
-pub struct ShardSnapshot {
-    lo: u32,
-    lists: Vec<Vec<Scored>>,
-    digest: u64,
+struct Page {
+    /// `offsets[l] .. offsets[l + 1]` is local user `l`'s slice of
+    /// `entries`.
+    offsets: Vec<u32>,
+    entries: Vec<Scored>,
+    hashes: Vec<u64>,
 }
 
-impl ShardSnapshot {
-    fn build(shard: &Shard) -> ShardSnapshot {
-        let lists: Vec<Vec<Scored>> = (0..shard.len())
-            .map(|l| shard.list(l).to_sorted())
-            .collect();
-        let digest = Self::digest_lists(shard.lo(), &lists);
-        ShardSnapshot {
-            lo: shard.lo(),
-            lists,
-            digest,
-        }
+impl Page {
+    fn list(&self, l: usize) -> &[Scored] {
+        &self.entries[self.offsets[l] as usize..self.offsets[l + 1] as usize]
     }
 
-    fn digest_lists(lo: u32, lists: &[Vec<Scored>]) -> u64 {
-        Self::fold_lists(FNV_OFFSET, lo, lists)
-    }
-
-    fn fold_lists(mut h: u64, lo: u32, lists: &[Vec<Scored>]) -> u64 {
-        for (l, list) in lists.iter().enumerate() {
-            for s in list {
-                h = fnv(h, lo as u64 + l as u64);
-                h = fnv(h, s.user as u64);
-                h = fnv(h, s.sim.to_bits());
+    /// Builds page `p` of `set`. With a previous version of the page,
+    /// only the users in `dirty` (ascending global ids inside the page)
+    /// are sorted afresh; every other list and hash is copied. Without
+    /// one, every list is built. Returns the page and the wrapping change
+    /// of the digest: new terms minus the previous page's.
+    fn build(set: &ShardSet, p: usize, prev: Option<&Page>, dirty: &[u32]) -> (Page, u64) {
+        let lo = p * PAGE;
+        let hi = (lo + PAGE).min(set.n_users());
+        let mut page = Page {
+            offsets: Vec::with_capacity(hi - lo + 1),
+            entries: Vec::with_capacity((hi - lo) * set.k()),
+            hashes: Vec::with_capacity(hi - lo),
+        };
+        page.offsets.push(0);
+        let mut dirty = dirty.iter().map(|&u| u as usize).peekable();
+        let mut delta = 0u64;
+        for u in lo..hi {
+            let l = u - lo;
+            match prev {
+                Some(prev) if dirty.next_if_eq(&u).is_none() => {
+                    page.entries.extend_from_slice(prev.list(l));
+                    page.hashes.push(prev.hashes[l]);
+                }
+                _ => {
+                    let start = page.entries.len();
+                    page.entries
+                        .extend(set.list(u as u32).entries().iter().map(|e| Scored {
+                            sim: e.sim,
+                            user: e.user,
+                        }));
+                    let list = &mut page.entries[start..];
+                    // Jaccard values lie in [0, 1], where the bit pattern
+                    // orders like the value: a total-order key.
+                    debug_assert!(list.iter().all(|s| (0.0..=1.0).contains(&s.sim)));
+                    list.sort_unstable_by_key(|s| (Reverse(s.sim.to_bits()), s.user));
+                    let hash = list_hash(list);
+                    if let Some(prev) = prev {
+                        delta = delta.wrapping_sub(digest_term(u, prev.hashes[l]));
+                    }
+                    delta = delta.wrapping_add(digest_term(u, hash));
+                    page.hashes.push(hash);
+                }
             }
+            page.offsets.push(page.entries.len() as u32);
         }
-        h
-    }
-
-    /// FNV-1a digest of the shard's `(user, neighbour, similarity)`
-    /// triples, computed at publish time.
-    pub fn digest(&self) -> u64 {
-        self.digest
+        (page, delta)
     }
 }
 
 /// A consistent, immutable cut of the whole graph: one epoch. Produced
 /// by a drain, published with a single pointer swap, shared by readers
 /// via `Arc` — a reader holding a snapshot observes exactly one epoch no
-/// matter how many drains run meanwhile.
+/// matter how many drains run meanwhile. Its pages are shared with the
+/// neighbouring epochs wherever no list changed between them.
 #[derive(Debug)]
 pub struct ServiceSnapshot {
     epoch: u64,
-    per: usize,
     n: usize,
-    shards: Vec<Arc<ShardSnapshot>>,
+    pages: Vec<Arc<Page>>,
     digest: u64,
 }
 
@@ -163,9 +211,12 @@ impl ServiceSnapshot {
         self.n
     }
 
-    /// FNV-1a digest over every `(user, neighbour, similarity)` triple in
-    /// global user order — a pure function of the served graph, so the
-    /// determinism tests can compare it across thread *and* shard counts.
+    /// Order-independent digest of the served graph: the wrapping sum
+    /// over users `u` of a splitmix64 mix of `u` and the FNV-1a hash of
+    /// `u`'s list. It is a pure function of the graph — not of shard or
+    /// page bounds — so the determinism tests can compare it across
+    /// thread *and* shard counts, and a drain updates it with two terms
+    /// per changed list.
     pub fn digest(&self) -> u64 {
         self.digest
     }
@@ -173,41 +224,27 @@ impl ServiceSnapshot {
     /// `u`'s published top-k (descending similarity), or `None` when `u`
     /// is out of range.
     pub fn top_k(&self, u: u32) -> Option<&[Scored]> {
-        if (u as usize) >= self.n {
-            return None;
-        }
-        let shard = &self.shards[u as usize / self.per];
-        Some(&shard.lists[u as usize - shard.lo as usize])
+        let u = u as usize;
+        (u < self.n).then(|| self.pages[u / PAGE].list(u % PAGE))
     }
 
-    /// Recomputes every shard digest and the combined digest from the
-    /// snapshot's own lists and checks them against the values stored at
-    /// publish time. A torn or mutated-after-publish snapshot fails this;
-    /// the seeded-interleaving tests hammer it from reader threads.
+    /// Recomputes every list hash and the digest sum from the snapshot's
+    /// own lists and checks them against the values stored when the
+    /// lists were built and published. A torn or mutated-after-publish
+    /// snapshot fails this; the seeded-interleaving tests hammer it from
+    /// reader threads.
     pub fn verify(&self) -> bool {
-        let mut combined = FNV_OFFSET;
-        for s in &self.shards {
-            if ShardSnapshot::digest_lists(s.lo, &s.lists) != s.digest {
-                return false;
+        let mut digest = 0u64;
+        for (p, page) in self.pages.iter().enumerate() {
+            for (l, &stored) in page.hashes.iter().enumerate() {
+                let hash = list_hash(page.list(l));
+                if hash != stored {
+                    return false;
+                }
+                digest = digest.wrapping_add(digest_term(p * PAGE + l, hash));
             }
-            combined = ShardSnapshot::fold_lists(combined, s.lo, &s.lists);
         }
-        combined == self.digest
-    }
-
-    fn publish(epoch: u64, per: usize, n: usize, shards: Vec<Arc<ShardSnapshot>>) -> Arc<Self> {
-        // Chained across shards (not folded over per-shard digests) so the
-        // value does not depend on where the shard boundaries fall.
-        let digest = shards.iter().fold(FNV_OFFSET, |h, s| {
-            ShardSnapshot::fold_lists(h, s.lo, &s.lists)
-        });
-        Arc::new(ServiceSnapshot {
-            epoch,
-            per,
-            n,
-            shards,
-            digest,
-        })
+        digest == self.digest
     }
 }
 
@@ -305,14 +342,18 @@ impl<H: ItemHasher> KnnService<H> {
         registry: &Registry,
     ) -> Self {
         let set = ShardSet::partition(graph, store, cfg.shards);
-        let per = set.shards()[0].len();
         let n = set.n_users();
-        let shards: Vec<Arc<ShardSnapshot>> = set
-            .shards()
-            .iter()
-            .map(|s| Arc::new(ShardSnapshot::build(s)))
-            .collect();
-        let snap = ServiceSnapshot::publish(0, per, n, shards);
+        let built = par_map_indexed(n.div_ceil(PAGE), cfg.threads.max(1), |p| {
+            Page::build(&set, p, None, &[])
+        });
+        let digest = built.iter().fold(0u64, |d, b| d.wrapping_add(b.1));
+        let pages = built.into_iter().map(|b| Arc::new(b.0)).collect();
+        let snap = Arc::new(ServiceSnapshot {
+            epoch: 0,
+            n,
+            pages,
+            digest,
+        });
         let metrics = Instruments::register(registry);
         metrics.epoch.set(0);
         KnnService {
@@ -447,25 +488,35 @@ impl<H: ItemHasher> KnnService<H> {
         }
         drop(apply_repairs_trace);
 
-        // Phase 5: rebuild only the dirty shards' snapshots (parallel),
-        // publish the new epoch with a single pointer swap.
+        // Phase 5: rebuild only the pages holding a dirty list (parallel),
+        // sharing every other page with the previous epoch, and move the
+        // digest by the rebuilt lists' terms.
         let rebuild_trace = trace::span("serve", "rebuild_snapshots");
-        let dirty_shards = set.take_dirty();
+        let dirty = set.take_dirty();
+        let runs: Vec<&[u32]> = dirty
+            .chunk_by(|a, b| *a as usize / PAGE == *b as usize / PAGE)
+            .collect();
         let previous = self.snapshot();
         let frozen: &ShardSet = set;
-        let rebuilt: Vec<Option<Arc<ShardSnapshot>>> =
-            par_map_indexed(frozen.n_shards(), threads, |s| {
-                dirty_shards[s].then(|| Arc::new(ShardSnapshot::build(&frozen.shards()[s])))
-            });
-        let shards: Vec<Arc<ShardSnapshot>> = rebuilt
-            .into_iter()
-            .enumerate()
-            .map(|(s, fresh)| fresh.unwrap_or_else(|| previous.shards[s].clone()))
-            .collect();
+        let rebuilt = par_map_indexed(runs.len(), threads, |i| {
+            let p = runs[i][0] as usize / PAGE;
+            Page::build(frozen, p, Some(&previous.pages[p]), runs[i])
+        });
+        let mut pages = previous.pages.clone();
+        let mut digest = previous.digest;
+        for (run, (page, delta)) in runs.iter().zip(rebuilt) {
+            pages[run[0] as usize / PAGE] = Arc::new(page);
+            digest = digest.wrapping_add(delta);
+        }
         drop(rebuild_trace);
         let epoch = previous.epoch + 1;
         let publish_trace = trace::span_arg("serve", "publish", epoch);
-        let snap = ServiceSnapshot::publish(epoch, previous.per, previous.n, shards);
+        let snap = Arc::new(ServiceSnapshot {
+            epoch,
+            n: previous.n,
+            pages,
+            digest,
+        });
         *self.snapshot.write().expect("snapshot lock") = snap;
         self.epoch.store(epoch, Ordering::Release);
         drop(publish_trace);
@@ -532,7 +583,9 @@ pub struct ReplayOutcome {
     /// FNV-1a digest folded over every lookup's `(user, neighbour,
     /// similarity)` triples, in op order.
     pub lookup_digest: u64,
-    /// Final published graph digest (after a trailing flush).
+    /// Final published graph digest (after a trailing flush; see
+    /// [`ServiceSnapshot::digest`]): equal for equal graphs, so replays
+    /// of one op log at any thread or shard count agree on it.
     pub final_digest: u64,
     /// Final epoch.
     pub final_epoch: u64,
@@ -588,12 +641,27 @@ mod tests {
     use super::*;
     use crate::brute::BruteForce;
     use goldfinger_core::hash::DynHasher;
+    use goldfinger_core::pool::Pool;
     use goldfinger_core::profile::ProfileStore;
     use goldfinger_core::shf::ShfParams;
     use goldfinger_core::similarity::ShfJaccard;
+    use proptest::prelude::*;
 
     fn service(batch: usize, threads: usize) -> KnnService<DynHasher> {
-        let lists: Vec<Vec<u32>> = (0..40u32)
+        let cfg = ServeConfig {
+            shards: 3,
+            batch,
+            probes: 3,
+            seed: 11,
+            threads,
+        };
+        clustered_service(40, cfg)
+    }
+
+    /// A service over `users` users in clusters of 8 (a cluster shares
+    /// 12 items, each user adds one private item), k = 4.
+    fn clustered_service(users: u32, cfg: ServeConfig) -> KnnService<DynHasher> {
+        let lists: Vec<Vec<u32>> = (0..users)
             .map(|u| {
                 let base = (u / 8) * 500;
                 let mut items: Vec<u32> = (base..base + 12).collect();
@@ -606,19 +674,7 @@ mod tests {
         let graph = BruteForce::default()
             .build(&ShfJaccard::new(&store), 4)
             .graph;
-        KnnService::new(
-            &graph,
-            &store,
-            *params.hasher(),
-            ServeConfig {
-                shards: 3,
-                batch,
-                probes: 3,
-                seed: 11,
-                threads,
-            },
-            &Registry::new(),
-        )
+        KnnService::new(&graph, &store, *params.hasher(), cfg, &Registry::new())
     }
 
     #[test]
@@ -650,6 +706,104 @@ mod tests {
         assert_eq!(held.top_k(0).unwrap(), &before[..]);
         assert!(held.verify());
         assert_ne!(svc.snapshot().digest(), held.digest());
+    }
+
+    #[test]
+    fn a_drain_republishes_only_the_pages_it_changed() {
+        // 320 users, 5 pages. Without probes, user 3's repair reaches
+        // only its cluster (users 0..8), so every list it can change lies
+        // in page 0.
+        let cfg = ServeConfig {
+            shards: 3,
+            batch: 1,
+            probes: 0,
+            seed: 11,
+            threads: 1,
+        };
+        let svc = clustered_service(320, cfg);
+        let held = svc.snapshot();
+        let lists: Vec<Vec<Scored>> = (0..320).map(|u| held.top_k(u).unwrap().to_vec()).collect();
+        svc.update(3, (9000..9040).collect());
+        let next = svc.snapshot();
+        assert_eq!((held.pages.len(), next.pages.len()), (5, 5));
+        assert_ne!(next.top_k(3), held.top_k(3), "user 3 was not rescored");
+        assert!(!Arc::ptr_eq(&next.pages[0], &held.pages[0]));
+        for p in 1..5 {
+            assert!(
+                Arc::ptr_eq(&next.pages[p], &held.pages[p]),
+                "page {p} holds no changed list but was rebuilt"
+            );
+        }
+        // Hundreds of drains later the held epoch-0 cut still verifies and
+        // still serves its own lists.
+        for op in synth_ops(320, 4000, 600, 100, 8) {
+            if let Op::Update { user, items } = op {
+                svc.update(user, items);
+            }
+        }
+        assert_eq!(svc.epoch(), 601);
+        assert!(svc.snapshot().verify());
+        assert!(held.verify());
+        for (u, list) in lists.iter().enumerate() {
+            assert_eq!(held.top_k(u as u32).unwrap(), &list[..], "user {u}");
+        }
+    }
+
+    /// After a drain: the snapshot verifies, serves exactly the writer's
+    /// lists, and its incrementally kept digest equals a from-scratch sum
+    /// over those lists.
+    fn check_published(svc: &KnnService<DynHasher>) {
+        let snap = svc.snapshot();
+        prop_assert!(snap.verify());
+        let w = svc.writer.lock().unwrap();
+        let mut digest = 0u64;
+        for u in 0..snap.n_users() {
+            let list = w.set.neighbors(u as u32);
+            prop_assert_eq!(snap.top_k(u as u32).unwrap(), &list[..], "user {}", u);
+            digest = digest.wrapping_add(digest_term(u, list_hash(&list)));
+        }
+        prop_assert_eq!(snap.digest(), digest);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random op streams × shard counts × batch sizes × threads: the
+        /// paged, incrementally digested snapshot never drifts from the
+        /// graph it publishes.
+        #[test]
+        fn serve_digest_is_incremental(
+            users in 1u32..300,
+            shards in 1usize..6,
+            batch in 1usize..24,
+            threads in prop_oneof![Just(1usize), Just(4)],
+            update_pct in 20u32..100,
+            seed in 0u64..1000,
+        ) {
+            let cfg = ServeConfig { shards, batch, probes: 2, seed, threads };
+            let svc = clustered_service(users, cfg);
+            check_published(&svc);
+            let ops = synth_ops(users as usize, 3000, 300, update_pct, seed);
+            let run = || {
+                for op in ops {
+                    let epoch = svc.epoch();
+                    match op {
+                        Op::Update { user, items } => svc.update(user, items),
+                        Op::Lookup { user } => prop_assert!(svc.lookup(user).is_some()),
+                    }
+                    if svc.epoch() != epoch {
+                        check_published(&svc);
+                    }
+                }
+                svc.flush();
+                check_published(&svc);
+            };
+            if threads > 1 {
+                Pool::new(threads).install(run);
+            } else {
+                run();
+            }
+        }
     }
 
     #[test]

@@ -20,13 +20,22 @@
 //! ([`ShardSet::apply_repair`], cheap `O(k)` list surgery), which is what
 //! makes batched drains deterministic for any thread count. A one-shard
 //! set is the plain, unpartitioned graph.
+//!
+//! The application half tracks which users' lists it mutated
+//! ([`ShardSet::take_dirty`]), so the serving layer republishes only
+//! those. A symmetric offer first asks the reverse index whether the
+//! offered user is already a member and, if not, compares it with the
+//! target's cached floor (its full list's worst entry): a candidate that
+//! does not outrank the floor is rejected without touching the list.
+//! Because the reverse index and the floors are exact after every
+//! operation, this filter makes exactly the decisions a scan would.
 
 use crate::graph::KnnGraph;
-use crate::neighborlist::{NeighborList, Offer};
-use goldfinger_core::hash::ItemHasher;
+use crate::neighborlist::{outranks, NeighborList};
+use goldfinger_core::hash::{splitmix64_mix, ItemHasher};
 use goldfinger_core::kernels;
 use goldfinger_core::shf::{jaccard_from_counts, ShfStore};
-use goldfinger_core::topk::Scored;
+use goldfinger_core::topk::{Scored, TopK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,12 +47,10 @@ use rand::{Rng, SeedableRng};
 /// each `(user, repair)` pair an independent stream while staying
 /// deterministic for replay.
 pub fn probe_seed(seed: u64, u: u32, counter: u64) -> u64 {
-    let mut z = seed
-        ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ counter.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64_mix(
+        seed ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ counter.wrapping_mul(0xBF58_476D_1CE4_E5B9),
+    )
 }
 
 /// Inserts `v` into a sorted id vector (no-op when present).
@@ -68,6 +75,10 @@ pub struct Shard {
     lo: u32,
     store: ShfStore,
     lists: Vec<NeighborList>,
+    /// `floors[local]` = the worst `(sim, user)` of the full list
+    /// `lists[local]` ([`NeighborList::floor`]), `None` while it has room;
+    /// refreshed after every mutation of the list.
+    floors: Vec<Option<Scored>>,
     /// `rev[local]` = sorted global ids of users whose list contains
     /// `lo + local` (those users may live on any shard).
     rev: Vec<Vec<u32>>,
@@ -95,11 +106,6 @@ impl Shard {
     /// The owned slice of the fingerprint arena.
     pub fn store(&self) -> &ShfStore {
         &self.store
-    }
-
-    /// Neighbour list of local user `local` (entries hold global ids).
-    pub fn list(&self, local: usize) -> &NeighborList {
-        &self.lists[local]
     }
 
     /// Reverse neighbours (global ids, sorted) of local user `local`.
@@ -145,7 +151,7 @@ pub struct Repair {
     pub user: u32,
     /// Similarity evaluations this plan spent.
     pub evals: u64,
-    fresh: NeighborList,
+    fresh: TopK,
     scored: Vec<(u32, f64)>,
 }
 
@@ -159,9 +165,11 @@ pub struct ShardSet {
     /// Users per shard (`ceil(n / shards)`); `owner(u) = u / per`.
     per: usize,
     shards: Vec<Shard>,
-    /// Shards whose neighbour lists changed since [`ShardSet::take_dirty`]
-    /// — the snapshot rebuild set.
+    /// `dirty[u]`: `u`'s list changed since [`ShardSet::take_dirty`].
     dirty: Vec<bool>,
+    /// The users flagged in `dirty`, in marking order — the snapshot
+    /// rebuild set.
+    changed: Vec<u32>,
 }
 
 impl ShardSet {
@@ -181,7 +189,7 @@ impl ShardSet {
             .map(|s| {
                 let lo = s * per;
                 let hi = ((s + 1) * per).min(n);
-                let lists = (lo..hi)
+                let lists: Vec<NeighborList> = (lo..hi)
                     .map(|u| {
                         let mut list = NeighborList::new(graph.k());
                         for sc in graph.neighbors(u as u32) {
@@ -193,6 +201,7 @@ impl ShardSet {
                 Shard {
                     lo: lo as u32,
                     store: store.slice_rows(lo, hi),
+                    floors: lists.iter().map(floor_of).collect(),
                     lists,
                     rev: vec![Vec::new(); hi - lo],
                     repairs: vec![0; hi - lo],
@@ -217,7 +226,8 @@ impl ShardSet {
             n,
             per,
             shards: out,
-            dirty: vec![false; n_shards],
+            dirty: vec![false; n],
+            changed: Vec::new(),
         }
     }
 
@@ -257,12 +267,23 @@ impl ShardSet {
         &mut self.shards
     }
 
-    /// Returns which shards' lists changed since the last call and
-    /// resets the flags. [`ShardSet::apply_repair`] marks precisely the
-    /// shards whose neighbour lists it mutated, so unchanged shards can
-    /// reuse their published snapshot verbatim.
-    pub fn take_dirty(&mut self) -> Vec<bool> {
-        std::mem::replace(&mut self.dirty, vec![false; self.shards.len()])
+    /// Returns the users whose lists changed since the last call, in
+    /// ascending order, and resets their flags — `O(changed)`, not
+    /// `O(n)`. [`ShardSet::apply_repair`] marks precisely the lists it
+    /// mutated, so the serving layer republishes only those.
+    pub fn take_dirty(&mut self) -> Vec<u32> {
+        let mut out = std::mem::take(&mut self.changed);
+        for &u in &out {
+            self.dirty[u as usize] = false;
+        }
+        out.sort_unstable();
+        out
+    }
+
+    fn mark(&mut self, u: u32) {
+        if !std::mem::replace(&mut self.dirty[u as usize], true) {
+            self.changed.push(u);
+        }
     }
 
     /// Fingerprint similarity of two global users, computed straight from
@@ -282,7 +303,12 @@ impl ShardSet {
 
     /// Current neighbours of `u`, sorted by decreasing similarity.
     pub fn neighbors(&self, u: u32) -> Vec<Scored> {
-        self.shards[self.owner(u)].lists[self.local(u)].to_sorted()
+        self.list(u).to_sorted()
+    }
+
+    /// `u`'s neighbour list, unsorted.
+    pub(crate) fn list(&self, u: u32) -> &NeighborList {
+        &self.shards[self.owner(u)].lists[self.local(u)]
     }
 
     /// Hyrec-style candidate set of `u`: neighbours, their neighbours,
@@ -290,12 +316,9 @@ impl ShardSet {
     /// independent of both the population and the shard count.
     pub fn candidate_set(&self, u: u32) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::new();
-        let nbrs: Vec<u32> = self.shards[self.owner(u)].lists[self.local(u)]
-            .users()
-            .collect();
-        for v in nbrs {
+        for v in self.list(u).users() {
             out.push(v);
-            out.extend(self.shards[self.owner(v)].lists[self.local(v)].users());
+            out.extend(self.list(v).users());
         }
         out.extend_from_slice(&self.shards[self.owner(u)].rev[self.local(u)]);
         out.sort_unstable();
@@ -309,7 +332,9 @@ impl ShardSet {
     /// `(seed, u, counter)`, see [`probe_seed`]) and returns the rebuilt
     /// list plus all scored pairs. Takes `&self` — many plans can run
     /// concurrently over a frozen set, and a plan depends only on that
-    /// frozen state, never on sibling plans.
+    /// frozen state, never on sibling plans. The rebuilt list is the
+    /// exact top-k of the candidates under the `(sim desc, id asc)` total
+    /// order, so it does not depend on the order candidates are scored in.
     pub fn plan_repair(&self, u: u32, counter: u64, probes: usize, seed: u64) -> Repair {
         let mut candidates = self.candidate_set(u);
         if probes > 0 && self.n > 1 {
@@ -323,17 +348,19 @@ impl ShardSet {
             candidates.sort_unstable();
             candidates.dedup();
         }
-        let mut fresh = NeighborList::new(self.k);
+        let (a, ca) = self.fp(u);
+        let mut top = TopK::new(self.k);
         let mut scored = Vec::with_capacity(candidates.len());
         for &v in &candidates {
-            let s = self.similarity(u, v);
-            fresh.insert(v, s);
+            let (b, cb) = self.fp(v);
+            let s = jaccard_from_counts(kernels::and_count(a, b), ca, cb);
+            top.offer(s, v);
             scored.push((v, s));
         }
         Repair {
             user: u,
             evals: scored.len() as u64,
-            fresh,
+            fresh: top,
             scored,
         }
     }
@@ -346,7 +373,7 @@ impl ShardSet {
         for &(v, s) in &r.scored {
             self.offer_entry(v, r.user, s);
         }
-        self.replace_list(r.user, r.fresh.clone());
+        self.replace_list(r.user, &r.fresh);
     }
 
     /// The symmetric half of a repair: `u`'s similarity to `v` changed to
@@ -354,44 +381,57 @@ impl ShardSet {
     /// updated **in place** — a downgrade must not be laundered into a
     /// remove-then-insert, which would always succeed (the removal frees a
     /// slot) and re-admit `u` no matter how bad the new similarity is. If
-    /// `u` is absent it is offered normally and must beat the current
-    /// worst to enter.
+    /// `u` is absent it must outrank `v`'s floor to enter.
+    ///
+    /// Membership comes from the reverse index (`u` is in `v`'s list
+    /// exactly when `v` is in `rev[u]`), so a rejected non-member costs one
+    /// binary search and one floor comparison; every other offer is one
+    /// scan of `v`'s list ([`NeighborList::upsert`]).
     fn offer_entry(&mut self, v: u32, u: u32, s: f64) {
+        let member = self.shards[self.owner(u)].rev[self.local(u)]
+            .binary_search(&v)
+            .is_ok();
         let (sv, lv) = (self.owner(v), self.local(v));
-        if self.shards[sv].lists[lv].update_sim(u, s) {
-            self.dirty[sv] = true;
-            return;
-        }
-        match self.shards[sv].lists[lv].offer(u, s) {
-            Offer::Added => {
-                self.dirty[sv] = true;
-                self.rev_insert(u, v);
-            }
-            Offer::Replaced(evicted) => {
-                self.dirty[sv] = true;
-                self.rev_insert(u, v);
+        let shard = &mut self.shards[sv];
+        let evict = match shard.floors[lv] {
+            _ if member => None,
+            Some(f) if !outranks(s, u, f.sim, f.user) => return,
+            floor => floor.map(|f| f.user),
+        };
+        shard.floors[lv] = shard.lists[lv].upsert(u, s, evict);
+        self.mark(v);
+        if !member {
+            self.rev_insert(u, v);
+            if let Some(evicted) = evict {
                 self.rev_remove(evicted, v);
             }
-            Offer::Rejected | Offer::Duplicate => {}
         }
     }
 
-    /// Replaces `u`'s whole list, routing every reverse-index delta to
-    /// the affected user's owner shard.
-    fn replace_list(&mut self, u: u32, fresh: NeighborList) {
+    /// Replaces `u`'s whole list in its own buffer, routing every
+    /// reverse-index delta to the affected user's owner shard.
+    ///
+    /// Refilling in place, rather than installing a list the plan
+    /// allocated, keeps the long-lived lists in their own buffers: lists
+    /// allocated amid the plans' short-lived buffers fragment the heap and
+    /// raise resident memory.
+    fn replace_list(&mut self, u: u32, fresh: &TopK) {
         let (su, lu) = (self.owner(u), self.local(u));
-        let old: Vec<u32> = self.shards[su].lists[lu].users().collect();
+        let old: Vec<u32> = self.list(u).users().collect();
         for &w in &old {
-            if !fresh.contains(w) {
+            if !fresh.users().any(|x| x == w) {
                 self.rev_remove(w, u);
             }
         }
-        let added: Vec<u32> = fresh.users().filter(|w| !old.contains(w)).collect();
-        for w in added {
-            self.rev_insert(w, u);
+        for w in fresh.users() {
+            if !old.contains(&w) {
+                self.rev_insert(w, u);
+            }
         }
-        self.shards[su].lists[lu] = fresh;
-        self.dirty[su] = true;
+        let shard = &mut self.shards[su];
+        shard.lists[lu].refill(fresh.entries());
+        shard.floors[lu] = floor_of(&shard.lists[lu]);
+        self.mark(u);
     }
 
     /// Records "`w` lists `u`" on `u`'s owner.
@@ -405,6 +445,14 @@ impl ShardSet {
         let (s, l) = (self.owner(u), self.local(u));
         sorted_remove(&mut self.shards[s].rev[l], w);
     }
+}
+
+/// A list's floor as `(sim, user)`: see [`NeighborList::floor`].
+fn floor_of(list: &NeighborList) -> Option<Scored> {
+    list.floor().map(|e| Scored {
+        sim: e.sim,
+        user: e.user,
+    })
 }
 
 #[cfg(test)]
@@ -437,7 +485,7 @@ mod tests {
     fn rev_invariant(set: &ShardSet) {
         let mut expect = vec![Vec::new(); set.n_users()];
         for u in 0..set.n_users() as u32 {
-            for v in set.shards()[set.owner(u)].lists[set.local(u)].users() {
+            for v in set.list(u).users() {
                 expect[v as usize].push(u);
             }
         }
@@ -445,10 +493,16 @@ mod tests {
             ids.sort_unstable();
         }
         for u in 0..set.n_users() as u32 {
+            let shard = &set.shards()[set.owner(u)];
             assert_eq!(
-                set.shards()[set.owner(u)].reverse(set.local(u)),
+                shard.reverse(set.local(u)),
                 &expect[u as usize][..],
                 "reverse index out of sync for user {u}"
+            );
+            assert_eq!(
+                shard.floors[set.local(u)],
+                floor_of(set.list(u)),
+                "cached floor out of sync for user {u}"
             );
         }
     }
@@ -668,10 +722,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_update_tracks_dirty_shards_and_fingerprints() {
+    fn apply_update_tracks_dirty_users_and_fingerprints() {
         let (graph, store, params) = fixture(2);
         let mut set = ShardSet::partition(&graph, &store, 3);
-        assert!(set.take_dirty().iter().all(|&d| !d), "clean at rest");
+        assert!(set.take_dirty().is_empty(), "clean at rest");
         // Fold new items into user 9's fingerprint on its owner shard.
         let (s, l) = (set.owner(9), set.local(9));
         let before = set.similarity(9, 0);
@@ -682,13 +736,25 @@ mod tests {
             set.similarity(9, 0) > before,
             "update did not move similarity"
         );
-        // Updates alone don't dirty lists; a repair does.
-        assert!(set.take_dirty().iter().all(|&d| !d));
+        // Updates alone don't dirty lists; a repair does, and marks
+        // exactly the lists whose stored entries changed.
+        assert!(set.take_dirty().is_empty());
+        let before: Vec<Vec<Scored>> = (0..12).map(|u| set.neighbors(u)).collect();
         let counter = set.shards_mut()[s].bump_repair(l);
         let plan = set.plan_repair(9, counter, 2, 7);
         set.apply_repair(&plan);
         let dirty = set.take_dirty();
-        assert!(dirty[s], "owner shard must be rebuilt");
+        assert!(
+            dirty.contains(&9),
+            "the repaired user's list must be rebuilt"
+        );
+        assert!(dirty.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+        for u in 0..12u32 {
+            if set.neighbors(u) != before[u as usize] {
+                assert!(dirty.contains(&u), "user {u} changed but is not dirty");
+            }
+        }
+        assert!(set.take_dirty().is_empty(), "taking resets the flags");
         rev_invariant(&set);
     }
 }

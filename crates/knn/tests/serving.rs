@@ -174,3 +174,38 @@ fn replay_is_deterministic_across_shard_counts() {
     assert_eq!(digests[0], digests[1]);
     assert_eq!(digests[1], digests[2]);
 }
+
+/// Served lists are pinned across implementations of the drain: the
+/// lookup digest folds every list a replay looked up, so any change to
+/// repair decisions or to the published order shows here. The graph
+/// digest is not pinned: its function is free to change.
+#[test]
+fn replay_lookups_match_the_golden_outcomes() {
+    let (graph, store, params) = fixture(300);
+    let ops = synth_ops(300, 30_000, 3000, 45, 31);
+    // (batch, lookup_digest, final_epoch); 1693 lookups, 1307 updates.
+    let goldens = [
+        (1usize, 0x0ed4_759e_374b_0afd_u64, 1307u64),
+        (16, 0x1d19_e640_dd73_dd16, 82),
+    ];
+    for (batch, lookup_digest, final_epoch) in goldens {
+        for shards in [1usize, 3] {
+            for threads in [1usize, 4] {
+                let cfg = ServeConfig {
+                    shards,
+                    batch,
+                    probes: 3,
+                    seed: 9,
+                    threads,
+                };
+                let svc = KnnService::new(&graph, &store, *params.hasher(), cfg, &Registry::new());
+                let outcome = replay(&svc, &ops);
+                let at = format!("batch {batch}, {shards} shards, {threads} threads");
+                assert_eq!((outcome.lookups, outcome.updates), (1693, 1307), "{at}");
+                assert_eq!(outcome.lookup_digest, lookup_digest, "{at}");
+                assert_eq!(outcome.final_epoch, final_epoch, "{at}");
+                assert!(svc.snapshot().verify(), "{at}");
+            }
+        }
+    }
+}

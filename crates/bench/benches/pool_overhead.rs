@@ -1,14 +1,21 @@
 //! Criterion bench for the persistent worker pool: dispatch on an installed
 //! pool vs a call-scoped pool (built and dropped per helper call, what the
 //! helpers do when no pool is installed) on the same helper, across work
-//! sizes, and the same comparison for a multi-threaded NNDescent build.
+//! sizes; the same comparison for a multi-threaded NNDescent build; and a
+//! wake-latency sweep of a 2-slot dispatch against running both slots
+//! inline, across per-slot work sizes.
 //!
-//! The pool exists for the per-iteration regime: NNDescent and Hyrec call a
-//! parallel helper twice per join window, so the fixed dispatch cost (OS
-//! spawn/join vs condvar broadcast to parked workers) is paid many times
-//! per build. At n = 1k trivial tasks the dispatch cost dominates and the
-//! installed pool must win clearly; by n = 100k real work amortises both
-//! paths toward parity.
+//! NNDescent and Hyrec call a parallel helper twice per join window, so
+//! the fixed dispatch cost is paid hundreds of times per build. An
+//! installed pool replaces an OS spawn/join per call with a condvar
+//! broadcast; at n = 1k trivial tasks it must win clearly, and by n = 100k
+//! real work amortises both paths toward parity. The broadcast is cheap
+//! for the dispatcher, not for the worker: between dispatches the workers
+//! park, and a parked worker must be woken before it claims a slot. With
+//! too little work per slot the dispatcher drains both slots itself
+//! before the worker arrives, and the dispatch is slower than running the
+//! slots inline; the `pool_wake` sweep finds the slot length from which
+//! the wake-up pays back, after no idle gap and after a longer one.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use goldfinger_core::parallel::par_fold_dynamic;
@@ -20,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const THREADS: usize = 4;
 
@@ -80,6 +87,57 @@ fn bench_nndescent_iterations(c: &mut Criterion) {
     group.finish();
 }
 
+/// `iters` rounds of a xorshift chain: a fixed amount of per-slot work
+/// the compiler cannot shortcut (~2 ns a round on a ~3 GHz core).
+fn spin_work(iters: u64) -> u64 {
+    let mut x = black_box(0x9E37_79B9_7F4A_7C15u64);
+    for _ in 0..iters {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+    }
+    x
+}
+
+/// Keeps the calling thread busy for `gap` while the pool's worker stays
+/// parked, as when a dispatch follows a stretch of serial work.
+fn busy_for(gap: Duration) {
+    let start = Instant::now();
+    while start.elapsed() < gap {
+        std::hint::spin_loop();
+    }
+}
+
+/// Two slots of `spin_work` on a 2-thread pool (the dispatcher and one
+/// worker, parked between dispatches) vs both slots run inline, from a
+/// few µs to ~1.5 ms of work per slot. Each dispatch follows a busy gap of
+/// 0 (back-to-back dispatches, as inside one build) or 1 ms (a worker
+/// parked for longer); both sides pay the same gap.
+fn bench_wake_latency(c: &mut Criterion) {
+    let pool = Pool::new(2);
+    let mut group = c.benchmark_group("pool_wake");
+    for gap_us in [0u64, 1_000] {
+        let gap = Duration::from_micros(gap_us);
+        for iters in [2_500u64, 12_500, 50_000, 235_000, 750_000] {
+            group.bench_function(format!("inline_gap{gap_us}us_{iters}"), |b| {
+                b.iter(|| {
+                    busy_for(gap);
+                    black_box(spin_work(iters)) ^ black_box(spin_work(iters))
+                })
+            });
+            group.bench_function(format!("pooled_gap{gap_us}us_{iters}"), |b| {
+                b.iter(|| {
+                    busy_for(gap);
+                    pool.scope(2, |_| {
+                        black_box(spin_work(iters));
+                    })
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -90,6 +148,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_dispatch, bench_nndescent_iterations
+    targets = bench_dispatch, bench_nndescent_iterations, bench_wake_latency
 }
 criterion_main!(benches);

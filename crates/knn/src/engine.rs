@@ -26,8 +26,13 @@
 //!    the apply shard that owns the target.
 //! 2. **Apply.** Each apply worker owns a disjoint range of targets and
 //!    feeds them their proposals, worker buffer by worker buffer in slot
-//!    order, through [`NeighborList::insert`]. It counts accepted inserts
-//!    and refreshes the floors of the lists it changed.
+//!    order, through [`NeighborList::insert`]. An insert into a full list
+//!    compares the offer with the list's cached worst entry, then tests
+//!    membership with one branch-free compare over the list's contiguous
+//!    ids; only an accepted offer writes a slot and rescans the
+//!    similarities for the next worst. The worker counts accepted inserts
+//!    and copies each changed list's O(1) [`NeighborList::floor`] into the
+//!    floors the next window scores against.
 //!
 //! # Determinism contract
 //!
@@ -120,16 +125,16 @@ struct Floor {
 
 impl Floor {
     fn of(list: &NeighborList) -> Floor {
-        match list.floor() {
-            Some(w) => Floor {
-                sim: w.sim,
-                user: w.user,
-            },
-            None => Floor {
+        list.floor().map_or(
+            Floor {
                 sim: f64::NEG_INFINITY,
                 user: u32::MAX,
             },
-        }
+            |w| Floor {
+                sim: w.sim,
+                user: w.user,
+            },
+        )
     }
 
     #[inline]
@@ -219,9 +224,7 @@ impl Shard<'_> {
         for out in outs {
             for p in &out.buckets[self.index] {
                 let t = p.target as usize - self.base;
-                // Here the floor is the list's current worst, so the check
-                // only skips offers `insert` would refuse anyway.
-                if self.floors[t].admits(p.sim, p.source) && self.lists[t].insert(p.source, p.sim) {
+                if self.lists[t].insert(p.source, p.sim) {
                     self.updates += 1;
                     self.floors[t] = Floor::of(&self.lists[t]);
                 }

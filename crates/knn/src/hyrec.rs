@@ -35,9 +35,12 @@ pub struct Hyrec {
     /// Worker threads for the candidate scans, as in the paper's
     /// multi-threaded runs (0 and 1 both mean one). The plan/score/apply
     /// join of [`RefineEngine`] makes the output bit-identical for every
-    /// thread count. The scan dispatches twice per window of users, so
-    /// installing a `goldfinger_core::pool::Pool` replaces those
-    /// spawn/join round-trips with broadcasts to already-parked workers.
+    /// thread count. The scan dispatches twice per window of users.
+    /// Installing a `goldfinger_core::pool::Pool` turns each dispatch's
+    /// thread spawn/join into a broadcast, but the pool's workers park
+    /// between dispatches, so every dispatch still waits for a wake-up
+    /// that a window's per-worker share must outweigh (the
+    /// `pool_overhead` bench's `pool_wake` sweep measures it).
     pub threads: usize,
 }
 
@@ -94,7 +97,7 @@ impl JoinStrategy for Hyrec {
     type Scratch = (VisitStamp, Vec<u32>);
 
     fn candidates(&self, _k: usize, lists: &mut [NeighborList], _rng: &mut StdRng) -> Self::Plan {
-        lists.iter().map(|l| l.users().collect()).collect()
+        lists.iter().map(|l| l.users().to_vec()).collect()
     }
 
     fn scratch(&self, n: usize) -> Self::Scratch {

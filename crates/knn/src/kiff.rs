@@ -17,8 +17,9 @@
 //!
 //! - **Inverted index** (candidate generation): a counting-sort CSR —
 //!   `offsets` plus one flat array of user ids, each item's raters in id
-//!   order — built in two passes over the profiles, with two allocations
-//!   however large the item universe is.
+//!   order — built in two passes over the profiles, with a fixed number
+//!   of allocations however large the item universe is (the crate's
+//!   `IdSets`, which also holds NNDescent's join plans).
 //! - **Per-user scan** (the join): each user counts co-ratings over its
 //!   items' rater lists, keeps the top `candidate_factor · k` candidates by
 //!   `(count desc, id asc)` with a linear-time selection followed by a sort
@@ -29,6 +30,7 @@
 //!   bit-identical to the serial build at any thread count.
 
 use crate::graph::{BuildStats, KnnGraph, KnnResult};
+use crate::idsets::IdSets;
 use goldfinger_core::parallel::par_fold_dynamic;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
@@ -78,45 +80,6 @@ impl Default for Kiff {
             max_item_degree: None,
             threads: 1,
         }
-    }
-}
-
-/// Item → raters inverted index in CSR form: item `i`'s raters are
-/// `users[offsets[i]..offsets[i + 1]]`, in increasing id order.
-struct ItemIndex {
-    offsets: Vec<u32>,
-    users: Vec<u32>,
-}
-
-impl ItemIndex {
-    /// Counting sort of the (user, item) associations by item. Users are
-    /// visited in id order, so every rater list comes out sorted.
-    fn new(profiles: &ProfileStore) -> Self {
-        let bound = profiles.item_universe_bound() as usize;
-        let mut offsets = vec![0u32; bound + 1];
-        for (_, items) in profiles.iter() {
-            for &i in items {
-                offsets[i as usize + 1] += 1;
-            }
-        }
-        for i in 0..bound {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets[..bound].to_vec();
-        let mut users = vec![0u32; offsets[bound] as usize];
-        for (u, items) in profiles.iter() {
-            for &i in items {
-                let c = &mut cursor[i as usize];
-                users[*c as usize] = u;
-                *c += 1;
-            }
-        }
-        ItemIndex { offsets, users }
-    }
-
-    fn raters(&self, item: u32) -> &[u32] {
-        let i = item as usize;
-        &self.users[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
@@ -206,7 +169,11 @@ impl Kiff {
         // by GoldFinger, like LSH's bucketing.
         let index_start = O::ENABLED.then(Instant::now);
         let index_trace = trace::span("phase", "candidate_generation");
-        let index = ItemIndex::new(profiles);
+        // Item → raters, each rater list in increasing id order.
+        let index = IdSets::inverted(
+            (0..n as u32).map(|u| profiles.items(u)),
+            profiles.item_universe_bound() as usize,
+        );
         drop(index_trace);
         if let Some(t) = index_start {
             obs.on_span(Phase::CandidateGeneration, t.elapsed());
@@ -234,7 +201,7 @@ impl Kiff {
                 // A zero count marks a candidate's first co-rated item.
                 slot.candidates.clear();
                 for &i in profiles.items(u) {
-                    let raters = index.raters(i);
+                    let raters = index.get(i as usize);
                     if raters.len() > degree_cap {
                         continue;
                     }

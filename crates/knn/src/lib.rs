@@ -49,6 +49,7 @@ pub mod csr;
 pub mod engine;
 pub mod graph;
 pub mod hyrec;
+mod idsets;
 pub mod instrument;
 pub mod kiff;
 pub mod lsh;

@@ -14,6 +14,7 @@
 
 use crate::engine::{JoinStrategy, Joiner, RefineEngine};
 use crate::graph::KnnResult;
+use crate::idsets::IdSets;
 use crate::neighborlist::NeighborList;
 use goldfinger_core::similarity::Similarity;
 use goldfinger_obs::{BuildObserver, NoopObserver};
@@ -38,9 +39,12 @@ pub struct NNDescent {
     /// multi-threaded runs (0 and 1 both mean one). Candidate sampling
     /// stays sequential and seeded, and the plan/score/apply join of
     /// [`RefineEngine`] makes the output bit-identical for every thread
-    /// count. The join dispatches twice per window of users, so installing
-    /// a `goldfinger_core::pool::Pool` replaces those spawn/join
-    /// round-trips with broadcasts to already-parked workers.
+    /// count. The join dispatches twice per window of users. Installing
+    /// a `goldfinger_core::pool::Pool` turns each dispatch's thread
+    /// spawn/join into a broadcast, but the pool's workers park between
+    /// dispatches, so every dispatch still waits for a wake-up that a
+    /// window's per-worker share must outweigh (the `pool_overhead`
+    /// bench's `pool_wake` sweep measures it).
     pub threads: usize,
 }
 
@@ -91,12 +95,33 @@ impl NNDescent {
     }
 }
 
+/// Appends to `sets` the set `fwd ∪ sample(rev)`, sorted and
+/// deduplicated, where the sample is the first `cap` ids of `rev` after
+/// shuffling it in place. `buf` is reused scratch.
+fn push_joined(
+    sets: &mut IdSets,
+    fwd: &[u32],
+    rev: &mut [u32],
+    cap: usize,
+    rng: &mut StdRng,
+    buf: &mut Vec<u32>,
+) {
+    rev.shuffle(rng);
+    buf.clear();
+    buf.extend_from_slice(fwd);
+    buf.extend_from_slice(&rev[..rev.len().min(cap)]);
+    buf.sort_unstable();
+    buf.dedup();
+    sets.extend_from_slice(buf);
+    sets.close();
+}
+
 /// One iteration's sampled join sets: for every user, the "new" neighbours
 /// (taking part in a join for the first time, forward + sampled reverse)
 /// and the "old" ones.
 pub struct NNDescentPlan {
-    new_sets: Vec<Vec<u32>>,
-    old_sets: Vec<Vec<u32>>,
+    new_sets: IdSets,
+    old_sets: IdSets,
 }
 
 impl JoinStrategy for NNDescent {
@@ -117,68 +142,47 @@ impl JoinStrategy for NNDescent {
 
         // Phase 1: split each list into sampled-new and old, flag the
         // sampled entries as no-longer-new (they join this round).
-        let mut new_fwd: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut old_fwd: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (u, list) in lists.iter_mut().enumerate() {
-            let mut fresh: Vec<usize> = list
-                .entries()
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.is_new)
-                .map(|(i, _)| i)
-                .collect();
+        let mut new_fwd = IdSets::with_capacity(n, n * sample_cap);
+        let mut old_fwd = IdSets::with_capacity(n, n * k);
+        let mut fresh: Vec<usize> = Vec::with_capacity(k);
+        let mut sampled = vec![false; k];
+        for list in lists.iter_mut() {
+            fresh.clear();
+            fresh.extend((0..list.len()).filter(|&i| list.new_flags()[i]));
             fresh.shuffle(rng);
             fresh.truncate(sample_cap);
-            // Partition by sampled *index* rather than scanning the sampled
+            // Partition by sampled *slot* rather than scanning the sampled
             // set per entry (which was O(k²) per user).
-            let mut sampled = vec![false; list.entries().len()];
             for &i in &fresh {
                 sampled[i] = true;
-                let e = &mut list.entries_mut()[i];
-                e.is_new = false;
-                new_fwd[u].push(e.user);
+                list.mark_old(i);
+                new_fwd.push(list.users()[i]);
             }
-            for (i, e) in list.entries().iter().enumerate() {
-                if !sampled[i] {
-                    old_fwd[u].push(e.user);
+            for (i, &v) in list.users().iter().enumerate() {
+                if !std::mem::take(&mut sampled[i]) {
+                    old_fwd.push(v);
                 }
             }
+            new_fwd.close();
+            old_fwd.close();
         }
 
         // Phase 2: reverse lists.
-        let mut new_rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut old_rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for u in 0..n {
-            for &v in &new_fwd[u] {
-                new_rev[v as usize].push(u as u32);
-            }
-            for &v in &old_fwd[u] {
-                old_rev[v as usize].push(u as u32);
-            }
-        }
+        let mut new_rev = IdSets::inverted((0..n).map(|u| new_fwd.get(u)), n);
+        let mut old_rev = IdSets::inverted((0..n).map(|u| old_fwd.get(u)), n);
 
         // Per-user join sets: forward plus a sample of reverse, deduplicated.
         // (Joins never draw from the RNG, so computing every set up front
         // performs the exact draw sequence of the historical interleaved
         // loop.)
-        let mut new_sets: Vec<Vec<u32>> = Vec::with_capacity(n);
-        let mut old_sets: Vec<Vec<u32>> = Vec::with_capacity(n);
+        let mut new_sets = IdSets::with_capacity(n, 2 * n * sample_cap);
+        let mut old_sets = IdSets::with_capacity(n, n * (k + sample_cap));
+        let mut buf = Vec::new();
         for u in 0..n {
-            let mut new_set = new_fwd[u].clone();
-            new_rev[u].shuffle(rng);
-            new_rev[u].truncate(sample_cap);
-            new_set.extend_from_slice(&new_rev[u]);
-            new_set.sort_unstable();
-            new_set.dedup();
-            new_sets.push(new_set);
-
-            let mut old_set = old_fwd[u].clone();
-            old_rev[u].shuffle(rng);
-            old_rev[u].truncate(sample_cap);
-            old_set.extend_from_slice(&old_rev[u]);
-            old_set.sort_unstable();
-            old_set.dedup();
-            old_sets.push(old_set);
+            let (fwd, rev) = (new_fwd.get(u), new_rev.get_mut(u));
+            push_joined(&mut new_sets, fwd, rev, sample_cap, rng, &mut buf);
+            let (fwd, rev) = (old_fwd.get(u), old_rev.get_mut(u));
+            push_joined(&mut old_sets, fwd, rev, sample_cap, rng, &mut buf);
         }
         NNDescentPlan { new_sets, old_sets }
     }
@@ -194,8 +198,8 @@ impl JoinStrategy for NNDescent {
         scratch: &mut Self::Scratch,
         joiner: &mut J,
     ) {
-        let new_set = &plan.new_sets[u];
-        let old_set = &plan.old_sets[u];
+        let new_set = plan.new_sets.get(u);
+        let old_set = plan.old_sets.get(u);
         // new × new (exploit id order to join each pair once): each a_i is
         // batched against the tail of the set — same pairs, same order as
         // the nested per-pair loop, scored through the gather kernel.

@@ -163,11 +163,7 @@ impl Page {
                 }
                 _ => {
                     let start = page.entries.len();
-                    page.entries
-                        .extend(set.list(u as u32).entries().iter().map(|e| Scored {
-                            sim: e.sim,
-                            user: e.user,
-                        }));
+                    page.entries.extend(set.list(u as u32).scored());
                     let list = &mut page.entries[start..];
                     // Jaccard values lie in [0, 1], where the bit pattern
                     // orders like the value: a total-order key.

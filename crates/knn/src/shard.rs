@@ -25,10 +25,10 @@
 //! ([`ShardSet::take_dirty`]), so the serving layer republishes only
 //! those. A symmetric offer first asks the reverse index whether the
 //! offered user is already a member and, if not, compares it with the
-//! target's cached floor (its full list's worst entry): a candidate that
-//! does not outrank the floor is rejected without touching the list.
-//! Because the reverse index and the floors are exact after every
-//! operation, this filter makes exactly the decisions a scan would.
+//! target's floor (its full list's worst entry, which the list caches): a
+//! candidate that does not outrank the floor is rejected without scanning
+//! the list. Because the reverse index and the floors are exact after
+//! every operation, this filter makes exactly the decisions a scan would.
 
 use crate::graph::KnnGraph;
 use crate::neighborlist::{outranks, NeighborList};
@@ -75,10 +75,6 @@ pub struct Shard {
     lo: u32,
     store: ShfStore,
     lists: Vec<NeighborList>,
-    /// `floors[local]` = the worst `(sim, user)` of the full list
-    /// `lists[local]` ([`NeighborList::floor`]), `None` while it has room;
-    /// refreshed after every mutation of the list.
-    floors: Vec<Option<Scored>>,
     /// `rev[local]` = sorted global ids of users whose list contains
     /// `lo + local` (those users may live on any shard).
     rev: Vec<Vec<u32>>,
@@ -201,7 +197,6 @@ impl ShardSet {
                 Shard {
                     lo: lo as u32,
                     store: store.slice_rows(lo, hi),
-                    floors: lists.iter().map(floor_of).collect(),
                     lists,
                     rev: vec![Vec::new(); hi - lo],
                     repairs: vec![0; hi - lo],
@@ -316,9 +311,9 @@ impl ShardSet {
     /// independent of both the population and the shard count.
     pub fn candidate_set(&self, u: u32) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::new();
-        for v in self.list(u).users() {
+        for &v in self.list(u).users() {
             out.push(v);
-            out.extend(self.list(v).users());
+            out.extend_from_slice(self.list(v).users());
         }
         out.extend_from_slice(&self.shards[self.owner(u)].rev[self.local(u)]);
         out.sort_unstable();
@@ -386,19 +381,20 @@ impl ShardSet {
     /// Membership comes from the reverse index (`u` is in `v`'s list
     /// exactly when `v` is in `rev[u]`), so a rejected non-member costs one
     /// binary search and one floor comparison; every other offer is one
-    /// scan of `v`'s list ([`NeighborList::upsert`]).
+    /// slot write into `v`'s list plus a rescan for its new worst entry
+    /// ([`NeighborList::upsert`]).
     fn offer_entry(&mut self, v: u32, u: u32, s: f64) {
         let member = self.shards[self.owner(u)].rev[self.local(u)]
             .binary_search(&v)
             .is_ok();
         let (sv, lv) = (self.owner(v), self.local(v));
-        let shard = &mut self.shards[sv];
-        let evict = match shard.floors[lv] {
+        let list = &mut self.shards[sv].lists[lv];
+        let evict = match list.floor() {
             _ if member => None,
             Some(f) if !outranks(s, u, f.sim, f.user) => return,
             floor => floor.map(|f| f.user),
         };
-        shard.floors[lv] = shard.lists[lv].upsert(u, s, evict);
+        list.upsert(u, s, evict);
         self.mark(v);
         if !member {
             self.rev_insert(u, v);
@@ -417,7 +413,7 @@ impl ShardSet {
     /// raise resident memory.
     fn replace_list(&mut self, u: u32, fresh: &TopK) {
         let (su, lu) = (self.owner(u), self.local(u));
-        let old: Vec<u32> = self.list(u).users().collect();
+        let old = self.list(u).users().to_vec();
         for &w in &old {
             if !fresh.users().any(|x| x == w) {
                 self.rev_remove(w, u);
@@ -428,9 +424,7 @@ impl ShardSet {
                 self.rev_insert(w, u);
             }
         }
-        let shard = &mut self.shards[su];
-        shard.lists[lu].refill(fresh.entries());
-        shard.floors[lu] = floor_of(&shard.lists[lu]);
+        self.shards[su].lists[lu].refill(fresh.entries());
         self.mark(u);
     }
 
@@ -445,14 +439,6 @@ impl ShardSet {
         let (s, l) = (self.owner(u), self.local(u));
         sorted_remove(&mut self.shards[s].rev[l], w);
     }
-}
-
-/// A list's floor as `(sim, user)`: see [`NeighborList::floor`].
-fn floor_of(list: &NeighborList) -> Option<Scored> {
-    list.floor().map(|e| Scored {
-        sim: e.sim,
-        user: e.user,
-    })
 }
 
 #[cfg(test)]
@@ -485,7 +471,7 @@ mod tests {
     fn rev_invariant(set: &ShardSet) {
         let mut expect = vec![Vec::new(); set.n_users()];
         for u in 0..set.n_users() as u32 {
-            for v in set.list(u).users() {
+            for &v in set.list(u).users() {
                 expect[v as usize].push(u);
             }
         }
@@ -498,11 +484,6 @@ mod tests {
                 shard.reverse(set.local(u)),
                 &expect[u as usize][..],
                 "reverse index out of sync for user {u}"
-            );
-            assert_eq!(
-                shard.floors[set.local(u)],
-                floor_of(set.list(u)),
-                "cached floor out of sync for user {u}"
             );
         }
     }

@@ -26,12 +26,12 @@
 //! than silently falling back. The chosen kernel's [`SimKernel::name`] is
 //! recorded in JSON run reports by `goldfinger-bench`.
 //!
-//! Besides the pairwise kernels, each variant carries *batched* entry
-//! points: contiguous-block scans (`*_count_batch`) and scattered row
-//! gathers (`*_counts_gather`) that walk an arena by `(stride, id)` with a
-//! software prefetch of the next gathered row — candidate lists produced by
-//! NNDescent/Hyrec joins and LSH buckets are scattered, and prefetching the
-//! next row while popcounting the current one hides the gather latency.
+//! Besides the pairwise kernels, each variant carries one *batched* entry
+//! point: a scattered row gather (`and_counts_gather`) that walks an arena
+//! by `(stride, id)` with a software prefetch of the next gathered row —
+//! candidate lists produced by NNDescent/Hyrec joins and LSH buckets are
+//! scattered, and prefetching the next row while popcounting the current
+//! one hides the gather latency.
 //! [`stats`] counts batched calls/rows process-wide so run reports can show
 //! how much traffic went through the batched paths.
 
@@ -54,12 +54,9 @@ use std::sync::OnceLock;
 /// Contracts (checked by debug assertions and property tests):
 /// - `and_count(a, b)` == `popcount(a & b)`; slices must have equal length;
 /// - `or_count(a, b)` == `popcount(a | b)`;
-/// - `and_count_batch(query, block, counts)` treats `block` as
-///   `counts.len()` back-to-back rows of `query.len()` words;
 /// - `and_counts_gather(query, data, stride, ids, counts)` reads row `id`
 ///   at `data[id * stride .. id * stride + query.len()]` (so `stride` may
-///   exceed the logical width — padded arenas);
-/// - `or_count_batch` / `or_counts_gather` mirror the `and` forms.
+///   exceed the logical width — padded arenas).
 #[derive(Clone, Copy)]
 pub struct SimKernel {
     /// Kernel name as accepted by `GF_KERNEL` and reported in run reports.
@@ -68,14 +65,8 @@ pub struct SimKernel {
     pub and_count: fn(&[u64], &[u64]) -> u32,
     /// `popcount(a OR b)` over equal-length word slices.
     pub or_count: fn(&[u64], &[u64]) -> u32,
-    /// Batched `popcount(query AND row_i)` over a contiguous block.
-    pub and_count_batch: fn(&[u64], &[u64], &mut [u32]),
-    /// Batched `popcount(query OR row_i)` over a contiguous block.
-    pub or_count_batch: fn(&[u64], &[u64], &mut [u32]),
     /// Gathered `popcount(query AND row(ids[i]))` with next-row prefetch.
     pub and_counts_gather: GatherFn,
-    /// Gathered `popcount(query OR row(ids[i]))` with next-row prefetch.
-    pub or_counts_gather: GatherFn,
 }
 
 /// Signature of the gathered entry points:
@@ -93,10 +84,7 @@ static SCALAR: SimKernel = SimKernel {
     name: "scalar",
     and_count: scalar::and_count,
     or_count: scalar::or_count,
-    and_count_batch: scalar::and_count_batch,
-    or_count_batch: scalar::or_count_batch,
     and_counts_gather: scalar::and_counts_gather,
-    or_counts_gather: scalar::or_counts_gather,
 };
 
 /// Every kernel variant the running host supports, best first. `scalar` is
@@ -318,22 +306,11 @@ mod tests {
         let query = pattern(bits, 9);
         let rows: Vec<BitArray> = (0..7).map(|s| pattern(bits, s)).collect();
         let mut padded = vec![0u64; stride * rows.len()];
-        let mut contiguous = Vec::new();
         for (i, r) in rows.iter().enumerate() {
             padded[i * stride..i * stride + w].copy_from_slice(r.words());
-            contiguous.extend_from_slice(r.words());
         }
         let ids: Vec<u32> = [3u32, 0, 6, 1, 1, 5].to_vec();
         for k in available() {
-            let mut batch = vec![0u32; rows.len()];
-            (k.and_count_batch)(query.words(), &contiguous, &mut batch);
-            for (i, r) in rows.iter().enumerate() {
-                assert_eq!(batch[i], query.and_count(r), "{} batch row {i}", k.name);
-            }
-            (k.or_count_batch)(query.words(), &contiguous, &mut batch);
-            for (i, r) in rows.iter().enumerate() {
-                assert_eq!(batch[i], query.or_count(r), "{} or-batch row {i}", k.name);
-            }
             let mut gathered = vec![0u32; ids.len()];
             (k.and_counts_gather)(query.words(), &padded, stride, &ids, &mut gathered);
             for (j, &id) in ids.iter().enumerate() {
@@ -341,15 +318,6 @@ mod tests {
                     gathered[j],
                     query.and_count(&rows[id as usize]),
                     "{} gather id {id}",
-                    k.name
-                );
-            }
-            (k.or_counts_gather)(query.words(), &padded, stride, &ids, &mut gathered);
-            for (j, &id) in ids.iter().enumerate() {
-                assert_eq!(
-                    gathered[j],
-                    query.or_count(&rows[id as usize]),
-                    "{} or-gather id {id}",
                     k.name
                 );
             }

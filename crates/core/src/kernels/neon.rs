@@ -14,10 +14,7 @@ pub(super) static NEON: SimKernel = SimKernel {
     name: "neon",
     and_count: neon_and_count,
     or_count: neon_or_count,
-    and_count_batch: neon_and_count_batch,
-    or_count_batch: neon_or_count_batch,
     and_counts_gather: neon_and_counts_gather,
-    or_counts_gather: neon_or_counts_gather,
 };
 
 macro_rules! neon_pair {
@@ -53,34 +50,22 @@ macro_rules! neon_pair {
 neon_pair!(neon_and_count, &, vandq_u64);
 neon_pair!(neon_or_count, |, vorrq_u64);
 
-macro_rules! neon_loops {
-    ($batch:ident, $gather:ident, $pair:ident) => {
-        fn $batch(query: &[u64], block: &[u64], counts: &mut [u32]) {
-            let w = query.len();
-            debug_assert_eq!(block.len(), w * counts.len());
-            if w == 0 {
-                counts.fill(0);
-                return;
-            }
-            for (fp, out) in block.chunks_exact(w).zip(counts.iter_mut()) {
-                *out = $pair(query, fp);
-            }
+/// Gathered `popcount(query AND row(ids[i]))` with next-row prefetch.
+fn neon_and_counts_gather(
+    query: &[u64],
+    data: &[u64],
+    stride: usize,
+    ids: &[u32],
+    counts: &mut [u32],
+) {
+    let w = query.len();
+    debug_assert!(stride >= w);
+    debug_assert_eq!(ids.len(), counts.len());
+    for (i, (&id, out)) in ids.iter().zip(counts.iter_mut()).enumerate() {
+        if let Some(&next) = ids.get(i + 1) {
+            prefetch(data, next as usize * stride);
         }
-
-        fn $gather(query: &[u64], data: &[u64], stride: usize, ids: &[u32], counts: &mut [u32]) {
-            let w = query.len();
-            debug_assert!(stride >= w);
-            debug_assert_eq!(ids.len(), counts.len());
-            for (i, (&id, out)) in ids.iter().zip(counts.iter_mut()).enumerate() {
-                if let Some(&next) = ids.get(i + 1) {
-                    prefetch(data, next as usize * stride);
-                }
-                let start = id as usize * stride;
-                *out = $pair(query, &data[start..start + w]);
-            }
-        }
-    };
+        let start = id as usize * stride;
+        *out = neon_and_count(query, &data[start..start + w]);
+    }
 }
-
-neon_loops!(neon_and_count_batch, neon_and_counts_gather, neon_and_count);
-neon_loops!(neon_or_count_batch, neon_or_counts_gather, neon_or_count);

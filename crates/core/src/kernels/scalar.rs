@@ -2,7 +2,7 @@
 //! every target and the baseline every SIMD variant must match bit for bit.
 
 use super::prefetch;
-use crate::bits::{and_count_words, and_count_words_batch, or_count_words, or_count_words_batch};
+use crate::bits::{and_count_words, or_count_words};
 
 pub(super) fn and_count(a: &[u64], b: &[u64]) -> u32 {
     and_count_words(a, b)
@@ -12,45 +12,15 @@ pub(super) fn or_count(a: &[u64], b: &[u64]) -> u32 {
     or_count_words(a, b)
 }
 
-pub(super) fn and_count_batch(query: &[u64], block: &[u64], counts: &mut [u32]) {
-    and_count_words_batch(query, block, counts);
-}
-
-pub(super) fn or_count_batch(query: &[u64], block: &[u64], counts: &mut [u32]) {
-    or_count_words_batch(query, block, counts);
-}
-
+/// Gather loop: popcount the current row while the next gathered row is
+/// being prefetched (scattered ids are the access pattern of join
+/// candidate lists, so the hardware prefetcher cannot help here).
 pub(super) fn and_counts_gather(
     query: &[u64],
     data: &[u64],
     stride: usize,
     ids: &[u32],
     counts: &mut [u32],
-) {
-    gather(query, data, stride, ids, counts, and_count_words);
-}
-
-pub(super) fn or_counts_gather(
-    query: &[u64],
-    data: &[u64],
-    stride: usize,
-    ids: &[u32],
-    counts: &mut [u32],
-) {
-    gather(query, data, stride, ids, counts, or_count_words);
-}
-
-/// Shared gather loop: popcount the current row while the next gathered row
-/// is being prefetched (scattered ids are the access pattern of join
-/// candidate lists, so the hardware prefetcher cannot help here).
-#[inline(always)]
-fn gather(
-    query: &[u64],
-    data: &[u64],
-    stride: usize,
-    ids: &[u32],
-    counts: &mut [u32],
-    pair: fn(&[u64], &[u64]) -> u32,
 ) {
     let w = query.len();
     debug_assert!(stride >= w);
@@ -60,6 +30,6 @@ fn gather(
             prefetch(data, next as usize * stride);
         }
         let start = id as usize * stride;
-        *out = pair(query, &data[start..start + w]);
+        *out = and_count_words(query, &data[start..start + w]);
     }
 }

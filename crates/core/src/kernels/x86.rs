@@ -26,10 +26,7 @@ pub(super) static POPCNT: SimKernel = SimKernel {
     name: "popcnt",
     and_count: pc_and_count,
     or_count: pc_or_count,
-    and_count_batch: pc_and_count_batch,
-    or_count_batch: pc_or_count_batch,
     and_counts_gather: pc_and_counts_gather,
-    or_counts_gather: pc_or_counts_gather,
 };
 
 /// Kernel using 256-bit `vpshufb` nibble-LUT popcount. Requires `avx2`
@@ -38,10 +35,7 @@ pub(super) static AVX2: SimKernel = SimKernel {
     name: "avx2",
     and_count: avx2_and_count,
     or_count: avx2_or_count,
-    and_count_batch: avx2_and_count_batch,
-    or_count_batch: avx2_or_count_batch,
     and_counts_gather: avx2_and_counts_gather,
-    or_counts_gather: avx2_or_counts_gather,
 };
 
 // ---- POPCNT variant ----------------------------------------------------
@@ -143,23 +137,10 @@ macro_rules! avx2_pair {
 avx2_pair!(avx2_and_pair, &, _mm256_and_si256);
 avx2_pair!(avx2_or_pair, |, _mm256_or_si256);
 
-// ---- batch / gather loops, specialized per feature level ---------------
+// ---- gather loops, specialized per feature level ----------------------
 
-macro_rules! feature_loops {
-    ($batch:ident, $gather:ident, $pair:ident, $($feat:literal),+) => {
-        #[target_feature($(enable = $feat),+)]
-        unsafe fn $batch(query: &[u64], block: &[u64], counts: &mut [u32]) {
-            let w = query.len();
-            debug_assert_eq!(block.len(), w * counts.len());
-            if w == 0 {
-                counts.fill(0);
-                return;
-            }
-            for (fp, out) in block.chunks_exact(w).zip(counts.iter_mut()) {
-                *out = $pair(query, fp);
-            }
-        }
-
+macro_rules! feature_gather {
+    ($gather:ident, $pair:ident, $($feat:literal),+) => {
         #[target_feature($(enable = $feat),+)]
         unsafe fn $gather(
             query: &[u64],
@@ -182,22 +163,8 @@ macro_rules! feature_loops {
     };
 }
 
-feature_loops!(pc_and_batch, pc_and_gather, pc_and_pair, "popcnt");
-feature_loops!(pc_or_batch, pc_or_gather, pc_or_pair, "popcnt");
-feature_loops!(
-    avx2_and_batch,
-    avx2_and_gather,
-    avx2_and_pair,
-    "avx2",
-    "popcnt"
-);
-feature_loops!(
-    avx2_or_batch,
-    avx2_or_gather,
-    avx2_or_pair,
-    "avx2",
-    "popcnt"
-);
+feature_gather!(pc_and_gather, pc_and_pair, "popcnt");
+feature_gather!(avx2_and_gather, avx2_and_pair, "avx2", "popcnt");
 
 // ---- safe vtable entry points ------------------------------------------
 //
@@ -213,14 +180,6 @@ macro_rules! safe_pair {
     };
 }
 
-macro_rules! safe_batch {
-    ($name:ident, $inner:ident) => {
-        fn $name(query: &[u64], block: &[u64], counts: &mut [u32]) {
-            unsafe { $inner(query, block, counts) }
-        }
-    };
-}
-
 macro_rules! safe_gather {
     ($name:ident, $inner:ident) => {
         fn $name(query: &[u64], data: &[u64], stride: usize, ids: &[u32], counts: &mut [u32]) {
@@ -231,14 +190,8 @@ macro_rules! safe_gather {
 
 safe_pair!(pc_and_count, pc_and_pair);
 safe_pair!(pc_or_count, pc_or_pair);
-safe_batch!(pc_and_count_batch, pc_and_batch);
-safe_batch!(pc_or_count_batch, pc_or_batch);
 safe_gather!(pc_and_counts_gather, pc_and_gather);
-safe_gather!(pc_or_counts_gather, pc_or_gather);
 
 safe_pair!(avx2_and_count, avx2_and_pair);
 safe_pair!(avx2_or_count, avx2_or_pair);
-safe_batch!(avx2_and_count_batch, avx2_and_batch);
-safe_batch!(avx2_or_count_batch, avx2_or_batch);
 safe_gather!(avx2_and_counts_gather, avx2_and_gather);
-safe_gather!(avx2_or_counts_gather, avx2_or_gather);

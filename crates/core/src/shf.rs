@@ -764,19 +764,6 @@ impl ShfStore {
         kernels::note_batched(ids.len());
     }
 
-    /// Batched `|B_u ∨ B_id|` — the union-side mirror of
-    /// [`ShfStore::and_counts_gather`], for `jaccard_via_or` ablations.
-    ///
-    /// # Panics
-    /// Panics if `ids.len() != counts.len()` or any id is out of range.
-    #[inline]
-    pub fn or_counts_gather(&self, u: u32, ids: &[u32], counts: &mut [u32]) {
-        assert_eq!(ids.len(), counts.len());
-        let query = self.fingerprint_words(u);
-        (kernels::active().or_counts_gather)(query, &self.data, self.row_words, ids, counts);
-        kernels::note_batched(ids.len());
-    }
-
     /// Query-major batched Jaccard (Eq. 4): estimates `Ĵ(u, id)` for every
     /// id, fusing the gather-popcount with the division so callers never
     /// see intermediate counts. Works in fixed-size stack chunks — no
@@ -828,10 +815,9 @@ impl ShfStore {
     /// Copies the contiguous user range `lo..hi` into its own store — the
     /// shard-slice constructor of the serving layer: each shard owns the
     /// aligned arena rows (and cached cardinalities) of its users and
-    /// mutates them through [`ShfStore::set_fingerprint`] /
-    /// [`ShfStore::insert_items`] without touching any other shard's
-    /// slice. Rows are cache-line aligned in the slice exactly as in the
-    /// parent, so batched kernels work unchanged.
+    /// mutates them through [`ShfStore::apply_deltas`] without touching
+    /// any other shard's slice. Rows are cache-line aligned in the slice
+    /// exactly as in the parent, so batched kernels work unchanged.
     ///
     /// # Panics
     /// Panics if `lo > hi` or `hi > len()`.
@@ -882,11 +868,6 @@ impl ShfStore {
         }
         self.cards[u as usize] += added;
         added
-    }
-
-    /// [`ShfStore::apply_delta`] under its historical name.
-    pub fn insert_items<H: ItemHasher>(&mut self, u: u32, items: &[ItemId], hasher: &H) -> u32 {
-        self.apply_delta(u, items, hasher)
     }
 
     /// Applies a batch of deltas: hashes every delta's items in parallel
@@ -1272,12 +1253,9 @@ mod tests {
         // Repeats, non-monotonic order, and more ids than one gather chunk.
         let ids: Vec<u32> = (0..150u32).map(|i| (i * 13) % 37).collect();
         let mut and_counts = vec![0u32; ids.len()];
-        let mut or_counts = vec![0u32; ids.len()];
         store.and_counts_gather(5, &ids, &mut and_counts);
-        store.or_counts_gather(5, &ids, &mut or_counts);
-        for (&v, (&a, &o)) in ids.iter().zip(and_counts.iter().zip(&or_counts)) {
+        for (&v, &a) in ids.iter().zip(&and_counts) {
             assert_eq!(a, store.get(5).bits().and_count(store.get(v).bits()));
-            assert_eq!(o, store.get(5).bits().or_count(store.get(v).bits()));
         }
     }
 
@@ -1346,14 +1324,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_items_matches_extract_modify_write() {
+    fn apply_delta_matches_extract_modify_write() {
         let p = params(256);
         let profiles =
             ProfileStore::from_item_lists(vec![(0..40).collect(), (10..60).collect(), vec![]]);
         let mut delta = p.fingerprint_store(&profiles);
         let mut reference = delta.clone();
         let fresh: Vec<u32> = (1000..1030).chain(0..5).collect(); // new + colliding
-        let added = delta.insert_items(1, &fresh, p.hasher());
+        let added = delta.apply_delta(1, &fresh, p.hasher());
         // Reference path: extract, fold one by one, write back.
         let mut shf = reference.get(1);
         let mut expect_added = 0;
@@ -1369,7 +1347,7 @@ mod tests {
         assert_eq!(delta.cardinality(1), reference.cardinality(1));
         // Untouched rows stay untouched; re-inserting is a no-op.
         assert_eq!(delta.fingerprint_words(0), reference.fingerprint_words(0));
-        assert_eq!(delta.insert_items(1, &fresh, p.hasher()), 0);
+        assert_eq!(delta.apply_delta(1, &fresh, p.hasher()), 0);
     }
 
     #[test]

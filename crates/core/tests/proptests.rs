@@ -151,23 +151,13 @@ proptest! {
                     "{} or_count at {} bits", kernel.name, bits
                 );
             }
-            // Batched and gathered (stride = width: dense block) entry
-            // points, element-wise against the pairwise results.
-            let mut and_batch = vec![0u32; fps.len()];
-            let mut or_batch = vec![0u32; fps.len()];
+            // The gathered entry point (stride = width: dense block),
+            // element-wise against the pairwise results.
             let mut and_gather = vec![0u32; fps.len()];
-            let mut or_gather = vec![0u32; fps.len()];
-            (kernel.and_count_batch)(query.words(), &block, &mut and_batch);
-            (kernel.or_count_batch)(query.words(), &block, &mut or_batch);
             (kernel.and_counts_gather)(query.words(), &block, w, &ids, &mut and_gather);
-            (kernel.or_counts_gather)(query.words(), &block, w, &ids, &mut or_gather);
             for (i, fp) in fps.iter().enumerate() {
                 let and_want = and_count_words_lut(query.words(), fp.words());
-                let or_want = or_count_words(query.words(), fp.words());
-                prop_assert_eq!(and_batch[i], and_want, "{} and_batch", kernel.name);
-                prop_assert_eq!(or_batch[i], or_want, "{} or_batch", kernel.name);
                 prop_assert_eq!(and_gather[i], and_want, "{} and_gather", kernel.name);
-                prop_assert_eq!(or_gather[i], or_want, "{} or_gather", kernel.name);
             }
         }
         // The module-level one-word fast path agrees too when applicable.

@@ -21,22 +21,21 @@
 //!   of allocations however large the item universe is (the crate's
 //!   `IdSets`, which also holds NNDescent's join plans).
 //! - **Per-user scan** (the join): each user counts co-ratings over its
-//!   items' rater lists, keeps the top `candidate_factor · k` candidates by
-//!   `(count desc, id asc)` with a linear-time selection followed by a sort
-//!   of the survivors only, and scores them in one batched call. Every scan
-//!   is self-contained (per-worker counts and buffers), so users are handed
-//!   to [`Kiff::threads`] workers with dynamic scheduling and the lists are
-//!   scattered back by user id: the graph and the evaluation count are
-//!   bit-identical to the serial build at any thread count.
+//!   items' rater lists and keeps the top `candidate_factor · k`
+//!   candidates by `(count desc, id asc)` with a linear-time selection
+//!   followed by a sort of the survivors only. That shortlist is all KIFF
+//!   supplies to the per-user scan shared with LSH (`knn::userscan`),
+//!   which scores it in one batched call on [`Kiff::threads`] workers,
+//!   each with its own O(n) count array: the graph and the evaluation
+//!   count are bit-identical to the serial build at any thread count.
 
-use crate::graph::{BuildStats, KnnGraph, KnnResult};
+use crate::graph::KnnResult;
 use crate::idsets::IdSets;
-use goldfinger_core::parallel::par_fold_dynamic;
+use crate::userscan::scan_all_users;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
-use goldfinger_core::topk::{Scored, TopK};
 use goldfinger_obs::trace;
-use goldfinger_obs::{BuildObserver, IterationEvent, NoopObserver, Phase};
+use goldfinger_obs::{BuildObserver, NoopObserver, Phase};
 use std::time::Instant;
 
 /// KIFF parameters.
@@ -107,15 +106,47 @@ fn shortlist(candidates: &mut Vec<u32>, count: &mut [u32], keys: &mut Vec<u64>, 
     candidates.extend(keys.iter().map(|&k| k as u32));
 }
 
-/// One scan worker's scratch and output.
-struct ScanSlot {
+/// Counts `u`'s co-ratings over the rater lists of its `items` (lists
+/// longer than `degree_cap` skipped) into `count`, appending each
+/// co-rater to `candidates` at its first co-rated item.
+///
+/// Kept out of line on purpose: this is KIFF's hot loop, and inlined
+/// into the per-user scan's closure its code shape followed the
+/// surrounding inlining; dense builds were seen to run ~8% slower that
+/// way on a 2-vCPU x86-64 host.
+#[inline(never)]
+fn count_co_raters(
+    index: &IdSets,
+    u: u32,
+    items: &[u32],
+    degree_cap: usize,
+    count: &mut [u32],
+    candidates: &mut Vec<u32>,
+) {
+    for &i in items {
+        let raters = index.get(i as usize);
+        if raters.len() > degree_cap {
+            continue;
+        }
+        for &v in raters {
+            if v == u {
+                continue;
+            }
+            // A zero count marks a candidate's first co-rated item.
+            let c = &mut count[v as usize];
+            if *c == 0 {
+                candidates.push(v);
+            }
+            *c += 1;
+        }
+    }
+}
+
+/// One scan worker's scratch.
+struct Scratch {
     /// Co-rating counts; zero outside the current user's scan.
     count: Vec<u32>,
-    candidates: Vec<u32>,
     keys: Vec<u64>,
-    sims: Vec<f64>,
-    evals: u64,
-    out: Vec<(u32, Vec<Scored>)>,
 }
 
 impl Kiff {
@@ -142,6 +173,8 @@ impl Kiff {
     /// scoring ([`Phase::Join`]), and a single [`IterationEvent`] with the
     /// final counters. Observation never changes the output; with the
     /// default [`NoopObserver`] the hooks compile to nothing.
+    ///
+    /// [`IterationEvent`]: goldfinger_obs::IterationEvent
     ///
     /// # Panics
     /// Same contract as [`Kiff::build`].
@@ -182,96 +215,31 @@ impl Kiff {
         let degree_cap = self.max_item_degree.unwrap_or(usize::MAX);
         let budget = self.candidate_factor * k;
 
-        let score_start = O::ENABLED.then(Instant::now);
-        let score_trace = trace::span("phase", "join");
-        let states = par_fold_dynamic(
-            n,
+        scan_all_users(
+            sim,
+            k,
             self.threads,
-            32,
-            |_| ScanSlot {
+            obs,
+            start,
+            || Scratch {
                 count: vec![0; n],
-                candidates: Vec::new(),
                 keys: Vec::new(),
-                sims: Vec::new(),
-                evals: 0,
-                out: Vec::new(),
             },
-            |slot: &mut ScanSlot, u| {
-                let u = u as u32;
-                // A zero count marks a candidate's first co-rated item.
-                slot.candidates.clear();
-                for &i in profiles.items(u) {
-                    let raters = index.get(i as usize);
-                    if raters.len() > degree_cap {
-                        continue;
-                    }
-                    for &v in raters {
-                        if v == u {
-                            continue;
-                        }
-                        let c = &mut slot.count[v as usize];
-                        if *c == 0 {
-                            slot.candidates.push(v);
-                        }
-                        *c += 1;
-                    }
-                }
+            |w, u, candidates| {
+                count_co_raters(
+                    &index,
+                    u,
+                    profiles.items(u),
+                    degree_cap,
+                    &mut w.count,
+                    candidates,
+                );
                 // Spend similarity evaluations on the best `budget`
                 // candidates by co-rating count (ties: lower id first),
-                // scored in one batched call (the gather kernel for
-                // fingerprint providers) and offered in ranked order.
-                shortlist(
-                    &mut slot.candidates,
-                    &mut slot.count,
-                    &mut slot.keys,
-                    budget,
-                );
-                slot.evals += slot.candidates.len() as u64;
-                slot.sims.clear();
-                slot.sims.resize(slot.candidates.len(), 0.0);
-                sim.similarity_batch(u, &slot.candidates, &mut slot.sims);
-                let mut top = TopK::new(k);
-                for (&v, &s) in slot.candidates.iter().zip(&slot.sims) {
-                    top.offer(s, v);
-                }
-                slot.out.push((u, top.into_sorted()));
+                // which the scan scores and offers in ranked order.
+                shortlist(candidates, &mut w.count, &mut w.keys, budget);
             },
-        );
-        let mut evals = 0u64;
-        let mut neighbors = vec![Vec::new(); n];
-        for slot in states {
-            evals += slot.evals;
-            for (u, list) in slot.out {
-                neighbors[u as usize] = list;
-            }
-        }
-        drop(score_trace);
-
-        let wall = start.elapsed();
-        if O::ENABLED {
-            if let Some(t) = score_start {
-                obs.on_span(Phase::Join, t.elapsed());
-            }
-            obs.on_iteration(IterationEvent {
-                iteration: 1,
-                similarity_evals: evals,
-                pruned_evals: 0,
-                updates: 0,
-                threshold: 0.0,
-                wall,
-            });
-        }
-
-        KnnResult {
-            graph: KnnGraph::from_lists(k, neighbors),
-            stats: BuildStats {
-                similarity_evals: evals,
-                pruned_evals: 0,
-                iterations: 1,
-                wall,
-                ..BuildStats::default()
-            },
-        }
+        )
     }
 }
 

@@ -61,6 +61,7 @@ pub mod oplog;
 mod partials;
 pub mod serve;
 pub mod shard;
+mod userscan;
 
 pub use analysis::{degree_stats, edge_overlap, in_degrees, reverse_graph, DegreeStats};
 // Observability: every builder also has a `build_observed` variant taking a

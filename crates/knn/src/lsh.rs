@@ -11,17 +11,29 @@
 //! reduced by GoldFinger, which is exactly why the paper observes little
 //! GoldFinger speedup for LSH on sparse datasets (bucketing dominates):
 //! only the in-bucket similarity evaluations go through the provider.
+//!
+//! `BucketIndex` is the crate's one LSH bucket index, shared with the
+//! out-of-core build ([`crate::oocbuild`]), which keeps it on the spill
+//! backend instead of the heap. It has two parts: a user-major key arena,
+//! `keys[u·tables + t]`, where each user's key for each table is computed
+//! once; and per table, the `(key, user)` pairs sorted by key (ties by
+//! user), so a bucket is the run of equal keys found by binary search, its
+//! users in ascending id order. A user's candidates are its bucket mates
+//! across the tables in table order, deduplicated with a visit stamp, and
+//! are scored by the shared per-user scan (`knn::userscan`).
 
-use crate::graph::{BuildStats, KnnGraph, KnnResult};
+use crate::graph::KnnResult;
+use crate::userscan::scan_all_users;
+use goldfinger_core::arena::ArenaBackend;
 use goldfinger_core::hash::splitmix64_mix;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
-use goldfinger_core::topk::TopK;
 use goldfinger_core::visit::VisitStamp;
 use goldfinger_obs::trace;
-use goldfinger_obs::{BuildObserver, IterationEvent, NoopObserver, Phase};
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use goldfinger_obs::{BuildObserver, NoopObserver, Phase};
+use std::io;
+use std::path::Path;
+use std::time::Instant;
 
 /// LSH parameters. The paper uses 10 hash functions (§3.3).
 #[derive(Debug, Clone, Copy)]
@@ -47,10 +59,6 @@ impl Default for Lsh {
 }
 
 /// Derives table `t`'s MinHash permutation seed from the build seed.
-///
-/// Public because the out-of-core pipeline ([`crate::oocbuild`]) must
-/// reproduce the exact same bucketing to stay bit-identical to
-/// [`Lsh::build`].
 #[inline]
 pub fn table_seed(seed: u64, t: usize) -> u64 {
     splitmix64_mix(seed ^ (t as u64).wrapping_mul(0x9E37))
@@ -64,6 +72,136 @@ pub fn bucket_key(items: &[u32], table_seed: u64) -> Option<u64> {
         .iter()
         .map(|&i| splitmix64_mix(i as u64 ^ table_seed))
         .min()
+}
+
+/// Writes a profile's key for each table into its `slots` of the key
+/// arena; an empty profile leaves them untouched.
+pub(crate) fn write_keys(items: &[u32], seed: u64, slots: &mut [u64]) {
+    for (t, slot) in slots.iter_mut().enumerate() {
+        if let Some(key) = bucket_key(items, table_seed(seed, t)) {
+            *slot = key;
+        }
+    }
+}
+
+/// A zeroed arena of `len` words: spilled to `name` under `spill_dir`
+/// when one is given, on the heap otherwise.
+pub(crate) fn arena(spill_dir: Option<&Path>, name: &str, len: usize) -> io::Result<ArenaBackend> {
+    match spill_dir {
+        Some(dir) => ArenaBackend::spill(&dir.join(name), len),
+        None => Ok(ArenaBackend::heap(len)),
+    }
+}
+
+/// The LSH bucket index (see the module docs).
+pub(crate) struct BucketIndex {
+    tables: usize,
+    /// Per-table keys, user-major: `keys[u * tables + t]` (zero for a user
+    /// with an empty profile, which hashes nowhere).
+    keys: ArenaBackend,
+    /// Per table, aligned arrays of the `(key, user)` pairs of every user
+    /// with a non-empty profile, sorted by key, then user.
+    sorted_keys: Vec<ArenaBackend>,
+    sorted_users: Vec<ArenaBackend>,
+}
+
+impl BucketIndex {
+    /// The heap index of an in-memory population.
+    pub(crate) fn in_ram(profiles: &ProfileStore, tables: usize, seed: u64) -> Self {
+        let mut keys = ArenaBackend::heap(profiles.n_users() * tables);
+        for ((_, items), slots) in profiles.iter().zip(keys.chunks_mut(tables)) {
+            write_keys(items, seed, slots);
+        }
+        Self::sort(keys, tables, |u| !profiles.items(u).is_empty(), None)
+            .expect("heap arenas do not fail")
+    }
+
+    /// Sorts the bucket runs of a filled key arena. `live(u)` says whether
+    /// user `u` has a non-empty profile; the sorted arrays go on the
+    /// backend [`arena`] picks for `spill_dir`, one table at a time, so the
+    /// transient sort buffer holds one table's pairs.
+    pub(crate) fn sort(
+        keys: ArenaBackend,
+        tables: usize,
+        live: impl Fn(u32) -> bool,
+        spill_dir: Option<&Path>,
+    ) -> io::Result<Self> {
+        let n = keys.len() / tables;
+        let mut sorted_keys = Vec::with_capacity(tables);
+        let mut sorted_users = Vec::with_capacity(tables);
+        for t in 0..tables {
+            let mut pairs: Vec<(u64, u32)> = (0..n as u32)
+                .filter(|&u| live(u))
+                .map(|u| (keys[u as usize * tables + t], u))
+                .collect();
+            // Stable by key: users enter in id order and keep it per run.
+            pairs.sort_by_key(|&(key, _)| key);
+            let mut ks = arena(spill_dir, &format!("index-keys-{t}.words"), pairs.len())?;
+            let mut us = arena(spill_dir, &format!("index-users-{t}.words"), pairs.len())?;
+            for ((k, u), &(key, user)) in ks.iter_mut().zip(us.iter_mut()).zip(&pairs) {
+                *k = key;
+                *u = u64::from(user);
+            }
+            ks.sync()?;
+            us.sync()?;
+            sorted_keys.push(ks);
+            sorted_users.push(us);
+        }
+        Ok(BucketIndex {
+            tables,
+            keys,
+            sorted_keys,
+            sorted_users,
+        })
+    }
+
+    /// Appends `u`'s bucket mates to `out`: across the tables in table
+    /// order, each bucket's users in id order, first occurrences only, `u`
+    /// itself never. A bucket of more than `max_bucket` users is skipped
+    /// (`0` = no cap). `u` must have a non-empty profile.
+    pub(crate) fn bucket_mates(
+        &self,
+        u: u32,
+        max_bucket: usize,
+        stamp: &mut VisitStamp,
+        out: &mut Vec<u32>,
+    ) {
+        stamp.next_round();
+        stamp.mark(u as usize);
+        let keys = &self.keys[u as usize * self.tables..][..self.tables];
+        for ((&key, sk), su) in keys.iter().zip(&self.sorted_keys).zip(&self.sorted_users) {
+            // Both searches span the whole table, so their first probes hit
+            // the same few cached words for every user; a search over the
+            // tail past `start` would miss on nearly every probe.
+            let start = sk.partition_point(|&x| x < key);
+            let end = sk.partition_point(|&x| x <= key);
+            if max_bucket != 0 && end - start > max_bucket {
+                continue; // capped: this bucket is too hot to scan
+            }
+            for &v in &su[start..end] {
+                if stamp.mark(v as usize) {
+                    out.push(v as u32);
+                }
+            }
+        }
+    }
+
+    /// Every arena of the index.
+    fn arenas(&self) -> impl Iterator<Item = &ArenaBackend> {
+        std::iter::once(&self.keys)
+            .chain(&self.sorted_keys)
+            .chain(&self.sorted_users)
+    }
+
+    /// Words held by the index's arenas.
+    pub(crate) fn words(&self) -> usize {
+        self.arenas().map(|a| a.len()).sum()
+    }
+
+    /// Evicts the index's resident spill pages (a no-op on the heap).
+    pub(crate) fn advise_cold(&self) -> io::Result<()> {
+        self.arenas().try_for_each(|a| a.advise_cold(0, a.len()))
+    }
 }
 
 impl Lsh {
@@ -92,6 +230,8 @@ impl Lsh {
     /// counters. Observation never changes the output; with the default
     /// [`NoopObserver`] the hooks compile to nothing.
     ///
+    /// [`IterationEvent`]: goldfinger_obs::IterationEvent
+    ///
     /// # Panics
     /// Same contract as [`Lsh::build`].
     pub fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
@@ -114,118 +254,26 @@ impl Lsh {
         // Bucketing: the expensive, GoldFinger-immune phase.
         let bucket_start = O::ENABLED.then(Instant::now);
         let bucket_trace = trace::span("phase", "candidate_generation");
-        let mut tables: Vec<HashMap<u64, Vec<u32>>> = Vec::with_capacity(self.tables);
-        for t in 0..self.tables {
-            let ts = table_seed(self.seed, t);
-            let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-            for (u, items) in profiles.iter() {
-                // A user with no item hashes nowhere.
-                let Some(key) = bucket_key(items, ts) else {
-                    continue;
-                };
-                buckets.entry(key).or_default().push(u);
-            }
-            tables.push(buckets);
-        }
-
+        let index = BucketIndex::in_ram(profiles, self.tables, self.seed);
         drop(bucket_trace);
         if let Some(t) = bucket_start {
             obs.on_span(Phase::CandidateGeneration, t.elapsed());
         }
 
-        // Candidate scan: same-bucket users, deduplicated with stamps. Each
-        // user's scan is self-contained (private stamp array + top-k), so
-        // users are handed to threads with dynamic scheduling — bucket sizes
-        // are skewed, which is exactly what stealing smooths out — and the
-        // per-user results are scattered back by user id. The graph is
-        // bit-identical to the serial scan for any thread count (the
-        // `threads` field), at the price of one O(n) stamp array per thread.
-        let scan_start = O::ENABLED.then(Instant::now);
-        let scan_trace = trace::span("phase", "join");
-        struct ScanSlot {
-            stamp: VisitStamp,
-            candidates: Vec<u32>,
-            sims: Vec<f64>,
-            evals: u64,
-            out: Vec<(u32, Vec<goldfinger_core::topk::Scored>)>,
-        }
-        let states = goldfinger_core::parallel::par_fold_dynamic(
-            n,
+        scan_all_users(
+            sim,
+            k,
             self.threads,
-            32,
-            |_| ScanSlot {
-                stamp: VisitStamp::new(n),
-                candidates: Vec::new(),
-                sims: Vec::new(),
-                evals: 0,
-                out: Vec::new(),
-            },
-            |slot: &mut ScanSlot, u| {
-                let u = u as u32;
-                slot.stamp.next_round();
-                slot.stamp.mark(u as usize);
-                let items = profiles.items(u);
-                // Collect this user's bucket mates across every table (in
-                // table order, stamp-deduplicated) first, then score the
-                // whole list in one batched call — same candidates in the
-                // same order as offering per pair, but through the gather
-                // kernel for fingerprint providers.
-                slot.candidates.clear();
-                for (t, buckets) in tables.iter().enumerate() {
-                    let Some(key) = bucket_key(items, table_seed(self.seed, t)) else {
-                        break; // empty profile: no keys in any table
-                    };
-                    for &v in buckets.get(&key).map_or(&[][..], Vec::as_slice) {
-                        if slot.stamp.mark(v as usize) {
-                            slot.candidates.push(v);
-                        }
-                    }
+            obs,
+            start,
+            || VisitStamp::new(n),
+            |stamp, u, out| {
+                // A user with no item hashes nowhere.
+                if !profiles.items(u).is_empty() {
+                    index.bucket_mates(u, 0, stamp, out);
                 }
-                slot.evals += slot.candidates.len() as u64;
-                slot.sims.clear();
-                slot.sims.resize(slot.candidates.len(), 0.0);
-                sim.similarity_batch(u, &slot.candidates, &mut slot.sims);
-                let mut top = TopK::new(k);
-                for (&v, &s) in slot.candidates.iter().zip(&slot.sims) {
-                    top.offer(s, v);
-                }
-                slot.out.push((u, top.into_sorted()));
             },
-        );
-        let mut evals = 0u64;
-        let mut neighbors = vec![Vec::new(); n];
-        for slot in states {
-            evals += slot.evals;
-            for (u, list) in slot.out {
-                neighbors[u as usize] = list;
-            }
-        }
-        drop(scan_trace);
-        let wall = start.elapsed();
-        if O::ENABLED {
-            if let Some(t) = scan_start {
-                obs.on_span(Phase::Join, t.elapsed());
-            }
-            obs.on_iteration(IterationEvent {
-                iteration: 1,
-                similarity_evals: evals,
-                pruned_evals: 0,
-                updates: 0,
-                threshold: 0.0,
-                wall,
-            });
-        }
-
-        KnnResult {
-            graph: KnnGraph::from_lists(k, neighbors),
-            stats: BuildStats {
-                similarity_evals: evals,
-                pruned_evals: 0,
-                iterations: 1,
-                wall,
-                prep_wall: Duration::ZERO,
-            },
-        }
+        )
     }
 }
 

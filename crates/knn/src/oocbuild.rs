@@ -2,12 +2,14 @@
 //! state, bounded peak RSS.
 //!
 //! The in-RAM builders assume three things fit in memory at once: the
-//! fingerprint arena, the LSH bucket tables, and the finished graph. This
+//! fingerprint arena, the LSH bucket index, and the finished graph. This
 //! module drops all three assumptions while keeping the *output* pinned:
-//! with spilling disabled and one shard, [`build`] is **bit-identical**
-//! to [`Lsh::build`](crate::lsh::Lsh::build) over the GoldFinger
-//! provider, and the one knob that changes that (the bucket cap) is off
-//! by default.
+//! with the bucket cap off (the default), [`build`] equals
+//! [`Lsh::build`](crate::lsh::Lsh::build) over the GoldFinger provider
+//! by construction, for any shard count and either backend. Both build
+//! the same bucket index of [`crate::lsh`] (here on the spill backend) and
+//! score each user's bucket mates through the same per-user scan
+//! (`knn::userscan`); only the scheduling around them differs.
 //!
 //! Pipeline, in four phases. Phases 1 and 3 run on the installed
 //! [`Pool`] (serially when none is installed); the output file and every
@@ -15,26 +17,21 @@
 //!
 //! 1. **Fingerprint** — stream profiles once from a
 //!    [`ProfileSource`], OR-ing fingerprints into an [`ShfStore`] whose
-//!    arena lives on the spill backend, and recording each user's
-//!    per-table MinHash key ([`crate::lsh::bucket_key`]) in a spilled
-//!    user-major key arena, `keys[u·tables + t]`. Workers claim chunks
-//!    of `FINGERPRINT_CHUNK` users; a chunk's arena rows and key slots
-//!    are two disjoint slices, so no two workers write the same word.
-//!    Peak memory: one profile per worker.
-//! 2. **Index** — per table, sort the `(key, user)` pairs into two
-//!    spilled arrays; a bucket is a run of equal keys, found by binary
-//!    search. Users enter in ascending id order and the sort is stable,
-//!    so in-bucket order matches the `HashMap<_, Vec<u32>>` insertion
-//!    order of the in-RAM LSH — the determinism contract.
+//!    arena lives on the spill backend, and writing each user's
+//!    per-table MinHash keys into the index's user-major key arena,
+//!    `keys[u·tables + t]`. Workers claim chunks of `FINGERPRINT_CHUNK`
+//!    users; a chunk's arena rows and key slots are two disjoint slices,
+//!    so no two workers write the same word. Peak memory: one profile per
+//!    worker.
+//! 2. **Index** — sort each table's `(key, user)` pairs into the index's
+//!    two spilled arrays, one table at a time.
 //! 3. **Scan** — users are partitioned into contiguous shards, scanned
-//!    one after the other. Inside a shard, blocks of `SCAN_BLOCK` users
-//!    are split across the workers, each with its own visit stamp: a user
-//!    scans its buckets across all tables (stamp-deduplicated, exactly
-//!    the LSH candidate sequence) and scores candidates through the
-//!    batched gather kernels. Each block's top-k lists then go to the
-//!    shard's on-disk `GFCS` segment ([`crate::csr::SegmentWriter`]) in
-//!    user order. After a shard, the arena and key pages it touched are
-//!    advised cold, bounding resident growth to roughly one shard's
+//!    one after the other. Inside a shard, each block of `SCAN_BLOCK`
+//!    users is one run of the per-user scan, whose workers keep their
+//!    visit stamps for the whole build. Each block's top-k lists then go
+//!    to the shard's on-disk `GFCS` segment ([`crate::csr::SegmentWriter`])
+//!    in user order. After a shard, the arena and index pages it touched
+//!    are advised cold, bounding resident growth to roughly one shard's
 //!    working set.
 //! 4. **Stitch** — segments are replayed in shard order into a
 //!    [`CsrBuilder`] ([`build`]) or streamed through one
@@ -44,20 +41,21 @@
 
 use crate::csr::{read_segment, Segment, SegmentWriter};
 use crate::graph::{CsrBuilder, KnnGraph};
-use crate::lsh::{bucket_key, table_seed};
-use goldfinger_core::arena::ArenaBackend;
+use crate::lsh::{arena, write_keys, BucketIndex};
+use crate::userscan::UserScan;
 use goldfinger_core::hash::ItemHasher;
-use goldfinger_core::parallel::{par_fold_dynamic, par_map_chunks};
+use goldfinger_core::parallel::par_fold_dynamic;
 use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileSource;
 use goldfinger_core::shf::{ShfParams, ShfStore, ShfStreamWriter};
-use goldfinger_core::topk::{Scored, TopK};
+use goldfinger_core::similarity::ShfJaccard;
+use goldfinger_core::topk::Scored;
 use goldfinger_core::visit::VisitStamp;
 use goldfinger_obs::trace;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -168,51 +166,27 @@ pub struct OocStats {
 /// The spilled state shared by the scan phase.
 struct OocState {
     store: ShfStore,
-    /// Per-table MinHash keys, user-major: `keys[u * tables + t]` (zero
-    /// where `cardinality(u) == 0` — empty profiles hash nowhere).
-    keys: ArenaBackend,
-    /// Per-table sorted bucket index: `(index_keys[t], index_users[t])`
-    /// aligned pairs sorted by key (stable ⇒ users ascending per key).
-    index_keys: Vec<ArenaBackend>,
-    index_users: Vec<ArenaBackend>,
+    index: BucketIndex,
 }
 
 impl OocState {
     /// Evicts every resident spill page (no-op on heap backends).
     fn advise_all_cold(&self) -> io::Result<()> {
         self.store.advise_cold_rows(0, self.store.len())?;
-        self.keys.advise_cold(0, self.keys.len())?;
-        for (k, u) in self.index_keys.iter().zip(&self.index_users) {
-            k.advise_cold(0, k.len())?;
-            u.advise_cold(0, u.len())?;
-        }
-        Ok(())
+        self.index.advise_cold()
     }
 
     fn spilled_bytes(&self) -> u64 {
-        let words = self.store.arena_words().len()
-            + self.keys.len()
-            + self.index_keys.iter().map(|a| a.len()).sum::<usize>()
-            + self.index_users.iter().map(|a| a.len()).sum::<usize>();
         if self.store.is_spilled() {
-            words as u64 * 8
+            (self.store.arena_words().len() + self.index.words()) as u64 * 8
         } else {
             0
         }
     }
 }
 
-/// Allocates a words arena on the configured backend.
-fn make_arena(cfg: &OocConfig, name: &str, len: usize) -> io::Result<ArenaBackend> {
-    if cfg.spill {
-        ArenaBackend::spill(&cfg.spill_dir.join(name), len)
-    } else {
-        Ok(ArenaBackend::heap(len))
-    }
-}
-
 /// Phase 1+2: stream profiles into a (possibly spilled) fingerprint store
-/// and per-user key arena, then sort the per-table bucket indexes.
+/// and per-user key arena, then sort the per-table bucket runs.
 fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     source: &P,
     params: &ShfParams<H>,
@@ -222,6 +196,7 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
 ) -> io::Result<OocState> {
     let n = source.n_users();
     let tables = cfg.tables;
+    let spill_dir = cfg.spill.then_some(cfg.spill_dir.as_path());
 
     // Fingerprint + keys in one streaming pass over the profiles. A unit
     // is one chunk of users: their arena rows and their key slots. ORs
@@ -235,7 +210,7 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     } else {
         ShfStreamWriter::new(params.bits(), n)
     };
-    let mut keys = make_arena(cfg, "keys.words", n * tables)?;
+    let mut keys = arena(spill_dir, "keys.words", n * tables)?;
     let units: Vec<Mutex<Option<_>>> = writer
         .row_chunks_mut(FINGERPRINT_CHUNK)
         .zip(keys.chunks_mut(FINGERPRINT_CHUNK * tables))
@@ -252,14 +227,10 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
                 .expect("no worker panics holding a unit")
                 .take()
                 .expect("each unit is claimed once");
-            for (row, keys) in keys.chunks_mut(tables).enumerate() {
+            for (row, slots) in keys.chunks_mut(tables).enumerate() {
                 source.items_into((c * FINGERPRINT_CHUNK + row) as u32, items);
                 *associations += items.len() as u64;
-                for (t, slot) in keys.iter_mut().enumerate() {
-                    if let Some(key) = bucket_key(items, table_seed(cfg.seed, t)) {
-                        *slot = key;
-                    }
-                }
+                write_keys(items, cfg.seed, slots);
                 for &it in items.iter() {
                     rows.insert(row, it, params.hasher());
                 }
@@ -273,137 +244,43 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     drop(_span);
     stats.fingerprint_wall = t0.elapsed();
 
-    // Sort each table's (key, user) pairs into the spilled bucket index.
-    // The transient sort buffer is the memory peak of this phase — one
-    // table at a time, freed before the next.
     let t1 = Instant::now();
     let _span = trace::span_arg("phase", "ooc_index", cfg.tables as u64);
-    let mut index_keys = Vec::with_capacity(cfg.tables);
-    let mut index_users = Vec::with_capacity(cfg.tables);
-    for t in 0..cfg.tables {
-        let mut pairs: Vec<(u64, u32)> = (0..n as u32)
-            .filter(|&u| store.cardinality(u) != 0)
-            .map(|u| (keys[u as usize * tables + t], u))
-            .collect();
-        // Stable by key: equal-key users stay in ascending-id order,
-        // matching the insertion order of the in-RAM bucket vectors.
-        pairs.sort_by_key(|&(key, _)| key);
-        let mut ik = make_arena(cfg, &format!("index-keys-{t}.words"), pairs.len())?;
-        let mut iu = make_arena(cfg, &format!("index-users-{t}.words"), pairs.len())?;
-        for (i, &(key, u)) in pairs.iter().enumerate() {
-            ik[i] = key;
-            iu[i] = u as u64;
-        }
-        ik.sync()?;
-        iu.sync()?;
-        index_keys.push(ik);
-        index_users.push(iu);
-    }
+    let index = BucketIndex::sort(keys, tables, |u| store.cardinality(u) != 0, spill_dir)?;
     stats.index_wall = t1.elapsed();
 
     stats.n_users = n;
     stats.backend = store.backend_kind();
-    Ok(OocState {
-        store,
-        keys,
-        index_keys,
-        index_users,
-    })
-}
-
-/// One worker's scan state, allocated once per build: the visit stamp
-/// over all `n` users and the candidate and similarity buffers.
-struct ScanScratch {
-    stamp: VisitStamp,
-    candidates: Vec<u32>,
-    sims: Vec<f64>,
-}
-
-/// Scores user `u` against its deduplicated bucket-mates and returns its
-/// top-k list plus the similarity-evaluation count.
-///
-/// Kept out of line on purpose: inlined into the scan's worker closure,
-/// this loop moved the code placement of unrelated builders, and the
-/// KIFF build was seen to slow down from that alone.
-#[inline(never)]
-fn scan_user(state: &OocState, cfg: &OocConfig, u: u32, w: &mut ScanScratch) -> (Vec<Scored>, u64) {
-    let ScanScratch {
-        stamp,
-        candidates,
-        sims,
-    } = w;
-    stamp.next_round();
-    stamp.mark(u as usize);
-    candidates.clear();
-    if state.store.cardinality(u) != 0 {
-        let keys = &state.keys[u as usize * cfg.tables..][..cfg.tables];
-        for (t, &key) in keys.iter().enumerate() {
-            let ik: &[u64] = &state.index_keys[t];
-            let start = ik.partition_point(|&x| x < key);
-            let end = ik.partition_point(|&x| x <= key);
-            if cfg.max_bucket != 0 && end - start > cfg.max_bucket {
-                continue; // capped: this bucket is too hot to scan
-            }
-            for &v in &state.index_users[t][start..end] {
-                if stamp.mark(v as usize) {
-                    candidates.push(v as u32);
-                }
-            }
-        }
-    }
-    sims.clear();
-    sims.resize(candidates.len(), 0.0);
-    state.store.jaccard_batch(u, candidates, sims);
-    let mut top = TopK::new(cfg.k);
-    for (&v, &s) in candidates.iter().zip(sims.iter()) {
-        top.offer(s, v);
-    }
-    (top.into_sorted(), candidates.len() as u64)
+    Ok(OocState { store, index })
 }
 
 /// Phase 3: scan one shard's users and spill their top-k lists as a
 /// `GFCS` segment. Returns the similarity-evaluation count.
 ///
-/// Blocks of [`SCAN_BLOCK`] users are split across the workers (worker
-/// `t` scans with `scratch[t]`); each block's lists are written in user
-/// order once the whole block is scored, so the segment does not depend
-/// on the thread count.
+/// Each block of [`SCAN_BLOCK`] users is one [`UserScan`] run; its lists
+/// are written in user order once the whole block is scored, so the
+/// segment does not depend on the thread count.
 fn scan_shard(
-    state: &OocState,
-    cfg: &OocConfig,
+    k: usize,
     shard: usize,
-    (lo, hi): (u32, u32),
-    scratch: &[Mutex<ScanScratch>],
+    users: Range<u32>,
+    scan_block: &dyn Fn(Range<u32>) -> (Vec<Vec<Scored>>, u64),
     seg_path: &Path,
 ) -> io::Result<u64> {
     let _span = trace::span_arg("phase", "ooc_shard", shard as u64);
     let file = BufWriter::new(File::create(seg_path)?);
-    let mut seg = SegmentWriter::new(file, cfg.k, u64::from(lo), u64::from(hi - lo))?;
-    let evals = AtomicU64::new(0);
-    let mut lists: Vec<Vec<Scored>> = Vec::new();
-    for block_lo in (lo..hi).step_by(SCAN_BLOCK) {
-        let block_hi = (block_lo as usize + SCAN_BLOCK).min(hi as usize) as u32;
-        lists.clear();
-        lists.resize_with((block_hi - block_lo) as usize, Vec::new);
-        par_map_chunks(&mut lists, scratch.len(), |t, base, out| {
-            let mut w = scratch[t]
-                .lock()
-                .expect("no worker panics holding its scratch");
-            let mut chunk_evals = 0;
-            for (off, list) in out.iter_mut().enumerate() {
-                let u = block_lo + (base + off) as u32;
-                let (top, e) = scan_user(state, cfg, u, &mut w);
-                *list = top;
-                chunk_evals += e;
-            }
-            evals.fetch_add(chunk_evals, Ordering::Relaxed);
-        });
+    let mut seg = SegmentWriter::new(file, k, u64::from(users.start), users.len() as u64)?;
+    let mut evals = 0;
+    for block_lo in users.clone().step_by(SCAN_BLOCK) {
+        let block_hi = (block_lo as usize + SCAN_BLOCK).min(users.end as usize) as u32;
+        let (lists, block_evals) = scan_block(block_lo..block_hi);
+        evals += block_evals;
         for list in &lists {
             seg.push_list(list)?;
         }
     }
     seg.finish()?;
-    Ok(evals.into_inner())
+    Ok(evals)
 }
 
 /// Reads back one spilled segment of a graph over `n` users, with the
@@ -432,16 +309,18 @@ fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     let shards = cfg.effective_shards(n, arena_bytes);
     stats.shards = shards;
 
+    // One visit stamp per worker for the whole build; a user with an
+    // empty profile (cardinality zero) hashes nowhere.
     let t0 = Instant::now();
-    let scratch: Vec<Mutex<ScanScratch>> = (0..threads)
-        .map(|_| {
-            Mutex::new(ScanScratch {
-                stamp: VisitStamp::new(n),
-                candidates: Vec::new(),
-                sims: Vec::new(),
-            })
+    let sim = ShfJaccard::new(&state.store);
+    let scan = UserScan::new(cfg.k, threads, || VisitStamp::new(n));
+    let scan_block = |users: Range<u32>| {
+        scan.run(users, &sim, |stamp, u, out| {
+            if state.store.cardinality(u) != 0 {
+                state.index.bucket_mates(u, cfg.max_bucket, stamp, out);
+            }
         })
-        .collect();
+    };
     let mut segments = Vec::with_capacity(shards);
     let per = n.div_ceil(shards.max(1)).max(1);
     for s in 0..shards {
@@ -449,7 +328,7 @@ fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
         let hi = ((s + 1) * per).min(n) as u32;
         let path = cfg.spill_dir.join(format!("seg-{s:05}.gfcs"));
         let t_shard = Instant::now();
-        let evals = scan_shard(&state, cfg, s, (lo, hi), &scratch, &path)?;
+        let evals = scan_shard(cfg.k, s, lo..hi, &scan_block, &path)?;
         stats.similarity_evals += evals;
         stats.shard_walls.push(t_shard.elapsed());
         // Drop this shard's page residency before the next one starts:

@@ -17,8 +17,12 @@
 //! the workers' partials in slot order yields the exact top-k of every
 //! offered pair whatever the schedule: graph and counters are bit-identical
 //! at any thread count. DESIGN.md §7.
+//!
+//! Builders that scan each user once on its own (LSH, KIFF, the
+//! out-of-core build) go through [`crate::userscan`] instead; every
+//! one-pass build ends in [`one_pass`].
 
-use crate::graph::{BuildStats, CsrBuilder, KnnResult};
+use crate::graph::{BuildStats, CsrBuilder, KnnGraph, KnnResult};
 use goldfinger_core::parallel::{effective_threads, par_fold_dynamic};
 use goldfinger_core::similarity::Similarity;
 use goldfinger_core::topk::TopK;
@@ -152,14 +156,29 @@ pub(crate) fn fold_scan<O: BuildObserver>(
     }
     let graph = csr.finish();
     drop(merge_trace);
+    one_pass(obs, start, Phase::Merge, merge_start, graph, merged.evals)
+}
+
+/// The tail of every one-pass build (Brute Force, Cluster, LSH, KIFF):
+/// reports the last phase's span, begun at `phase_start`, and the build's
+/// single [`IterationEvent`], and wraps the graph and its counters.
+/// `start` is when the build began.
+pub(crate) fn one_pass<O: BuildObserver>(
+    obs: &O,
+    start: Instant,
+    phase: Phase,
+    phase_start: Option<Instant>,
+    graph: KnnGraph,
+    evals: u64,
+) -> KnnResult {
     let wall = start.elapsed();
     if O::ENABLED {
-        if let Some(t) = merge_start {
-            obs.on_span(Phase::Merge, t.elapsed());
+        if let Some(t) = phase_start {
+            obs.on_span(phase, t.elapsed());
         }
         obs.on_iteration(IterationEvent {
             iteration: 1,
-            similarity_evals: merged.evals,
+            similarity_evals: evals,
             pruned_evals: 0,
             updates: 0,
             threshold: 0.0,
@@ -169,7 +188,7 @@ pub(crate) fn fold_scan<O: BuildObserver>(
     KnnResult {
         graph,
         stats: BuildStats {
-            similarity_evals: merged.evals,
+            similarity_evals: evals,
             pruned_evals: 0,
             iterations: 1,
             wall,

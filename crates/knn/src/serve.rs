@@ -12,7 +12,8 @@
 //!
 //! 1. **Apply updates** — queued item additions are routed to their owner
 //!    shard and folded into that shard's arena slice, in parallel across
-//!    shards (`ShfStore::insert_items` on the slice).
+//!    shards ([`Shard::apply_updates`](crate::shard::Shard::apply_updates)
+//!    → `ShfStore::apply_deltas` on the slice, in op order).
 //! 2. **Bump counters** — each distinct dirty user gets one repair whose
 //!    probe stream is selected by its per-user counter.
 //! 3. **Plan repairs** — read-only [`ShardSet::plan_repair`] fan-out over

@@ -109,16 +109,11 @@ impl Shard {
         &self.rev[local]
     }
 
-    /// Folds `items` into the owned user's fingerprint in place and
-    /// returns how many bits were newly set. This is the per-shard write
-    /// path of a profile update: only the owner's arena slice is touched.
-    pub fn apply_update<H: ItemHasher>(&mut self, local: usize, items: &[u32], hasher: &H) -> u32 {
-        self.store.apply_delta(local as u32, items, hasher)
-    }
-
     /// Applies a whole drain batch of `(local, items)` deltas to the
     /// owned arena slice in batch order (delta fingerprinting:
     /// `ShfStore::apply_deltas`) and returns the total bits newly set.
+    /// This is the per-shard write path of profile updates: only the
+    /// owner's arena slice is touched.
     pub fn apply_updates<H: ItemHasher + Sync>(
         &mut self,
         deltas: &[(u32, Vec<u32>)],
@@ -541,7 +536,7 @@ mod tests {
     /// Folds `items` into `u`'s fingerprint on its owner shard.
     fn update(set: &mut ShardSet, params: &ShfParams<DynHasher>, u: u32, items: &[u32]) -> u32 {
         let (s, l) = (set.owner(u), set.local(u));
-        set.shards_mut()[s].apply_update(l, items, params.hasher())
+        set.shards_mut()[s].apply_updates(&[(l as u32, items.to_vec())], params.hasher())
     }
 
     #[test]
@@ -703,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_update_tracks_dirty_users_and_fingerprints() {
+    fn apply_updates_tracks_dirty_users_and_fingerprints() {
         let (graph, store, params) = fixture(2);
         let mut set = ShardSet::partition(&graph, &store, 3);
         assert!(set.take_dirty().is_empty(), "clean at rest");
@@ -711,7 +706,7 @@ mod tests {
         let (s, l) = (set.owner(9), set.local(9));
         let before = set.similarity(9, 0);
         let added =
-            set.shards_mut()[s].apply_update(l, &(0..15).collect::<Vec<_>>(), params.hasher());
+            set.shards_mut()[s].apply_updates(&[(l as u32, (0..15).collect())], params.hasher());
         assert!(added > 0);
         assert!(
             set.similarity(9, 0) > before,

@@ -13,11 +13,13 @@ use goldfinger_knn::cluster::Cluster;
 use goldfinger_knn::graph::{KnnGraph, KnnResult};
 use goldfinger_knn::hyrec::Hyrec;
 use goldfinger_knn::kiff::Kiff;
-use goldfinger_knn::lsh::Lsh;
+use goldfinger_knn::lsh::{bucket_key, table_seed, Lsh};
 use goldfinger_knn::metrics::{average_similarity, edge_recall};
 use goldfinger_knn::nndescent::NNDescent;
+use goldfinger_knn::oocbuild::{self, OocConfig};
 use goldfinger_obs::RecordingObserver;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Arbitrary small populations: 3–25 users with 0–40 items each from a
@@ -449,5 +451,119 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Today's LSH written out the plain way, sharing no code with the crate's
+/// bucket index or per-user scan: per table, a `HashMap` from MinHash key
+/// to the users hashed there, in id order; each user's candidates are its
+/// bucket mates across the tables in table order, first occurrences only,
+/// scored one pair at a time. Returns each user's top-k list as
+/// `(neighbour, similarity bits)` and the evaluation count.
+fn reference_lsh<S: Similarity>(
+    profiles: &ProfileStore,
+    sim: &S,
+    tables: usize,
+    seed: u64,
+    k: usize,
+) -> (Vec<Vec<(u32, u64)>>, u64) {
+    let n = profiles.n_users();
+    let buckets: Vec<HashMap<u64, Vec<u32>>> = (0..tables)
+        .map(|t| {
+            let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
+            for (u, items) in profiles.iter() {
+                if let Some(key) = bucket_key(items, table_seed(seed, t)) {
+                    table.entry(key).or_default().push(u);
+                }
+            }
+            table
+        })
+        .collect();
+    let mut evals = 0;
+    let lists = (0..n as u32)
+        .map(|u| {
+            let mut seen = vec![false; n];
+            seen[u as usize] = true;
+            let mut top = TopK::new(k);
+            for (t, table) in buckets.iter().enumerate() {
+                // An empty profile hashes nowhere.
+                let Some(key) = bucket_key(profiles.items(u), table_seed(seed, t)) else {
+                    break;
+                };
+                for &v in &table[&key] {
+                    if !std::mem::replace(&mut seen[v as usize], true) {
+                        evals += 1;
+                        top.offer(sim.similarity(u, v), v);
+                    }
+                }
+            }
+            top.into_sorted()
+                .iter()
+                .map(|s| (s.user, s.sim.to_bits()))
+                .collect()
+        })
+        .collect();
+    (lists, evals)
+}
+
+/// A graph's lists in the form [`reference_lsh`] returns.
+fn lists_of(graph: &KnnGraph) -> Vec<Vec<(u32, u64)>> {
+    (0..graph.n_users() as u32)
+        .map(|u| {
+            graph
+                .neighbors(u)
+                .iter()
+                .map(|s| (s.user, s.sim.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Lsh::build` and the out-of-core build share one bucket index and
+    /// one per-user scan, so comparing them with each other would check
+    /// that code against itself. Both must instead return the graph and
+    /// eval count of the independent `HashMap` oracle: `Lsh` at 1 and 4
+    /// threads, bare and under an installed pool; the out-of-core build
+    /// with no bucket cap, on 1 and 3 shards, spill off. Every population
+    /// holds at least one empty profile.
+    #[test]
+    fn lsh_and_ooc_match_the_hashmap_oracle(
+        lists in proptest::collection::vec(proptest::collection::vec(0u32..200, 0..30), 2..60),
+        tables in 1usize..=12,
+        k in 1usize..=10,
+        seed in 0u64..1000,
+    ) {
+        let mut lists = lists;
+        lists.push(Vec::new());
+        let profiles = ProfileStore::from_item_lists(lists);
+        let params = ShfParams::new(128, DynHasher::new(HasherKind::Jenkins, 3));
+        let store = params.fingerprint_store(&profiles);
+        let sim = ShfJaccard::new(&store);
+        let (want, want_evals) = reference_lsh(&profiles, &sim, tables, seed, k);
+        for threads in [1usize, 4] {
+            for pooled in [false, true] {
+                let lsh = Lsh { tables, seed, threads };
+                let r = if pooled {
+                    shared_pool().install(|| lsh.build(&profiles, &sim, k))
+                } else {
+                    lsh.build(&profiles, &sim, k)
+                };
+                prop_assert_eq!(&lists_of(&r.graph), &want, "threads={} pooled={}", threads, pooled);
+                prop_assert_eq!(r.stats.similarity_evals, want_evals);
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("gf-lsh-oracle-{}", std::process::id()));
+        for shards in [1usize, 3] {
+            let mut cfg = OocConfig::new(k, tables, seed, &dir);
+            cfg.shards = shards;
+            cfg.spill = false;
+            let (graph, stats) = oocbuild::build(&profiles, &params, &cfg).unwrap();
+            prop_assert_eq!(&lists_of(&graph), &want, "shards={}", shards);
+            prop_assert_eq!(stats.similarity_evals, want_evals);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -164,17 +164,6 @@ impl BitArray {
         }
     }
 
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn intersect_with(&mut self, other: &Self) {
-        self.check_len(other);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// Iterates over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -440,8 +429,6 @@ mod tests {
         let b = BitArray::from_positions(64, [2, 3]);
         a.union_with(&b);
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![1, 2, 3]);
-        a.intersect_with(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]

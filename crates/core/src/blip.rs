@@ -141,11 +141,6 @@ impl BlipStore {
         &self.data[u as usize * self.words_per_fp..(u as usize + 1) * self.words_per_fp]
     }
 
-    /// Debiased cardinality estimate of fingerprint `u`.
-    pub fn estimated_cardinality(&self, u: u32) -> f64 {
-        self.est_cards[u as usize]
-    }
-
     /// Debiased Jaccard estimate between users `u` and `v`, clamped to
     /// `[0, 1]`; 0 when the denominators degenerate under noise.
     pub fn jaccard(&self, u: u32, v: u32) -> f64 {
@@ -237,7 +232,6 @@ mod tests {
         );
         // At ε = 12, p ≈ 6e-6: essentially no flips on 2048 bits.
         assert!((noisy.jaccard(0, 1) - store.jaccard(0, 1)).abs() < 0.02);
-        assert!((noisy.estimated_cardinality(0) - store.cardinality(0) as f64).abs() < 1.0);
     }
 
     #[test]

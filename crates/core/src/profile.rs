@@ -29,18 +29,6 @@ impl Profile {
         Profile { items }
     }
 
-    /// Builds a profile from items already sorted and unique.
-    ///
-    /// # Panics
-    /// Panics in debug builds if the invariant does not hold.
-    pub fn from_sorted_unique(items: Vec<ItemId>) -> Self {
-        debug_assert!(
-            items.windows(2).all(|w| w[0] < w[1]),
-            "items must be sorted unique"
-        );
-        Profile { items }
-    }
-
     /// Number of items.
     #[inline]
     pub fn len(&self) -> usize {
@@ -68,11 +56,6 @@ impl Profile {
     /// Size of the intersection with `other` (sorted merge).
     pub fn intersection_size(&self, other: &Profile) -> usize {
         intersection_size_sorted(&self.items, &other.items)
-    }
-
-    /// Size of the union with `other`.
-    pub fn union_size(&self, other: &Profile) -> usize {
-        self.len() + other.len() - self.intersection_size(other)
     }
 }
 
@@ -252,7 +235,6 @@ mod tests {
         let a = Profile::from_items(vec![1, 2, 3, 4]);
         let b = Profile::from_items(vec![3, 4, 5]);
         assert_eq!(a.intersection_size(&b), 2);
-        assert_eq!(a.union_size(&b), 5);
         // symmetry
         assert_eq!(b.intersection_size(&a), 2);
     }

@@ -420,21 +420,6 @@ impl Shf {
         jaccard_from_counts(inter, self.card, other.card)
     }
 
-    /// Estimated size of the profile intersection, `|B1 ∧ B2|` (Eq. 6).
-    #[inline]
-    pub fn intersection_estimate(&self, other: &Shf) -> u32 {
-        self.bits.and_count(&other.bits)
-    }
-
-    /// Estimated size of the fingerprinted profile (Eq. 5): `|P| ≈ c`.
-    ///
-    /// This under-estimates when collisions occur; see
-    /// `goldfinger_theory::occupancy` for the exact law.
-    #[inline]
-    pub fn set_size_estimate(&self) -> u32 {
-        self.card
-    }
-
     /// Adds one item to the fingerprint in place; returns `true` if a new
     /// bit was set (false means the item collided with an existing bit).
     ///

@@ -21,13 +21,6 @@ pub struct FoldSplit {
     pub test: Vec<Vec<ItemId>>,
 }
 
-impl FoldSplit {
-    /// Total number of hidden items across users.
-    pub fn n_hidden(&self) -> usize {
-        self.test.iter().map(Vec::len).sum()
-    }
-}
-
 /// Splits a binary dataset into `folds` cross-validation splits.
 ///
 /// Each user's positive items are shuffled once (seeded) and dealt

@@ -14,7 +14,13 @@
 //! monotone proxy of their profile similarity. The per-table cost is
 //! `O(popcount(blip))` — bounded by the blip width, independent of the
 //! profile size — where LSH pays a full `O(|profile|)` permutation scan per
-//! table and a hash-map insert per (user, table).
+//! table.
+//!
+//! The keys go through LSH's bucket index ([`crate::lsh`]): the blip key
+//! writer fills the index's user-major key arena on the build's worker
+//! threads, the index sorts each table's `(key, user)` pairs, and one walk
+//! over every table's runs lays out the clusters (members, cross-table
+//! dedup keys, scan list). The index is dropped before the scan.
 //!
 //! Zipf-hot buckets are handled like `oocbuild::max_bucket`: a cluster
 //! larger than [`Cluster::max_cluster`] is skipped entirely (`0` disables
@@ -33,10 +39,9 @@
 //! [`crate::graph::BuildStats::pruned_evals`] is always 0. DESIGN.md §17.
 
 use crate::graph::KnnResult;
-use crate::lsh::table_seed;
-use crate::partials::{fold_scan, scan_workers};
+use crate::lsh::{table_seed, BucketIndex};
+use crate::partials::fold_scan;
 use goldfinger_core::hash::splitmix64_mix;
-use goldfinger_core::parallel::par_map_indexed;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
 use goldfinger_obs::trace;
@@ -51,9 +56,6 @@ use std::time::Instant;
 /// once, the per-table argmin never rescans it).
 const BLIP_WORDS: usize = 256;
 
-/// Key of a user with an empty profile: member of no cluster in any table.
-const NO_KEY: u32 = u32::MAX;
-
 /// Cluster-and-Conquer parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct Cluster {
@@ -65,9 +67,9 @@ pub struct Cluster {
     pub max_cluster: usize,
     /// Seed deriving the blip item hash and the per-table bit priorities.
     pub seed: u64,
-    /// Worker threads for the per-cluster scans (`0` = default parallelism,
-    /// `1` = serial). Output and counters are bit-identical for any thread
-    /// count.
+    /// Worker threads for the key fill and the per-cluster scans (`0` =
+    /// default parallelism, `1` = serial). Output and counters are
+    /// bit-identical for any thread count.
     pub threads: usize,
 }
 
@@ -190,10 +192,44 @@ impl ClusterAssignment {
     }
 }
 
+/// Writes a profile's cluster key for each table into its `slots` of the
+/// key arena. The profile first folds into a blip, each item hashed once;
+/// the blip's set bits are then collected once, so each table's key, the
+/// set bit of least rank under that table's priority hash `seeds[t]`, costs
+/// O(popcount) instead of a rescan of every word. An empty profile leaves
+/// the slots untouched.
+fn write_blip_keys(items: &[u32], blip_seed: u64, seeds: &[u64], slots: &mut [u64]) {
+    let buckets = (BLIP_WORDS * 64) as u64;
+    let mut blip = [0u64; BLIP_WORDS];
+    for &item in items {
+        let b = (splitmix64_mix(item as u64 ^ blip_seed) % buckets) as usize;
+        blip[b >> 6] |= 1u64 << (b & 63);
+    }
+    let mut set_bits: Vec<u64> = Vec::new();
+    for (w, &word) in blip.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            set_bits.push((w * 64) as u64 + u64::from(bits.trailing_zeros()));
+            bits &= bits - 1;
+        }
+    }
+    for (slot, &ts) in slots.iter_mut().zip(seeds) {
+        // splitmix64_mix is a bijection, so ranks are distinct and the
+        // argmin is unique.
+        if let Some(b) = set_bits
+            .iter()
+            .copied()
+            .min_by_key(|&b| splitmix64_mix(b ^ ts))
+        {
+            *slot = b;
+        }
+    }
+}
+
 impl Cluster {
-    /// Assigns every user to its per-table clusters: one blip per user
-    /// (each item hashed exactly once), one min-wise bit key per table,
-    /// counting-sort into CSR membership lists.
+    /// Assigns every user to its per-table clusters: one blip key per user
+    /// and table in the shared bucket index, then one walk over each
+    /// table's sorted runs into CSR membership lists.
     ///
     /// # Panics
     /// Panics if `tables == 0`.
@@ -204,66 +240,19 @@ impl Cluster {
         let buckets = BLIP_WORDS * 64;
         let blip_seed = splitmix64_mix(self.seed ^ 0xB11F);
         let seeds: Vec<u64> = (0..tables).map(|t| table_seed(self.seed, t)).collect();
-
-        // Per-user key rows, parallel and order-preserving (so the result
-        // is thread-count invariant and clamping to the hardware is
-        // observation-free). The blip is rebuilt per user on the closure's
-        // stack; its set bits are then collected once, so the per-table
-        // argmin costs O(popcount) instead of rescanning every word per
-        // table.
-        let key_rows: Vec<Vec<u32>> = par_map_indexed(n, scan_workers(self.threads), |u| {
-            let mut blip = [0u64; BLIP_WORDS];
-            for &item in profiles.items(u as u32) {
-                let h = splitmix64_mix(item as u64 ^ blip_seed);
-                let b = (h % buckets as u64) as usize;
-                blip[b >> 6] |= 1u64 << (b & 63);
-            }
-            let mut set_bits: Vec<u32> = Vec::new();
-            for (w, &word) in blip.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    set_bits.push((w * 64) as u32 + bits.trailing_zeros());
-                    bits &= bits - 1;
-                }
-            }
-            seeds
-                .iter()
-                .map(|&ts| {
-                    let mut best = u64::MAX;
-                    let mut key = NO_KEY;
-                    for &b in &set_bits {
-                        // splitmix64_mix is a bijection, so ranks are
-                        // distinct and the argmin is unique.
-                        let rank = splitmix64_mix(b as u64 ^ ts);
-                        if rank < best {
-                            best = rank;
-                            key = b;
-                        }
-                    }
-                    key
-                })
-                .collect()
+        let index = BucketIndex::in_ram(profiles, tables, self.threads, |items, slots| {
+            write_blip_keys(items, blip_seed, &seeds, slots)
         });
-        // Sparse CSR build: wide blips make `tables * buckets` far larger
-        // than the O(n · tables) occupied slots, so a dense counting sort
-        // would spend more time zeroing size/offset arrays than clustering.
-        // Sorting the (flat bucket, user) pairs instead groups each cluster
-        // contiguously with ascending user ids, at a cost that depends only
-        // on the population.
-        let mut entries: Vec<u64> = Vec::with_capacity(n * tables);
-        for (u, row) in key_rows.iter().enumerate() {
-            for (t, &k) in row.iter().enumerate() {
-                if k != NO_KEY {
-                    let fb = (t * buckets + k as usize) as u64;
-                    entries.push(fb << 32 | u as u64);
-                }
-            }
-        }
-        // All pairs are distinct, so the unstable sort is deterministic.
-        entries.sort_unstable();
 
+        // Each table's runs come in ascending key order with ascending user
+        // ids, so the clusters are laid out ascending by flat bucket
+        // `t * buckets + key`. Sparse on purpose: wide blips make
+        // `tables * buckets` far larger than the O(n · tables) occupied
+        // slots.
         let cap = self.max_cluster;
-        let mut members = Vec::with_capacity(entries.len());
+        // Sized for every user; the pages empty profiles would fill are
+        // never touched.
+        let mut members = Vec::with_capacity(n * tables);
         let mut clusters: Vec<(u32, u32, u32)> = Vec::new();
         let mut scannable: Vec<u32> = Vec::new();
         // Dedup view of the keys: a slot that can never host a shared scan
@@ -274,29 +263,20 @@ impl Cluster {
         let mut dedup: Vec<u32> = (0..n)
             .flat_map(|u| std::iter::repeat_n(0x8000_0000 | u as u32, tables))
             .collect();
-        let mut i = 0;
-        while i < entries.len() {
-            let fb = entries[i] >> 32;
-            let mut j = i + 1;
-            while j < entries.len() && entries[j] >> 32 == fb {
-                j += 1;
-            }
-            let (start, len) = (members.len() as u32, (j - i) as u32);
-            for &e in &entries[i..j] {
-                members.push(e as u32);
-            }
-            let hot = cap != 0 && len as usize > cap;
-            if !hot {
-                let (t, key) = ((fb as usize) / buckets, (fb as usize % buckets) as u32);
-                for &e in &entries[i..j] {
-                    dedup[e as u32 as usize * tables + t] = key;
+        for t in 0..tables {
+            for (key, users) in index.runs(t) {
+                let (start, len) = (members.len() as u32, users.len() as u32);
+                members.extend(users.iter().map(|&u| u as u32));
+                if cap == 0 || users.len() <= cap {
+                    for &u in users {
+                        dedup[u as usize * tables + t] = key as u32;
+                    }
+                    if len >= 2 {
+                        scannable.push(clusters.len() as u32);
+                    }
                 }
-                if len >= 2 {
-                    scannable.push(clusters.len() as u32);
-                }
+                clusters.push(((t * buckets) as u32 + key as u32, start, len));
             }
-            clusters.push((fb as u32, start, len));
-            i = j;
         }
 
         ClusterAssignment {
@@ -331,7 +311,7 @@ impl Cluster {
     /// Builds the graph, reporting progress to `obs`: one span for blip and
     /// cluster assembly ([`Phase::CandidateGeneration`]), one for the
     /// per-cluster scans ([`Phase::Join`]), one for the deterministic
-    /// reduction ([`Phase::Merge`]), and a single [`IterationEvent`] with
+    /// reduction ([`Phase::Merge`]), and a single [`IterationEvent`](goldfinger_obs::IterationEvent) with
     /// the final counters. Observation never changes the output; with the
     /// default [`NoopObserver`] the hooks compile to nothing.
     ///

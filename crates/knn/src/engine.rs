@@ -31,7 +31,7 @@
 //!    membership with one branch-free compare over the list's contiguous
 //!    ids; only an accepted offer writes a slot and rescans the
 //!    similarities for the next worst. The worker counts accepted inserts
-//!    and copies each changed list's O(1) [`NeighborList::floor`] into the
+//!    and copies each changed list's O(1) `NeighborList::floor` into the
 //!    floors the next window scores against.
 //!
 //! # Determinism contract

@@ -8,7 +8,7 @@
 //! after `max_iterations`.
 //!
 //! The iterate/converge/finalize scaffolding lives in
-//! [`RefineEngine`](crate::engine::RefineEngine); this module only
+//! [`RefineEngine`]; this module only
 //! contributes the Hyrec [`JoinStrategy`]: a start-of-iteration snapshot of
 //! the neighbour ids, scanned two hops out with a [`VisitStamp`] guarding
 //! against duplicate evaluations.

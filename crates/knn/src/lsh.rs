@@ -12,20 +12,27 @@
 //! GoldFinger speedup for LSH on sparse datasets (bucketing dominates):
 //! only the in-bucket similarity evaluations go through the provider.
 //!
-//! `BucketIndex` is the crate's one LSH bucket index, shared with the
+//! `BucketIndex` is the crate's one bucket index, shared with the
 //! out-of-core build ([`crate::oocbuild`]), which keeps it on the spill
-//! backend instead of the heap. It has two parts: a user-major key arena,
+//! backend instead of the heap, and with Cluster-and-Conquer
+//! ([`crate::cluster`]), whose cluster keys are blip bits instead of
+//! MinHash values. It has two parts: a user-major key arena,
 //! `keys[u·tables + t]`, where each user's key for each table is computed
-//! once; and per table, the `(key, user)` pairs sorted by key (ties by
-//! user), so a bucket is the run of equal keys found by binary search, its
-//! users in ascending id order. A user's candidates are its bucket mates
-//! across the tables in table order, deduplicated with a visit stamp, and
-//! are scored by the shared per-user scan (`knn::userscan`).
+//! once (in RAM, by a caller-supplied key writer on the build's worker
+//! threads); and per table, the `(key, user)` pairs of every user with a
+//! non-empty profile sorted by key (ties by user), so a bucket is a run of
+//! equal keys, its users in ascending id order. LSH finds a user's buckets
+//! by binary search: its candidates are its bucket mates across the tables
+//! in table order, deduplicated with a visit stamp, and are scored by the
+//! shared per-user scan (`knn::userscan`). Cluster instead walks every
+//! table's runs once (`BucketIndex::runs`) into its own cluster table.
 
 use crate::graph::KnnResult;
+use crate::partials::scan_workers;
 use crate::userscan::scan_all_users;
 use goldfinger_core::arena::ArenaBackend;
 use goldfinger_core::hash::splitmix64_mix;
+use goldfinger_core::parallel::par_map_chunks;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
 use goldfinger_core::visit::VisitStamp;
@@ -42,9 +49,10 @@ pub struct Lsh {
     pub tables: usize,
     /// Seed deriving the per-table permutations.
     pub seed: u64,
-    /// Worker threads for the in-bucket candidate scan (`0` = default
-    /// parallelism, `1` = serial). Every per-user scan is self-contained,
-    /// so the graph is bit-identical for any thread count.
+    /// Worker threads for the key fill and the in-bucket candidate scan
+    /// (`0` = default parallelism, `1` = serial). Every user's keys and
+    /// every per-user scan are self-contained, so the graph is
+    /// bit-identical for any thread count.
     pub threads: usize,
 }
 
@@ -84,6 +92,10 @@ pub(crate) fn write_keys(items: &[u32], seed: u64, slots: &mut [u64]) {
     }
 }
 
+/// Users per unit of the in-RAM key fill: units are the disjoint pieces of
+/// the key arena the workers split between them.
+const KEY_FILL_CHUNK: usize = 256;
+
 /// A zeroed arena of `len` words: spilled to `name` under `spill_dir`
 /// when one is given, on the heap otherwise.
 pub(crate) fn arena(spill_dir: Option<&Path>, name: &str, len: usize) -> io::Result<ArenaBackend> {
@@ -106,12 +118,27 @@ pub(crate) struct BucketIndex {
 }
 
 impl BucketIndex {
-    /// The heap index of an in-memory population.
-    pub(crate) fn in_ram(profiles: &ProfileStore, tables: usize, seed: u64) -> Self {
+    /// The heap index of an in-memory population. `fill(items, slots)`
+    /// writes one user's key for each table into its slots of the key
+    /// arena; the users are filled in parallel on `threads` workers, each
+    /// on its own units of consecutive users. Users with empty profiles
+    /// get no bucket, whatever `fill` left in their slots.
+    pub(crate) fn in_ram(
+        profiles: &ProfileStore,
+        tables: usize,
+        threads: usize,
+        fill: impl Fn(&[u32], &mut [u64]) + Sync,
+    ) -> Self {
         let mut keys = ArenaBackend::heap(profiles.n_users() * tables);
-        for ((_, items), slots) in profiles.iter().zip(keys.chunks_mut(tables)) {
-            write_keys(items, seed, slots);
-        }
+        let mut units: Vec<&mut [u64]> = keys.chunks_mut(KEY_FILL_CHUNK * tables).collect();
+        par_map_chunks(&mut units, scan_workers(threads), |_, first, units| {
+            for (c, unit) in units.iter_mut().enumerate() {
+                let base = (first + c) * KEY_FILL_CHUNK;
+                for (row, slots) in unit.chunks_mut(tables).enumerate() {
+                    fill(profiles.items((base + row) as u32), slots);
+                }
+            }
+        });
         Self::sort(keys, tables, |u| !profiles.items(u).is_empty(), None)
             .expect("heap arenas do not fail")
     }
@@ -186,6 +213,19 @@ impl BucketIndex {
         }
     }
 
+    /// Table `t`'s buckets in ascending key order, each as its key and its
+    /// users in ascending id order.
+    pub(crate) fn runs(&self, t: usize) -> impl Iterator<Item = (u64, &[u64])> {
+        let (keys, users) = (&self.sorted_keys[t][..], &self.sorted_users[t][..]);
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let &key = keys.get(start)?;
+            let len = keys[start..].iter().take_while(|&&k| k == key).count();
+            start += len;
+            Some((key, &users[start - len..start]))
+        })
+    }
+
     /// Every arena of the index.
     fn arenas(&self) -> impl Iterator<Item = &ArenaBackend> {
         std::iter::once(&self.keys)
@@ -254,7 +294,9 @@ impl Lsh {
         // Bucketing: the expensive, GoldFinger-immune phase.
         let bucket_start = O::ENABLED.then(Instant::now);
         let bucket_trace = trace::span("phase", "candidate_generation");
-        let index = BucketIndex::in_ram(profiles, self.tables, self.seed);
+        let index = BucketIndex::in_ram(profiles, self.tables, self.threads, |items, slots| {
+            write_keys(items, self.seed, slots)
+        });
         drop(bucket_trace);
         if let Some(t) = bucket_start {
             obs.on_span(Phase::CandidateGeneration, t.elapsed());
@@ -388,6 +430,45 @@ mod tests {
         }
         .build(&profiles, &sim, 5);
         assert!(large.stats.similarity_evals >= small.stats.similarity_evals);
+    }
+
+    #[test]
+    fn key_fill_and_runs_are_thread_count_invariant() {
+        // Several fill units, the last one short, with empty profiles
+        // scattered through them.
+        let lists: Vec<Vec<u32>> = (0..3 * KEY_FILL_CHUNK as u32 + 17)
+            .map(|u| match u % 100 {
+                0 => Vec::new(),
+                _ => (u % 97..u % 97 + 5).collect(),
+            })
+            .collect();
+        let profiles = ProfileStore::from_item_lists(lists);
+        let (n, tables) = (profiles.n_users(), 3);
+        let live = (0..n as u32).filter(|&u| !profiles.items(u).is_empty());
+        let mut want = vec![0u64; n * tables];
+        for ((_, items), slots) in profiles.iter().zip(want.chunks_mut(tables)) {
+            write_keys(items, 7, slots);
+        }
+        for threads in [1usize, 2, 4] {
+            let index = BucketIndex::in_ram(&profiles, tables, threads, |items, slots| {
+                write_keys(items, 7, slots)
+            });
+            assert_eq!(&index.keys[..], &want[..], "threads={threads}");
+            for t in 0..tables {
+                let runs: Vec<(u64, &[u64])> = index.runs(t).collect();
+                assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "keys ascend");
+                let mut users = Vec::new();
+                for (key, run) in runs {
+                    assert!(run.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+                    for &u in run {
+                        assert_eq!(want[u as usize * tables + t], key);
+                        users.push(u as u32);
+                    }
+                }
+                users.sort_unstable();
+                assert!(users.into_iter().eq(live.clone()), "each live user once");
+            }
+        }
     }
 
     #[test]

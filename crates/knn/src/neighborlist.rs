@@ -11,7 +11,7 @@ use rand::Rng;
 /// and NNDescent's "new" flags (set while an entry has not yet taken part
 /// in a local join). A membership test is one branch-free compare over the
 /// contiguous ids, and a full list caches its worst entry and that entry's
-/// slot, so [`NeighborList::floor`] reads no column and a replacement
+/// slot, so its `floor` reads no column and a replacement
 /// costs one rescan.
 /// Slots are stable: an entry is appended while there is room and
 /// otherwise replaces the worst one in place, so slot order (which

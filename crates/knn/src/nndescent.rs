@@ -8,7 +8,7 @@
 //! than `δ·k·n` updates happen in an iteration, or after `max_iterations`.
 //!
 //! The iterate/converge/finalize scaffolding lives in
-//! [`RefineEngine`](crate::engine::RefineEngine); this module only
+//! [`RefineEngine`]; this module only
 //! contributes the NNDescent [`JoinStrategy`]: sampled new/old neighbour
 //! sets (forward and reverse) per user, joined new×new and new×old.
 

@@ -350,8 +350,8 @@ fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
 ///
 /// With `max_bucket == 0` (the default), the graph is bit-identical to
 /// [`Lsh::build`](crate::lsh::Lsh::build) with the same `(tables, seed)`
-/// over [`ShfJaccard`](goldfinger_core::similarity::ShfJaccard) of the
-/// same fingerprint store, for any shard count and either backend.
+/// over [`ShfJaccard`] of the same fingerprint store, for any shard count
+/// and either backend.
 ///
 /// # Panics
 /// Panics if `k == 0` or `tables == 0`.

@@ -1,7 +1,7 @@
 //! Property-based tests: structural invariants every KNN builder must
 //! uphold, on arbitrary profile sets.
 
-use goldfinger_core::hash::{DynHasher, HasherKind};
+use goldfinger_core::hash::{splitmix64_mix, DynHasher, HasherKind};
 use goldfinger_core::kernels::{self, SimKernel};
 use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileStore;
@@ -9,7 +9,7 @@ use goldfinger_core::shf::{jaccard_from_counts, ShfParams, ShfStore};
 use goldfinger_core::similarity::{ExplicitJaccard, ShfJaccard, Similarity};
 use goldfinger_core::topk::TopK;
 use goldfinger_knn::brute::BruteForce;
-use goldfinger_knn::cluster::Cluster;
+use goldfinger_knn::cluster::{Cluster, ClusterStats};
 use goldfinger_knn::graph::{KnnGraph, KnnResult};
 use goldfinger_knn::hyrec::Hyrec;
 use goldfinger_knn::kiff::Kiff;
@@ -19,7 +19,7 @@ use goldfinger_knn::nndescent::NNDescent;
 use goldfinger_knn::oocbuild::{self, OocConfig};
 use goldfinger_obs::RecordingObserver;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 /// Arbitrary small populations: 3–25 users with 0–40 items each from a
@@ -565,5 +565,177 @@ proptest! {
             prop_assert_eq!(stats.similarity_evals, want_evals);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Blip bits per table in Cluster-and-Conquer (256 words of 64 bits).
+const BLIP_BITS: u64 = 256 * 64;
+
+/// Today's Cluster-and-Conquer written out the plain way, sharing no code
+/// with the crate's bucket index, cluster walk or partials. Per user, a key
+/// row: the set of blip bits its items hash to, then per table the bit of
+/// least priority rank (none for an empty profile). One `sort_unstable` of
+/// the `(flat bucket << 32) | user` entries and a walk over equal flat
+/// buckets give the clusters. Every unordered pair of a cluster that has
+/// at least two members and is within the cap is then scored once into
+/// per-user `TopK`s, unless the pair shares an uncapped cluster in an
+/// earlier table. Returns each user's top-k list as `(neighbour,
+/// similarity bits)`, the evaluation count and the layout statistics.
+fn reference_cluster<S: Similarity>(
+    profiles: &ProfileStore,
+    sim: &S,
+    c: &Cluster,
+    k: usize,
+) -> (Vec<Vec<(u32, u64)>>, u64, ClusterStats) {
+    let n = profiles.n_users();
+    let blip_seed = splitmix64_mix(c.seed ^ 0xB11F);
+    let key_rows: Vec<Vec<Option<u64>>> = profiles
+        .iter()
+        .map(|(_, items)| {
+            let bits: BTreeSet<u64> = items
+                .iter()
+                .map(|&i| splitmix64_mix(i as u64 ^ blip_seed) % BLIP_BITS)
+                .collect();
+            (0..c.tables)
+                .map(|t| {
+                    let ts = table_seed(c.seed, t);
+                    bits.iter().copied().min_by_key(|&b| splitmix64_mix(b ^ ts))
+                })
+                .collect()
+        })
+        .collect();
+    let mut entries: Vec<u64> = Vec::new();
+    for (u, row) in key_rows.iter().enumerate() {
+        for (t, key) in row.iter().enumerate() {
+            if let Some(b) = key {
+                entries.push((t as u64 * BLIP_BITS + b) << 32 | u as u64);
+            }
+        }
+    }
+    entries.sort_unstable();
+    // (flat bucket, members in id order), ascending by flat bucket.
+    let mut clusters: Vec<(u64, Vec<u32>)> = Vec::new();
+    for e in entries {
+        match clusters.last_mut() {
+            Some((fb, members)) if *fb == e >> 32 => members.push(e as u32),
+            _ => clusters.push((e >> 32, vec![e as u32])),
+        }
+    }
+
+    let hot = |size: usize| c.max_cluster != 0 && size > c.max_cluster;
+    let mut stats = ClusterStats {
+        tables: c.tables,
+        buckets: BLIP_BITS as usize,
+        clusters: clusters.len(),
+        scannable: 0,
+        capped: 0,
+        max_size: 0,
+        mean_size: 0.0,
+        pair_slots: 0,
+        size_hist: Vec::new(),
+    };
+    let mut scanned_members = 0;
+    // uncapped[u][t]: the flat bucket of `u`'s uncapped cluster in table t.
+    let mut uncapped = vec![vec![None; c.tables]; n];
+    for (fb, members) in &clusters {
+        let size = members.len();
+        stats.max_size = stats.max_size.max(size);
+        let log2 = size.ilog2() as usize;
+        if stats.size_hist.len() <= log2 {
+            stats.size_hist.resize(log2 + 1, 0);
+        }
+        stats.size_hist[log2] += 1;
+        if hot(size) {
+            stats.capped += 1;
+            continue;
+        }
+        for &u in members {
+            uncapped[u as usize][(*fb / BLIP_BITS) as usize] = Some(*fb);
+        }
+        if size >= 2 {
+            stats.scannable += 1;
+            scanned_members += size;
+            stats.pair_slots += (size * (size - 1) / 2) as u64;
+        }
+    }
+    if stats.scannable > 0 {
+        stats.mean_size = scanned_members as f64 / stats.scannable as f64;
+    }
+
+    let mut tops: Vec<TopK> = (0..n).map(|_| TopK::new(k)).collect();
+    let mut evals = 0;
+    for (fb, members) in &clusters {
+        if hot(members.len()) {
+            continue;
+        }
+        let t = (*fb / BLIP_BITS) as usize;
+        for (i, &u) in members.iter().enumerate() {
+            for &v in &members[i + 1..] {
+                let (ku, kv) = (&uncapped[u as usize], &uncapped[v as usize]);
+                if (0..t).any(|s| ku[s].is_some() && ku[s] == kv[s]) {
+                    continue; // charged to an earlier table
+                }
+                evals += 1;
+                let s = sim.similarity(u, v);
+                tops[u as usize].offer(s, v);
+                tops[v as usize].offer(s, u);
+            }
+        }
+    }
+    let lists = tops
+        .into_iter()
+        .map(|top| {
+            top.into_sorted()
+                .iter()
+                .map(|s| (s.user, s.sim.to_bits()))
+                .collect()
+        })
+        .collect();
+    (lists, evals, stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Cluster-and-Conquer keys its clusters through the bucket index LSH
+    /// uses, so it is held to an independent oracle instead: today's
+    /// per-user key rows, flat-bucket sort and pair-once scan written out
+    /// plainly. `Cluster::build`'s graph and eval count and `assign`'s
+    /// layout statistics must equal the oracle's for caps 0, 2 and 8, at 1
+    /// and 4 threads, bare and under an installed pool. Every population
+    /// holds at least one empty profile.
+    #[test]
+    fn cluster_matches_the_sorted_key_row_oracle(
+        lists in proptest::collection::vec(proptest::collection::vec(0u32..200, 0..30), 2..60),
+        tables in 1usize..=16,
+        k in 1usize..=10,
+        seed in 0u64..1000,
+    ) {
+        let mut lists = lists;
+        lists.push(Vec::new());
+        let profiles = ProfileStore::from_item_lists(lists);
+        let store = ShfParams::new(128, DynHasher::new(HasherKind::Jenkins, 3))
+            .fingerprint_store(&profiles);
+        let sim = ShfJaccard::new(&store);
+        for max_cluster in [0usize, 2, 8] {
+            let base = Cluster { tables, max_cluster, seed, threads: 1 };
+            let (want, want_evals, want_stats) = reference_cluster(&profiles, &sim, &base, k);
+            for threads in [1usize, 4] {
+                for pooled in [false, true] {
+                    let c = Cluster { threads, ..base };
+                    let (r, stats) = if pooled {
+                        shared_pool().install(|| {
+                            (c.build(&profiles, &sim, k), c.assign(&profiles).stats())
+                        })
+                    } else {
+                        (c.build(&profiles, &sim, k), c.assign(&profiles).stats())
+                    };
+                    let at = format!("cap={max_cluster} threads={threads} pooled={pooled}");
+                    prop_assert_eq!(&lists_of(&r.graph), &want, "{}", at);
+                    prop_assert_eq!(r.stats.similarity_evals, want_evals, "{}", at);
+                    prop_assert_eq!(&stats, &want_stats, "{}", at);
+                }
+            }
+        }
     }
 }

@@ -49,7 +49,7 @@ pub enum TraceKind {
     Instant,
 }
 
-/// One event, as stored in a ring and returned by [`drain`].
+/// One event, as stored in a ring and returned by [`disable_and_drain`].
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     /// Nanoseconds since the process trace epoch.

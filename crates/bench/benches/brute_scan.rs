@@ -1,12 +1,13 @@
-//! Criterion bench for the tiled brute-force scan engine: the fused batch
-//! AND+popcount kernel against the per-pair kernel, and the whole scan on
-//! explicit and fingerprint providers.
+//! Criterion bench for the tiled brute-force scan engine: the store's
+//! gather AND+popcount kernel (`ShfStore::and_counts_gather`, what every
+//! row of a tile cell is scored through) against the per-pair kernel, and
+//! the whole scan on explicit and fingerprint providers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use goldfinger_core::bits::{and_count_words, and_count_words_batch, BitArray};
+use goldfinger_core::bits::{and_count_words, BitArray};
 use goldfinger_core::hash::{DynHasher, HasherKind};
 use goldfinger_core::profile::ProfileStore;
-use goldfinger_core::shf::ShfParams;
+use goldfinger_core::shf::{ShfParams, ShfStore};
 use goldfinger_core::similarity::{ExplicitJaccard, ShfJaccard, Similarity};
 use goldfinger_knn::brute::BruteForce;
 use rand::rngs::StdRng;
@@ -38,26 +39,32 @@ fn skewed_profiles(n: usize, rng: &mut StdRng) -> ProfileStore {
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("brute_scan_kernels");
     group.throughput(Throughput::Elements(BLOCK as u64));
-    // 128 bits: the fused pair loop shares query loads across fingerprints
-    // (~2x). 1024 bits: popcount-bound, both kernels stream at parity.
     for bits in [128u32, BITS] {
         let mut rng = StdRng::seed_from_u64(7);
-        let query = random_fp(bits, &mut rng);
-        let fps: Vec<BitArray> = (0..BLOCK).map(|_| random_fp(bits, &mut rng)).collect();
-        let block: Vec<u64> = fps.iter().flat_map(|f| f.words().iter().copied()).collect();
+        // Row 0 is the query, rows 1..=BLOCK the block.
+        let rows: Vec<BitArray> = (0..=BLOCK).map(|_| random_fp(bits, &mut rng)).collect();
+        let store = ShfStore::from_raw_parts(
+            bits,
+            rows.iter().map(BitArray::count_ones).collect(),
+            rows.iter()
+                .flat_map(|r| r.words().iter().copied())
+                .collect(),
+        );
+        let ids: Vec<u32> = (1..=BLOCK as u32).collect();
         group.bench_function(format!("per_pair_{bits}"), |b| {
             b.iter(|| {
                 let mut acc = 0u64;
-                for fp in &fps {
-                    acc += and_count_words(query.words(), fp.words()) as u64;
+                for &v in &ids {
+                    acc += and_count_words(store.fingerprint_words(0), store.fingerprint_words(v))
+                        as u64;
                 }
                 black_box(acc)
             })
         });
-        group.bench_function(format!("batch_fused_{bits}"), |b| {
+        group.bench_function(format!("gather_{bits}"), |b| {
             let mut counts = vec![0u32; BLOCK];
             b.iter(|| {
-                and_count_words_batch(query.words(), &block, &mut counts);
+                store.and_counts_gather(0, &ids, &mut counts);
                 black_box(counts.iter().map(|&c| c as u64).sum::<u64>())
             })
         });

@@ -5,7 +5,7 @@
 //!   the paper's Table 3 headline.
 //! - `minhash_classic_256` vs `minhash_onepass_256`: hashed MinHash at
 //!   the paper's 256 permutations, per-permutation hashing vs one-pass
-//!   sketching (`GF_SKETCH`). The one-pass path must be ≥ 3× faster —
+//!   sketching (`SketchMode`). The one-pass path must be ≥ 3× faster —
 //!   it hashes each item once instead of 256 times.
 //! - `apply_delta_1_item` vs `refingerprint_1_user`: folding a
 //!   single-item delta into an existing fingerprint vs refingerprinting

@@ -17,8 +17,19 @@ use goldfinger_bench::{
 };
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_minhash::{BbitParams, BbitStore, MinHashParams, PermutationStrategy, SketchMode};
-use goldfinger_obs::{Phase, PhaseSpan, ReportSet, RunReport, SpanSet};
+use goldfinger_obs::{Phase, PhaseSpan, ReportSet, RunReport};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// Runs `f` once and returns how long it took; its output is dropped
+/// after the clock stops.
+fn timed<T>(f: impl FnOnce() -> T) -> Duration {
+    let t0 = Instant::now();
+    let out = f();
+    let wall = t0.elapsed();
+    black_box(out);
+    wall
+}
 
 fn main() {
     let args = Args::from_env();
@@ -36,63 +47,44 @@ fn main() {
             "dataset",
             "native",
             "MinHash",
-            &format!("MinHash ({})", SketchMode::from_env().name()),
+            "MinHash (classic)",
+            "MinHash (onepass)",
             "GoldFinger",
             "speedup (x)",
         ],
     );
+    let bbit_params = |strategy| BbitParams {
+        minhash: MinHashParams {
+            permutations: perms,
+            strategy,
+            seed: cfg.seed,
+        },
+        bits: bbit,
+    };
     for data in build_datasets(&cfg, args.get("datasets")) {
         let profiles = data.profiles();
-        let spans = SpanSet::new();
 
         // Native preparation: rebuilding the packed explicit representation
         // from per-user item lists (what the paper's Java loader builds).
         let lists: Vec<Vec<u32>> = profiles.iter().map(|(_, items)| items.to_vec()).collect();
-        let span = spans.span(Phase::DatasetPrep);
-        let rebuilt = ProfileStore::from_item_lists(lists);
-        black_box(&rebuilt);
-        let native = span.stop();
+        let native = timed(|| ProfileStore::from_item_lists(lists));
 
         // MinHash: explicit permutations over the full item universe.
-        let span = spans.span(Phase::Fingerprinting);
-        let sketches = BbitStore::build(
-            BbitParams {
-                minhash: MinHashParams {
-                    permutations: perms,
-                    strategy: PermutationStrategy::Explicit,
-                    seed: cfg.seed,
-                },
-                bits: bbit,
-            },
-            profiles,
-        );
-        black_box(&sketches);
-        let minhash = span.stop();
+        let minhash =
+            timed(|| BbitStore::build(bbit_params(PermutationStrategy::Explicit), profiles));
 
-        // Hashed MinHash under the active `GF_SKETCH` mode: one-pass
-        // sketching hashes each association once; classic hashes it once
-        // per permutation. Comparing this column across the two modes is
-        // the Table 3 ingest-speed story for MinHash itself.
-        let span = spans.span(Phase::Fingerprinting);
-        let hashed = BbitStore::build(
-            BbitParams {
-                minhash: MinHashParams {
-                    permutations: perms,
-                    strategy: PermutationStrategy::Hashed,
-                    seed: cfg.seed,
-                },
-                bits: bbit,
-            },
-            profiles,
-        );
-        black_box(&hashed);
-        let minhash_hashed = span.stop();
+        // Hashed MinHash in both sketch modes: classic hashes each
+        // association once per permutation, one-pass hashes it once.
+        // Comparing the two columns is the Table 3 ingest-speed story for
+        // MinHash itself.
+        let [classic, onepass] = [SketchMode::Classic, SketchMode::OnePass].map(|mode| {
+            timed(|| {
+                BbitStore::build_with_mode(bbit_params(PermutationStrategy::Hashed), profiles, mode)
+            })
+        });
 
         // GoldFinger: one Jenkins hash per association.
-        let span = spans.span(Phase::Fingerprinting);
-        let store = cfg.shf_params(cfg.bits).fingerprint_store(profiles);
-        black_box(&store);
-        let goldfinger = span.stop();
+        let goldfinger = timed(|| cfg.shf_params(cfg.bits).fingerprint_store(profiles));
 
         let associations = profiles.n_associations() as u64;
         for (provider, sketch, phase, bits, prep) in [
@@ -106,10 +98,17 @@ fn main() {
             ),
             (
                 "minhash-hashed",
-                SketchMode::from_env().name(),
+                SketchMode::Classic.name(),
                 Phase::Fingerprinting,
                 (perms as u64) * bbit as u64,
-                minhash_hashed,
+                classic,
+            ),
+            (
+                "minhash-hashed",
+                SketchMode::OnePass.name(),
+                Phase::Fingerprinting,
+                (perms as u64) * bbit as u64,
+                onepass,
             ),
             (
                 "goldfinger",
@@ -143,7 +142,8 @@ fn main() {
             data.name().to_string(),
             fmt_duration(native),
             fmt_duration(minhash),
-            fmt_duration(minhash_hashed),
+            fmt_duration(classic),
+            fmt_duration(onepass),
             fmt_duration(goldfinger),
             format!(
                 "{:.1}",

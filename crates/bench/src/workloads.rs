@@ -13,9 +13,9 @@ use goldfinger_datasets::synth::SynthConfig;
 use goldfinger_knn::builder::BuildInput;
 use goldfinger_knn::builders::{self, BuilderConfig, BuilderSpec};
 use goldfinger_knn::graph::KnnResult;
-use goldfinger_obs::{BuildObserver, NoopObserver, Phase, Registry, SpanSet};
+use goldfinger_obs::{BuildObserver, NoopObserver, Phase, Registry};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The four KNN construction algorithms of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,17 +188,15 @@ pub struct RunOutcome {
     pub prep: Duration,
 }
 
-/// Fingerprints a profile store, timing the preparation through the span
-/// API ([`Phase::Fingerprinting`]).
+/// Fingerprints a profile store, timing the preparation.
 pub fn fingerprint(
     cfg: &ExperimentConfig,
     bits: u32,
     profiles: &ProfileStore,
 ) -> (ShfStore, Duration) {
-    let spans = SpanSet::new();
-    let span = spans.span(Phase::Fingerprinting);
+    let t0 = Instant::now();
     let store = cfg.shf_params(bits).fingerprint_store(profiles);
-    (store, span.stop())
+    (store, t0.elapsed())
 }
 
 /// Runs one `(algorithm, provider)` combination.
@@ -278,12 +276,12 @@ pub fn record_mem_gauges(reg: &Registry) {
 /// With `cfg.threads > 1` the shared persistent pool is installed for the
 /// duration of the run, so fingerprinting and every parallel build phase
 /// dispatch to parked workers instead of spawning threads.
-pub fn run_observed<O: BuildObserver>(
+pub fn run_observed(
     cfg: &ExperimentConfig,
     kind: AlgoKind,
     data: &BinaryDataset,
     provider: ProviderKind,
-    obs: &O,
+    obs: &dyn BuildObserver,
 ) -> RunOutcome {
     if cfg.threads > 1 {
         let pool = shared_pool(cfg.threads);
@@ -292,12 +290,12 @@ pub fn run_observed<O: BuildObserver>(
     run_observed_inner(cfg, kind, data, provider, obs)
 }
 
-fn run_observed_inner<O: BuildObserver>(
+fn run_observed_inner(
     cfg: &ExperimentConfig,
     kind: AlgoKind,
     data: &BinaryDataset,
     provider: ProviderKind,
-    obs: &O,
+    obs: &dyn BuildObserver,
 ) -> RunOutcome {
     let profiles = data.profiles();
     let (mut result, prep) = match provider {
@@ -310,9 +308,7 @@ fn run_observed_inner<O: BuildObserver>(
         }
         ProviderKind::GoldFinger(bits) => {
             let (store, prep) = fingerprint(cfg, bits, profiles);
-            if O::ENABLED {
-                obs.on_span(Phase::Fingerprinting, prep);
-            }
+            obs.on_span(Phase::Fingerprinting, prep);
             let sim = ShfJaccard::new(&store);
             (dispatch_observed(cfg, kind, profiles, &sim, obs), prep)
         }
@@ -336,12 +332,12 @@ pub fn dispatch<S: Similarity>(
 /// code here: the kind's registry entry instantiates the builder and the
 /// erased trait runs it, so every algorithm (KIFF included) reports the same
 /// iteration events and phase spans.
-pub fn dispatch_observed<S: Similarity, O: BuildObserver>(
+pub fn dispatch_observed<S: Similarity>(
     cfg: &ExperimentConfig,
     kind: AlgoKind,
     profiles: &ProfileStore,
     sim: &S,
-    obs: &O,
+    obs: &dyn BuildObserver,
 ) -> KnnResult {
     let builder = kind.spec().instantiate(&BuilderConfig {
         seed: cfg.seed,

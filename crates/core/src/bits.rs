@@ -251,90 +251,11 @@ pub fn and_count_words(a: &[u64], b: &[u64]) -> u32 {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
-/// Fused batch kernel: `popcount(query AND fp_i)` for every fingerprint in
-/// a contiguous block, one count per fingerprint.
-///
-/// `block` holds `counts.len()` fingerprints of `query.len()` words each,
-/// back to back — the layout of `ShfStore`. Keeping the query slice hot
-/// across the whole block amortises its loads over many comparisons, which
-/// is what makes tiled brute-force scans cache-friendly: the inner loop
-/// touches `query` (L1-resident) plus one streaming pass over the block.
-///
-/// # Panics
-/// Panics (debug) if `block.len() != query.len() * counts.len()`.
-pub fn and_count_words_batch(query: &[u64], block: &[u64], counts: &mut [u32]) {
-    let w = query.len();
-    debug_assert_eq!(block.len(), w * counts.len());
-    if w == 0 {
-        counts.fill(0);
-        return;
-    }
-    // Wide fingerprints are popcount/bandwidth-bound and prefetch best as a
-    // single stream; fusing two streams only pays while both rows of the
-    // pair fit comfortably alongside the query in L1.
-    if w > 4 {
-        for (fp, out) in block.chunks_exact(w).zip(counts.iter_mut()) {
-            *out = and_count_words(query, fp);
-        }
-        return;
-    }
-    // Two fingerprints per pass: each query word is loaded once for two
-    // comparisons, and the two popcount chains are independent (ILP).
-    let mut fps = block.chunks_exact(2 * w);
-    let mut outs = counts.chunks_exact_mut(2);
-    for (pair, out) in (&mut fps).zip(&mut outs) {
-        let (f0, f1) = pair.split_at(w);
-        let mut acc = [0u32; 4];
-        let mut wq = query.chunks_exact(2);
-        let mut w0 = f0.chunks_exact(2);
-        let mut w1 = f1.chunks_exact(2);
-        for ((cq, c0), c1) in (&mut wq).zip(&mut w0).zip(&mut w1) {
-            acc[0] += (cq[0] & c0[0]).count_ones();
-            acc[1] += (cq[1] & c0[1]).count_ones();
-            acc[2] += (cq[0] & c1[0]).count_ones();
-            acc[3] += (cq[1] & c1[1]).count_ones();
-        }
-        for ((&q, &x0), &x1) in wq
-            .remainder()
-            .iter()
-            .zip(w0.remainder())
-            .zip(w1.remainder())
-        {
-            acc[0] += (q & x0).count_ones();
-            acc[2] += (q & x1).count_ones();
-        }
-        out[0] = acc[0] + acc[1];
-        out[1] = acc[2] + acc[3];
-    }
-    for (fp, out) in fps.remainder().chunks_exact(w).zip(outs.into_remainder()) {
-        *out = and_count_words(query, fp);
-    }
-}
-
 /// `popcount(a OR b)` over raw word slices.
 #[inline]
 pub fn or_count_words(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| (x | y).count_ones()).sum()
-}
-
-/// Fused batch kernel: `popcount(query OR fp_i)` for every fingerprint in a
-/// contiguous block — the union-side counterpart of
-/// [`and_count_words_batch`], used by the `jaccard_via_or` ablation so both
-/// estimator forms go through the same batched machinery.
-///
-/// # Panics
-/// Panics (debug) if `block.len() != query.len() * counts.len()`.
-pub fn or_count_words_batch(query: &[u64], block: &[u64], counts: &mut [u32]) {
-    let w = query.len();
-    debug_assert_eq!(block.len(), w * counts.len());
-    if w == 0 {
-        counts.fill(0);
-        return;
-    }
-    for (fp, out) in block.chunks_exact(w).zip(counts.iter_mut()) {
-        *out = or_count_words(query, fp);
-    }
 }
 
 /// Byte-level lookup-table popcount over `a AND b`, kept as an ablation
@@ -458,25 +379,6 @@ mod tests {
                 and_count_words_lut(a.words(), b.words()),
                 "words = {words}"
             );
-        }
-    }
-
-    #[test]
-    fn batch_kernel_matches_pairwise_kernel() {
-        let w = 5usize; // non-multiple of the unroll factor
-        let bits = w as u32 * 64;
-        let query = BitArray::from_positions(bits, (0..bits).step_by(2));
-        let fps: Vec<BitArray> = (0..7)
-            .map(|i| BitArray::from_positions(bits, (i..bits).step_by(3 + i as usize)))
-            .collect();
-        let mut block = Vec::new();
-        for fp in &fps {
-            block.extend_from_slice(fp.words());
-        }
-        let mut counts = vec![0u32; fps.len()];
-        and_count_words_batch(query.words(), &block, &mut counts);
-        for (fp, &got) in fps.iter().zip(&counts) {
-            assert_eq!(got, query.and_count(fp));
         }
     }
 

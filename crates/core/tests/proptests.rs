@@ -1,9 +1,6 @@
 //! Property-based tests for the fingerprint kernels.
 
-use goldfinger_core::bits::{
-    and_count_words, and_count_words_batch, and_count_words_lut, or_count_words,
-    or_count_words_batch, BitArray,
-};
+use goldfinger_core::bits::{and_count_words, and_count_words_lut, or_count_words, BitArray};
 use goldfinger_core::hash::{DynHasher, HasherKind, ItemHasher};
 use goldfinger_core::kernels;
 use goldfinger_core::profile::{intersection_size_sorted, Profile, ProfileStore};
@@ -57,9 +54,9 @@ proptest! {
         );
     }
 
-    /// The unrolled pairwise kernel and the fused batch kernel both match
-    /// the LUT baseline on arbitrary widths, including ones that are not a
-    /// multiple of 64 or of the 4-word unroll.
+    /// The unrolled pairwise kernel matches the LUT baseline on arbitrary
+    /// widths, including ones that are not a multiple of 64 or of the
+    /// 4-word unroll.
     #[test]
     fn kernels_match_lut_on_arbitrary_widths(
         bits in 1u32..600,
@@ -74,48 +71,16 @@ proptest! {
         };
         let query = fill(query_seed);
         let fps: Vec<BitArray> = seeds.iter().map(|&s| fill(s)).collect();
-        // Pairwise: unrolled kernel vs LUT baseline.
         for fp in &fps {
             prop_assert_eq!(
                 and_count_words(query.words(), fp.words()),
                 and_count_words_lut(query.words(), fp.words())
             );
         }
-        // Batch: fuse the block scan and compare element-wise.
-        let block: Vec<u64> = fps.iter().flat_map(|f| f.words().iter().copied()).collect();
-        let mut counts = vec![0u32; fps.len()];
-        and_count_words_batch(query.words(), &block, &mut counts);
-        for (fp, &got) in fps.iter().zip(&counts) {
-            prop_assert_eq!(got, and_count_words_lut(query.words(), fp.words()));
-        }
-    }
-
-    /// The batched OR kernel matches the pairwise scalar baseline on
-    /// arbitrary widths — the union side of the Eq. 4 identity.
-    #[test]
-    fn or_batch_matches_pairwise_scalar(
-        bits in 1u32..600,
-        seeds in proptest::collection::vec(0u64..1000, 1..8),
-        query_seed in 0u64..1000,
-    ) {
-        let fill = |seed: u64| {
-            let positions: Vec<u32> = (0..bits)
-                .filter(|&p| (p as u64).wrapping_mul(0x9E37_79B9).wrapping_add(seed).is_multiple_of(3))
-                .collect();
-            BitArray::from_positions(bits, positions)
-        };
-        let query = fill(query_seed);
-        let fps: Vec<BitArray> = seeds.iter().map(|&s| fill(s)).collect();
-        let block: Vec<u64> = fps.iter().flat_map(|f| f.words().iter().copied()).collect();
-        let mut counts = vec![0u32; fps.len()];
-        or_count_words_batch(query.words(), &block, &mut counts);
-        for (fp, &got) in fps.iter().zip(&counts) {
-            prop_assert_eq!(got, or_count_words(query.words(), fp.words()));
-        }
     }
 
     /// Every runtime-dispatchable kernel variant available on this host is
-    /// bit-identical to the LUT baseline — pairwise, batched, and gathered —
+    /// bit-identical to the LUT baseline — pairwise and gathered —
     /// on arbitrary widths including non-multiples of 64 and the one-word
     /// fast-path width.
     #[test]

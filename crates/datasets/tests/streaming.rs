@@ -1,9 +1,6 @@
-//! Streaming-ingest == in-memory-ingest equality on a synthetic file
-//! (ISSUE 8 tentpole c / satellite 3): the two-pass streaming pipeline
-//! must produce a bit-identical `ShfStore` for any pool thread count and
-//! any batch size, under the default sketch/kernel environment and under
-//! `GF_SKETCH=classic` (the streaming path never consults `GF_SKETCH`,
-//! so the CI leg that sets it exercises the same assertions).
+//! Streaming-ingest == in-memory-ingest equality on a synthetic file: the
+//! two-pass streaming pipeline must produce a bit-identical `ShfStore` for
+//! any pool thread count and any batch size.
 
 use goldfinger_core::hash::{DynHasher, HasherKind};
 use goldfinger_core::pool::Pool;

@@ -58,15 +58,15 @@ impl BruteForce {
     /// deterministic reduction ([`goldfinger_obs::Phase::Merge`]), and a
     /// single [`goldfinger_obs::IterationEvent`] with the final counters.
     /// Observation never changes the output; with the default
-    /// [`NoopObserver`] the hooks compile to nothing.
+    /// [`NoopObserver`] the hooks are skipped.
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    pub fn build_observed<S: Similarity + ?Sized>(
         &self,
         sim: &S,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         assert!(k > 0, "k must be positive");
         let n = sim.n_users();

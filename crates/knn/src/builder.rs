@@ -4,15 +4,15 @@
 //! Two layers:
 //!
 //! - [`KnnBuilder`] is the statically-dispatched trait the six builders
-//!   implement. It is generic over the [`Similarity`] provider and the
-//!   [`BuildObserver`] — exactly like the builders' inherent methods, which
-//!   remain in place (concrete call sites keep their signatures and their
-//!   monomorphised, zero-overhead observer paths).
+//!   implement. It is generic over the [`Similarity`] provider and takes
+//!   the [`BuildObserver`] as a `&dyn` reference — exactly like the
+//!   builders' inherent methods, which remain in place (concrete call
+//!   sites keep their signatures).
 //! - [`ErasedBuilder`] is the dyn-safe form, obtained for free from any
 //!   `KnnBuilder` via a blanket impl. The registry
 //!   ([`crate::builders`]) hands out `Box<dyn ErasedBuilder>` so harnesses
-//!   can enumerate and run algorithms without naming their types; similarity
-//!   and observer are passed behind `dyn` references there.
+//!   can enumerate and run algorithms without naming their types; the
+//!   similarity is passed behind a `dyn` reference there too.
 //!
 //! Inputs are bundled in [`BuildInput`] because the builders disagree on
 //! what they need: the greedy refiners only consume a [`Similarity`], while
@@ -30,7 +30,7 @@ use crate::lsh::Lsh;
 use crate::nndescent::NNDescent;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
-use goldfinger_obs::{BuildObserver, DynObserver, NoopObserver, ObserverHooks};
+use goldfinger_obs::{BuildObserver, NoopObserver};
 
 /// The inputs a builder may consume: the similarity provider, plus the
 /// explicit profiles for algorithms whose candidate generation reads them.
@@ -81,7 +81,7 @@ impl<S: ?Sized> Clone for BuildInput<'_, S> {
 
 impl<S: ?Sized> Copy for BuildInput<'_, S> {}
 
-/// A KNN graph construction algorithm, generic over provider and observer.
+/// A KNN graph construction algorithm, generic over the provider.
 ///
 /// The determinism contract mirrors the golden-seed suite: when
 /// [`deterministic`](KnnBuilder::deterministic) reports `true`, repeated
@@ -110,11 +110,11 @@ pub trait KnnBuilder: Sync {
 
     /// Builds the graph, reporting iteration events and phase spans to
     /// `obs`.
-    fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    fn build_observed<S: Similarity + ?Sized>(
         &self,
         input: BuildInput<'_, S>,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult;
 
     /// Builds the graph unobserved.
@@ -135,16 +135,12 @@ pub trait ErasedBuilder: Sync {
     /// See [`KnnBuilder::needs_profiles`].
     fn needs_profiles(&self) -> bool;
 
-    /// Builds the graph with provider and observer behind `dyn` references.
-    ///
-    /// A disabled observer ([`ObserverHooks::enabled`]` == false`) is
-    /// replaced by the static [`NoopObserver`], restoring the builders'
-    /// bookkeeping-free path.
+    /// Builds the graph with the provider behind a `dyn` reference.
     fn build_erased<'a>(
         &self,
         input: BuildInput<'a, dyn Similarity + 'a>,
         k: usize,
-        obs: &dyn ObserverHooks,
+        obs: &dyn BuildObserver,
     ) -> KnnResult;
 }
 
@@ -165,13 +161,9 @@ impl<B: KnnBuilder> ErasedBuilder for B {
         &self,
         input: BuildInput<'a, dyn Similarity + 'a>,
         k: usize,
-        obs: &dyn ObserverHooks,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
-        if obs.enabled() {
-            KnnBuilder::build_observed(self, input, k, &DynObserver(obs))
-        } else {
-            KnnBuilder::build_observed(self, input, k, &NoopObserver)
-        }
+        KnnBuilder::build_observed(self, input, k, obs)
     }
 }
 
@@ -191,11 +183,11 @@ impl KnnBuilder for BruteForce {
         true
     }
 
-    fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    fn build_observed<S: Similarity + ?Sized>(
         &self,
         input: BuildInput<'_, S>,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         BruteForce::build_observed(self, input.sim, k, obs)
     }
@@ -212,11 +204,11 @@ impl KnnBuilder for Hyrec {
         self.threads <= 1
     }
 
-    fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    fn build_observed<S: Similarity + ?Sized>(
         &self,
         input: BuildInput<'_, S>,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         Hyrec::build_observed(self, input.sim, k, obs)
     }
@@ -233,11 +225,11 @@ impl KnnBuilder for NNDescent {
         self.threads <= 1
     }
 
-    fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    fn build_observed<S: Similarity + ?Sized>(
         &self,
         input: BuildInput<'_, S>,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         NNDescent::build_observed(self, input.sim, k, obs)
     }
@@ -258,11 +250,11 @@ impl KnnBuilder for Lsh {
         true
     }
 
-    fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    fn build_observed<S: Similarity + ?Sized>(
         &self,
         input: BuildInput<'_, S>,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         Lsh::build_observed(self, input.profiles(), input.sim, k, obs)
     }
@@ -284,11 +276,11 @@ impl KnnBuilder for Cluster {
         true
     }
 
-    fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    fn build_observed<S: Similarity + ?Sized>(
         &self,
         input: BuildInput<'_, S>,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         Cluster::build_observed(self, input.profiles(), input.sim, k, obs)
     }
@@ -307,11 +299,11 @@ impl KnnBuilder for Kiff {
         true
     }
 
-    fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    fn build_observed<S: Similarity + ?Sized>(
         &self,
         input: BuildInput<'_, S>,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         Kiff::build_observed(self, input.profiles(), input.sim, k, obs)
     }

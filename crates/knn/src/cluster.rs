@@ -44,8 +44,7 @@ use crate::partials::fold_scan;
 use goldfinger_core::hash::splitmix64_mix;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
-use goldfinger_obs::trace;
-use goldfinger_obs::{BuildObserver, NoopObserver, Phase};
+use goldfinger_obs::{BuildObserver, NoopObserver, Phase, PhaseTimer};
 use std::time::Instant;
 
 /// Blip width in 64-bit words: 16384 bucket slots per table — wide enough
@@ -313,16 +312,16 @@ impl Cluster {
     /// per-cluster scans ([`Phase::Join`]), one for the deterministic
     /// reduction ([`Phase::Merge`]), and a single [`IterationEvent`](goldfinger_obs::IterationEvent) with
     /// the final counters. Observation never changes the output; with the
-    /// default [`NoopObserver`] the hooks compile to nothing.
+    /// default [`NoopObserver`] the hooks are skipped.
     ///
     /// # Panics
     /// Same contract as [`Cluster::build`].
-    pub fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    pub fn build_observed<S: Similarity + ?Sized>(
         &self,
         profiles: &ProfileStore,
         sim: &S,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         assert!(k > 0, "k must be positive");
         assert_eq!(
@@ -333,13 +332,9 @@ impl Cluster {
         let n = profiles.n_users();
         let start = Instant::now();
 
-        let assign_start = O::ENABLED.then(Instant::now);
-        let assign_trace = trace::span("phase", "candidate_generation");
+        let assigning = PhaseTimer::start(obs, Phase::CandidateGeneration);
         let assignment = self.assign(profiles);
-        drop(assign_trace);
-        if let Some(t) = assign_start {
-            obs.on_span(Phase::CandidateGeneration, t.elapsed());
-        }
+        drop(assigning);
 
         let asg = &assignment;
         fold_scan(

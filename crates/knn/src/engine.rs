@@ -62,7 +62,7 @@ use crate::neighborlist::{outranks, random_lists, NeighborList};
 use goldfinger_core::parallel::par_map_chunks;
 use goldfinger_core::similarity::Similarity;
 use goldfinger_obs::trace;
-use goldfinger_obs::{BuildObserver, IterationEvent, Phase};
+use goldfinger_obs::{BuildObserver, IterationEvent, Phase, PhaseTimer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -259,11 +259,10 @@ impl RefineEngine {
     /// # Panics
     /// Panics if `k == 0`, `delta` is negative, or
     /// [`JoinStrategy::validate`] rejects the strategy's parameters.
-    pub fn run<S, St, O>(&self, sim: &S, k: usize, strategy: &St, obs: &O) -> KnnResult
+    pub fn run<S, St>(&self, sim: &S, k: usize, strategy: &St, obs: &dyn BuildObserver) -> KnnResult
     where
         S: Similarity + ?Sized,
         St: JoinStrategy,
-        O: BuildObserver,
     {
         assert!(k > 0, "k must be positive");
         assert!(self.delta >= 0.0, "delta must be non-negative");
@@ -274,7 +273,7 @@ impl RefineEngine {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut evals = 0u64;
         let mut lists = random_lists(sim, k, &mut rng, &mut evals);
-        if O::ENABLED {
+        if obs.enabled() {
             obs.on_iteration(IterationEvent {
                 iteration: 0,
                 similarity_evals: evals,
@@ -302,18 +301,14 @@ impl RefineEngine {
         while iterations < self.max_iterations {
             iterations += 1;
             let _iter = trace::span_arg("engine", "iteration", iterations as u64);
-            let iter_start = O::ENABLED.then(Instant::now);
+            let iter_start = obs.enabled().then(Instant::now);
 
             let plan = {
-                let _t = trace::span("phase", "candidate_generation");
+                let _t = PhaseTimer::start(obs, Phase::CandidateGeneration);
                 strategy.candidates(k, &mut lists, &mut rng)
             };
-            if let Some(t) = iter_start {
-                obs.on_span(Phase::CandidateGeneration, t.elapsed());
-            }
 
-            let join_start = O::ENABLED.then(Instant::now);
-            let join_trace = trace::span("phase", "join");
+            let join = PhaseTimer::start(obs, Phase::Join);
             let mut floors: Vec<Floor> = lists.iter().map(Floor::of).collect();
             let mut updates = 0u64;
             for lo in (0..n).step_by(WINDOW) {
@@ -357,19 +352,16 @@ impl RefineEngine {
                 .map(|w| std::mem::take(&mut w.out.evals))
                 .sum();
             evals += iter_evals;
-            drop(join_trace);
+            drop(join);
 
-            if O::ENABLED {
-                if let Some(t) = join_start {
-                    obs.on_span(Phase::Join, t.elapsed());
-                }
+            if let Some(t) = iter_start {
                 obs.on_iteration(IterationEvent {
                     iteration: iterations,
                     similarity_evals: iter_evals,
                     pruned_evals: 0,
                     updates,
                     threshold,
-                    wall: iter_start.map_or(Duration::ZERO, |t| t.elapsed()),
+                    wall: t.elapsed(),
                 });
             }
             if (updates as f64) < threshold {
@@ -377,13 +369,9 @@ impl RefineEngine {
             }
         }
 
-        let merge_start = O::ENABLED.then(Instant::now);
-        let merge_trace = trace::span("phase", "merge");
+        let merge = PhaseTimer::start(obs, Phase::Merge);
         let neighbors = lists.iter().map(NeighborList::to_sorted).collect();
-        drop(merge_trace);
-        if let Some(t) = merge_start {
-            obs.on_span(Phase::Merge, t.elapsed());
-        }
+        drop(merge);
         KnnResult {
             graph: KnnGraph::from_lists(k, neighbors),
             stats: BuildStats {

@@ -69,15 +69,15 @@ impl Hyrec {
     /// carrying the evaluations performed, the neighbour-list updates and
     /// the `δ·k·n` termination threshold, plus spans for the snapshot and
     /// candidate-scan phases. Observation never changes the output; with
-    /// the default [`NoopObserver`] the hooks compile to nothing.
+    /// the default [`NoopObserver`] the hooks are skipped.
     ///
     /// # Panics
     /// Panics if `k == 0` or `delta` is negative.
-    pub fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    pub fn build_observed<S: Similarity + ?Sized>(
         &self,
         sim: &S,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         RefineEngine {
             delta: self.delta,

@@ -34,8 +34,7 @@ use crate::idsets::IdSets;
 use crate::userscan::scan_all_users;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
-use goldfinger_obs::trace;
-use goldfinger_obs::{BuildObserver, NoopObserver, Phase};
+use goldfinger_obs::{BuildObserver, NoopObserver, Phase, PhaseTimer};
 use std::time::Instant;
 
 /// KIFF parameters.
@@ -172,18 +171,18 @@ impl Kiff {
     /// ([`Phase::CandidateGeneration`]), one for the candidate ranking and
     /// scoring ([`Phase::Join`]), and a single [`IterationEvent`] with the
     /// final counters. Observation never changes the output; with the
-    /// default [`NoopObserver`] the hooks compile to nothing.
+    /// default [`NoopObserver`] the hooks are skipped.
     ///
     /// [`IterationEvent`]: goldfinger_obs::IterationEvent
     ///
     /// # Panics
     /// Same contract as [`Kiff::build`].
-    pub fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    pub fn build_observed<S: Similarity + ?Sized>(
         &self,
         profiles: &ProfileStore,
         sim: &S,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         assert!(k > 0, "k must be positive");
         assert!(
@@ -200,17 +199,13 @@ impl Kiff {
 
         // The inverted index reads explicit profiles and is not accelerated
         // by GoldFinger, like LSH's bucketing.
-        let index_start = O::ENABLED.then(Instant::now);
-        let index_trace = trace::span("phase", "candidate_generation");
+        let indexing = PhaseTimer::start(obs, Phase::CandidateGeneration);
         // Item → raters, each rater list in increasing id order.
         let index = IdSets::inverted(
             (0..n as u32).map(|u| profiles.items(u)),
             profiles.item_universe_bound() as usize,
         );
-        drop(index_trace);
-        if let Some(t) = index_start {
-            obs.on_span(Phase::CandidateGeneration, t.elapsed());
-        }
+        drop(indexing);
 
         let degree_cap = self.max_item_degree.unwrap_or(usize::MAX);
         let budget = self.candidate_factor * k;

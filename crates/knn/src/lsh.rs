@@ -36,8 +36,7 @@ use goldfinger_core::parallel::par_map_chunks;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
 use goldfinger_core::visit::VisitStamp;
-use goldfinger_obs::trace;
-use goldfinger_obs::{BuildObserver, NoopObserver, Phase};
+use goldfinger_obs::{BuildObserver, NoopObserver, Phase, PhaseTimer};
 use std::io;
 use std::path::Path;
 use std::time::Instant;
@@ -268,18 +267,18 @@ impl Lsh {
     /// ([`Phase::CandidateGeneration`]), one for the in-bucket scans
     /// ([`Phase::Join`]), and a single [`IterationEvent`] with the final
     /// counters. Observation never changes the output; with the default
-    /// [`NoopObserver`] the hooks compile to nothing.
+    /// [`NoopObserver`] the hooks are skipped.
     ///
     /// [`IterationEvent`]: goldfinger_obs::IterationEvent
     ///
     /// # Panics
     /// Same contract as [`Lsh::build`].
-    pub fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    pub fn build_observed<S: Similarity + ?Sized>(
         &self,
         profiles: &ProfileStore,
         sim: &S,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         assert!(k > 0, "k must be positive");
         assert!(self.tables > 0, "need at least one hash table");
@@ -292,15 +291,11 @@ impl Lsh {
         let start = Instant::now();
 
         // Bucketing: the expensive, GoldFinger-immune phase.
-        let bucket_start = O::ENABLED.then(Instant::now);
-        let bucket_trace = trace::span("phase", "candidate_generation");
+        let bucketing = PhaseTimer::start(obs, Phase::CandidateGeneration);
         let index = BucketIndex::in_ram(profiles, self.tables, self.threads, |items, slots| {
             write_keys(items, self.seed, slots)
         });
-        drop(bucket_trace);
-        if let Some(t) = bucket_start {
-            obs.on_span(Phase::CandidateGeneration, t.elapsed());
-        }
+        drop(bucketing);
 
         scan_all_users(
             sim,

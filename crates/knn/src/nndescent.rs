@@ -75,15 +75,15 @@ impl NNDescent {
     /// the `δ·k·n` termination threshold they were compared against, plus
     /// spans for the candidate-sampling and local-join phases. Observation
     /// never changes the output; with the default [`NoopObserver`] the
-    /// hooks compile to nothing.
+    /// hooks are skipped.
     ///
     /// # Panics
     /// Panics if `k == 0` or the parameters are out of range.
-    pub fn build_observed<S: Similarity + ?Sized, O: BuildObserver>(
+    pub fn build_observed<S: Similarity + ?Sized>(
         &self,
         sim: &S,
         k: usize,
-        obs: &O,
+        obs: &dyn BuildObserver,
     ) -> KnnResult {
         RefineEngine {
             delta: self.delta,

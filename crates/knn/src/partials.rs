@@ -26,8 +26,7 @@ use crate::graph::{BuildStats, CsrBuilder, KnnGraph, KnnResult};
 use goldfinger_core::parallel::{effective_threads, par_fold_dynamic};
 use goldfinger_core::similarity::Similarity;
 use goldfinger_core::topk::TopK;
-use goldfinger_obs::trace;
-use goldfinger_obs::{BuildObserver, IterationEvent, Phase};
+use goldfinger_obs::{BuildObserver, IterationEvent, Phase, PhaseTimer};
 use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
@@ -114,17 +113,16 @@ impl Partials {
 /// the CSR graph. Reports one [`Phase::Join`] span for the fold, one
 /// [`Phase::Merge`] span for merge and drain, and one [`IterationEvent`];
 /// `start` is when the build began.
-pub(crate) fn fold_scan<O: BuildObserver>(
+pub(crate) fn fold_scan(
     n: usize,
     k: usize,
     threads: usize,
     units: usize,
-    obs: &O,
+    obs: &dyn BuildObserver,
     start: Instant,
     fold: &(dyn Fn(&mut Partials, usize) + Sync),
 ) -> KnnResult {
-    let scan_start = O::ENABLED.then(Instant::now);
-    let scan_trace = trace::span_arg("phase", "join", units as u64);
+    let join = PhaseTimer::start(obs, Phase::Join);
     let mut states = par_fold_dynamic(
         units,
         scan_workers(threads),
@@ -132,13 +130,9 @@ pub(crate) fn fold_scan<O: BuildObserver>(
         |_| Partials::new(n, k),
         fold,
     );
-    drop(scan_trace);
-    if let Some(t) = scan_start {
-        obs.on_span(Phase::Join, t.elapsed());
-    }
+    drop(join);
 
-    let merge_start = O::ENABLED.then(Instant::now);
-    let merge_trace = trace::span("phase", "merge");
+    let merge = PhaseTimer::start(obs, Phase::Merge);
     let mut merged = states.remove(0);
     for state in states {
         merged.evals += state.evals;
@@ -155,36 +149,28 @@ pub(crate) fn fold_scan<O: BuildObserver>(
         csr.push_sorted(top.sorted_entries());
     }
     let graph = csr.finish();
-    drop(merge_trace);
-    one_pass(obs, start, Phase::Merge, merge_start, graph, merged.evals)
+    drop(merge);
+    one_pass(obs, start, graph, merged.evals)
 }
 
 /// The tail of every one-pass build (Brute Force, Cluster, LSH, KIFF):
-/// reports the last phase's span, begun at `phase_start`, and the build's
-/// single [`IterationEvent`], and wraps the graph and its counters.
-/// `start` is when the build began.
-pub(crate) fn one_pass<O: BuildObserver>(
-    obs: &O,
+/// reports the build's single [`IterationEvent`] and wraps the graph and
+/// its counters. `start` is when the build began.
+pub(crate) fn one_pass(
+    obs: &dyn BuildObserver,
     start: Instant,
-    phase: Phase,
-    phase_start: Option<Instant>,
     graph: KnnGraph,
     evals: u64,
 ) -> KnnResult {
     let wall = start.elapsed();
-    if O::ENABLED {
-        if let Some(t) = phase_start {
-            obs.on_span(phase, t.elapsed());
-        }
-        obs.on_iteration(IterationEvent {
-            iteration: 1,
-            similarity_evals: evals,
-            pruned_evals: 0,
-            updates: 0,
-            threshold: 0.0,
-            wall,
-        });
-    }
+    obs.on_iteration(IterationEvent {
+        iteration: 1,
+        similarity_evals: evals,
+        pruned_evals: 0,
+        updates: 0,
+        threshold: 0.0,
+        wall,
+    });
     KnnResult {
         graph,
         stats: BuildStats {

@@ -23,8 +23,7 @@ use crate::partials::one_pass;
 use goldfinger_core::parallel::{effective_threads, par_fold_dynamic};
 use goldfinger_core::similarity::Similarity;
 use goldfinger_core::topk::{Scored, TopK};
-use goldfinger_obs::trace;
-use goldfinger_obs::{BuildObserver, Phase};
+use goldfinger_obs::{BuildObserver, Phase, PhaseTimer};
 use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -125,27 +124,25 @@ impl<W: Send, I: Fn() -> W + Sync> UserScan<W, I> {
 /// The join of a one-pass builder (LSH, KIFF) over every user of `sim`:
 /// one [`UserScan`] run under a [`Phase::Join`] span, then the shared
 /// one-pass tail. `start` is when the build began.
-pub(crate) fn scan_all_users<S, O, W, I, C>(
+pub(crate) fn scan_all_users<S, W, I, C>(
     sim: &S,
     k: usize,
     threads: usize,
-    obs: &O,
+    obs: &dyn BuildObserver,
     start: Instant,
     init: I,
     candidates: C,
 ) -> KnnResult
 where
     S: Similarity + ?Sized,
-    O: BuildObserver,
     W: Send,
     I: Fn() -> W + Sync,
     C: Fn(&mut W, u32, &mut Vec<u32>) + Sync,
 {
-    let scan_start = O::ENABLED.then(Instant::now);
-    let scan_trace = trace::span("phase", "join");
+    let join = PhaseTimer::start(obs, Phase::Join);
     let n = sim.n_users() as u32;
     let (lists, evals) = UserScan::new(k, threads, init).run(0..n, sim, candidates);
     let graph = KnnGraph::from_lists(k, lists);
-    drop(scan_trace);
-    one_pass(obs, start, Phase::Join, scan_start, graph, evals)
+    drop(join);
+    one_pass(obs, start, graph, evals)
 }

@@ -42,12 +42,13 @@ pub struct BbitStore {
 }
 
 impl BbitStore {
-    /// Sketches every profile: full MinHash first, then b-bit packing.
+    /// Sketches every profile: full MinHash first (one-pass for hashed
+    /// permutations, see [`MinHashStore::build`]), then b-bit packing.
     ///
     /// # Panics
     /// Panics if `bits` is outside `1..=16`.
     pub fn build(params: BbitParams, profiles: &ProfileStore) -> Self {
-        Self::build_with_mode(params, profiles, SketchMode::from_env())
+        Self::build_with_mode(params, profiles, SketchMode::OnePass)
     }
 
     /// [`BbitStore::build`] with an explicit [`SketchMode`] for the

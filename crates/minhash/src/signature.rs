@@ -95,12 +95,12 @@ pub struct MinHashStore {
 }
 
 impl MinHashStore {
-    /// Sketches every profile of a store, with the construction mode taken
-    /// from `GF_SKETCH` ([`SketchMode::from_env`]): the default one-pass
-    /// path hashes each item once, `GF_SKETCH=classic` falls back
-    /// bit-exactly to the per-hash-function loop.
+    /// Sketches every profile of a store. Hashed permutations take the
+    /// one-pass path, one hash per item; [`MinHashStore::build_with_mode`]
+    /// with [`SketchMode::Classic`] keeps the per-hash-function loop as the
+    /// accuracy reference.
     pub fn build(params: MinHashParams, profiles: &ProfileStore) -> Self {
-        Self::build_with_mode(params, profiles, SketchMode::from_env())
+        Self::build_with_mode(params, profiles, SketchMode::OnePass)
     }
 
     /// [`MinHashStore::build`] with an explicit [`SketchMode`].

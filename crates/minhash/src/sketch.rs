@@ -20,13 +20,11 @@
 //!    densification).
 //!
 //! Both constructions feed the same coordinate-match estimator, so the
-//! b-bit compaction and every downstream consumer are mode-agnostic. The
-//! mode is chosen per build: [`SketchMode::from_env`] reads `GF_SKETCH`
-//! once (`onepass`, the default, or `classic` for a bit-exact fallback to
-//! the per-hash-function loop). The explicit Fisher–Yates strategy always
-//! uses the classic loop — it *is* the Table 3 baseline being measured.
-
-use std::sync::OnceLock;
+//! b-bit compaction and every downstream consumer are mode-agnostic.
+//! `build` always sketches hashed permutations in one pass; the classic
+//! per-hash-function loop stays reachable through `build_with_mode` as the
+//! accuracy reference. The explicit Fisher–Yates strategy always uses the
+//! classic loop — it *is* the Table 3 baseline being measured.
 
 /// How signature slots are filled from a profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,24 +37,6 @@ pub enum SketchMode {
 }
 
 impl SketchMode {
-    /// The mode selected by `GF_SKETCH` (`onepass` | `classic`), resolved
-    /// once per process. Unset or unrecognised values select
-    /// [`SketchMode::OnePass`].
-    pub fn from_env() -> SketchMode {
-        static MODE: OnceLock<SketchMode> = OnceLock::new();
-        *MODE.get_or_init(|| {
-            match std::env::var("GF_SKETCH")
-                .unwrap_or_default()
-                .trim()
-                .to_ascii_lowercase()
-                .as_str()
-            {
-                "classic" => SketchMode::Classic,
-                _ => SketchMode::OnePass,
-            }
-        })
-    }
-
     /// Report/bench label of the mode.
     pub fn name(&self) -> &'static str {
         match self {
@@ -117,12 +97,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_default_is_onepass() {
-        // The test harness does not set GF_SKETCH; CI legs that do run in
-        // their own processes.
-        if std::env::var("GF_SKETCH").is_err() {
-            assert_eq!(SketchMode::from_env(), SketchMode::OnePass);
-        }
+    fn mode_names() {
         assert_eq!(SketchMode::OnePass.name(), "onepass");
         assert_eq!(SketchMode::Classic.name(), "classic");
     }

@@ -6,12 +6,13 @@
 //!
 //! - [`metrics`] — a registry of relaxed-atomic counters, gauges and
 //!   log2-bucket duration histograms;
-//! - [`span`] — RAII phase timers ([`SpanSet`]/[`Span`]) that aggregate
-//!   wall time across threads for the paper's cost phases (preparation vs
-//!   construction, Table 3/4);
+//! - [`span`] — the paper's cost phases ([`Phase`]: preparation vs
+//!   construction, Table 3/4) and [`SpanSet`], which aggregates their wall
+//!   time across threads;
 //! - [`observer`] — the [`BuildObserver`] contract the KNN builders emit
 //!   per-iteration convergence events through (Figs. 10/12), with a no-op
-//!   default that compiles to nothing;
+//!   default that builders skip, and [`PhaseTimer`], the one guard that
+//!   times a phase for both the observer and the flight recorder;
 //! - [`json`] — a minimal JSON value, writer and parser;
 //! - [`report`] — the [`RunReport`]/[`ReportSet`] schema behind
 //!   `--json PATH` and `results/bench.json`;
@@ -22,19 +23,15 @@
 //! - [`mem`] — peak-RSS introspection via `/proc/self/status`.
 //!
 //! ```
-//! use goldfinger_obs::{Phase, RecordingObserver, BuildObserver, SpanSet};
-//! use std::time::Duration;
-//!
-//! let spans = SpanSet::new();
-//! {
-//!     let _guard = spans.span(Phase::Fingerprinting);
-//!     // ... work ...
-//! }
-//! assert_eq!(spans.entries(Phase::Fingerprinting), 1);
+//! use goldfinger_obs::{Phase, PhaseTimer, RecordingObserver};
 //!
 //! let rec = RecordingObserver::new();
-//! rec.on_span(Phase::Join, Duration::from_millis(2));
-//! assert_eq!(rec.phases().len(), 1);
+//! {
+//!     let _phase = PhaseTimer::start(&rec, Phase::Join);
+//!     // ... work ...
+//! }
+//! let phases = rec.phases();
+//! assert_eq!((phases[0].phase, phases[0].entries), (Phase::Join, 1));
 //! ```
 
 #![warn(missing_docs)]
@@ -51,9 +48,7 @@ pub mod trace;
 pub use expose::{render_prometheus, MetricsServer, StatusFn};
 pub use json::{Json, JsonError};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
-pub use observer::{
-    BuildObserver, DynObserver, IterationEvent, NoopObserver, ObserverHooks, RecordingObserver,
-};
+pub use observer::{BuildObserver, IterationEvent, NoopObserver, PhaseTimer, RecordingObserver};
 pub use report::{ReportSet, RunReport, Traffic, SCHEMA};
-pub use span::{Phase, PhaseSpan, Span, SpanSet};
+pub use span::{Phase, PhaseSpan, SpanSet};
 pub use trace::{Timeline, TraceEvent, TraceKind, TraceSession};

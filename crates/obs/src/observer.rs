@@ -1,17 +1,19 @@
 //! The build-observer contract: per-iteration events and phase spans
 //! emitted by the KNN builders.
 //!
-//! Builders are generic over `O: BuildObserver` and call the hooks at
-//! iteration granularity — never per similarity evaluation — so observation
-//! costs nothing on the hot path. [`NoopObserver`] additionally sets
-//! [`BuildObserver::ENABLED`] to `false`, letting builders skip even the
-//! per-iteration bookkeeping (timer reads, counter snapshots) when nobody is
-//! listening: monomorphisation turns those `if O::ENABLED` guards into
-//! nothing.
+//! Builders take a `&dyn BuildObserver` and call the hooks at iteration
+//! granularity — never per similarity evaluation — so observation costs
+//! nothing on the hot path. [`NoopObserver`] additionally reports
+//! [`BuildObserver::enabled`]` == false`, letting builders skip even the
+//! per-iteration bookkeeping (timer reads, event assembly) when nobody is
+//! listening: one virtual call per phase or iteration, never per pair.
+//! [`PhaseTimer`] times one phase for both recorders at once, the
+//! observer and the flight recorder ([`crate::trace`]).
 
 use crate::span::{Phase, PhaseSpan, SpanSet};
+use crate::trace::{self, TraceSpan};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One refinement iteration of a KNN build, as reported by the builders.
 ///
@@ -49,7 +51,9 @@ pub struct IterationEvent {
 pub trait BuildObserver: Sync {
     /// `false` for observers that ignore every event, allowing builders to
     /// skip the per-iteration bookkeeping entirely.
-    const ENABLED: bool = true;
+    fn enabled(&self) -> bool {
+        true
+    }
 
     /// One refinement iteration (or the single pass of a one-shot builder)
     /// finished.
@@ -59,67 +63,47 @@ pub trait BuildObserver: Sync {
     fn on_span(&self, _phase: Phase, _wall: Duration) {}
 }
 
-/// The object-safe face of [`BuildObserver`], for erased call sites.
-///
-/// `BuildObserver` itself is not dyn-safe (its `ENABLED` flag is an
-/// associated `const`), so code that holds builders behind `dyn` — the
-/// builder registry, CLI dispatch — routes events through this trait
-/// instead. Every `BuildObserver` is an `ObserverHooks` via the blanket
-/// impl; [`DynObserver`] adapts the other direction.
-///
-/// The hook methods carry distinct names (`hook_*`) so a concrete observer
-/// that implements both traits never hits method-resolution ambiguity.
-pub trait ObserverHooks: Sync {
-    /// Runtime equivalent of [`BuildObserver::ENABLED`]: `false` means the
-    /// caller may skip event bookkeeping entirely.
-    fn enabled(&self) -> bool;
-
-    /// Dyn-safe forward of [`BuildObserver::on_iteration`].
-    fn hook_iteration(&self, event: IterationEvent);
-
-    /// Dyn-safe forward of [`BuildObserver::on_span`].
-    fn hook_span(&self, phase: Phase, wall: Duration);
+/// Times one build phase: opens the `("phase", phase.name())`
+/// flight-recorder span and, when dropped, reports the elapsed wall time to
+/// [`BuildObserver::on_span`] and closes the span. The clock is read only
+/// when the observer is [enabled](BuildObserver::enabled).
+#[must_use = "dropping the timer immediately ends the phase"]
+pub struct PhaseTimer<'a> {
+    obs: &'a dyn BuildObserver,
+    phase: Phase,
+    start: Option<Instant>,
+    _trace: TraceSpan,
 }
 
-impl<O: BuildObserver> ObserverHooks for O {
-    fn enabled(&self) -> bool {
-        O::ENABLED
-    }
-
-    fn hook_iteration(&self, event: IterationEvent) {
-        self.on_iteration(event);
-    }
-
-    fn hook_span(&self, phase: Phase, wall: Duration) {
-        self.on_span(phase, wall);
+impl<'a> PhaseTimer<'a> {
+    /// Starts timing `phase` for `obs`.
+    pub fn start(obs: &'a dyn BuildObserver, phase: Phase) -> Self {
+        PhaseTimer {
+            obs,
+            phase,
+            start: obs.enabled().then(Instant::now),
+            _trace: trace::span("phase", phase.name()),
+        }
     }
 }
 
-/// Adapts a `&dyn ObserverHooks` back into a (generic) [`BuildObserver`].
-///
-/// Used by erased builder entry points: the static `ENABLED = true` means
-/// builders keep their bookkeeping on, so callers holding a disabled
-/// observer should test [`ObserverHooks::enabled`] first and pass
-/// [`NoopObserver`] instead to preserve the zero-cost path.
-#[derive(Clone, Copy)]
-pub struct DynObserver<'a>(pub &'a dyn ObserverHooks);
-
-impl BuildObserver for DynObserver<'_> {
-    fn on_iteration(&self, event: IterationEvent) {
-        self.0.hook_iteration(event);
-    }
-
-    fn on_span(&self, phase: Phase, wall: Duration) {
-        self.0.hook_span(phase, wall);
+impl Drop for PhaseTimer<'_> {
+    fn drop(&mut self) {
+        if let Some(t) = self.start {
+            self.obs.on_span(self.phase, t.elapsed());
+        }
     }
 }
 
-/// The default observer: ignores everything, compiles to nothing.
+/// The default observer: ignores everything, and builders skip their
+/// observer bookkeeping for it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
 impl BuildObserver for NoopObserver {
-    const ENABLED: bool = false;
+    fn enabled(&self) -> bool {
+        false
+    }
 }
 
 /// An observer that records the full per-iteration trace and phase spans,
@@ -192,19 +176,16 @@ mod tests {
 
     #[test]
     fn noop_is_disabled() {
-        const { assert!(!NoopObserver::ENABLED) };
-        const { assert!(RecordingObserver::ENABLED) };
+        assert!(!NoopObserver.enabled());
+        assert!(RecordingObserver::new().enabled());
     }
 
     #[test]
-    fn events_round_trip_through_the_dyn_shim() {
+    fn events_round_trip_through_dyn_build_observer() {
         let rec = RecordingObserver::new();
-        let erased: &dyn ObserverHooks = &rec;
+        let erased: &dyn BuildObserver = &rec;
         assert!(erased.enabled());
-        assert!(!ObserverHooks::enabled(&NoopObserver));
-
-        let adapted = DynObserver(erased);
-        adapted.on_iteration(IterationEvent {
+        erased.on_iteration(IterationEvent {
             iteration: 1,
             similarity_evals: 3,
             pruned_evals: 1,
@@ -212,9 +193,32 @@ mod tests {
             threshold: 0.5,
             wall: Duration::ZERO,
         });
-        adapted.on_span(Phase::Merge, Duration::from_millis(2));
+        erased.on_span(Phase::Merge, Duration::from_millis(2));
         assert_eq!(rec.iterations().len(), 1);
         assert_eq!(rec.iterations()[0].similarity_evals, 3);
         assert_eq!(rec.phases()[0].phase, Phase::Merge);
+    }
+
+    #[test]
+    fn phase_timer_reports_once_on_drop() {
+        let rec = RecordingObserver::new();
+        {
+            let _t = PhaseTimer::start(&rec, Phase::Join);
+            assert!(rec.phases().is_empty());
+        }
+        let phases = rec.phases();
+        assert_eq!(phases.len(), 1);
+        assert_eq!((phases[0].phase, phases[0].entries), (Phase::Join, 1));
+        // A disabled observer gets no call at all.
+        struct Disabled;
+        impl BuildObserver for Disabled {
+            fn enabled(&self) -> bool {
+                false
+            }
+            fn on_span(&self, _phase: Phase, _wall: Duration) {
+                panic!("a disabled observer was timed");
+            }
+        }
+        drop(PhaseTimer::start(&Disabled, Phase::Merge));
     }
 }

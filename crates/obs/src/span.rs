@@ -1,13 +1,14 @@
-//! Phase spans: RAII timers aggregating wall time per build phase.
+//! Phase spans: wall time aggregated per build phase.
 //!
-//! A [`SpanSet`] holds one relaxed-atomic accumulator per [`Phase`]; a
-//! [`Span`] measures one timed section and folds its duration into the set
-//! when dropped (or explicitly [`Span::stop`]ped). Because the accumulators
-//! are atomics, threads can open spans against the same set concurrently and
-//! the totals aggregate across all of them.
+//! A [`SpanSet`] holds one relaxed-atomic accumulator per [`Phase`] and
+//! folds in every duration [`SpanSet::record`]ed against it. Because the
+//! accumulators are atomics, threads can record against the same set
+//! concurrently and the totals aggregate across all of them. Builders time
+//! their phases with [`crate::PhaseTimer`]; the set is what
+//! [`crate::RecordingObserver`] aggregates those reports into.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The build phases the paper's cost model distinguishes: preparation
 /// (loading + fingerprinting, Table 3) versus construction (candidate
@@ -70,20 +71,10 @@ struct PhaseAgg {
     entries: AtomicU64,
 }
 
-impl PhaseAgg {
-    fn record(&self, wall: Duration) {
-        self.nanos.fetch_add(
-            wall.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        self.entries.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Aggregated wall time and entry counts for every [`Phase`].
 ///
-/// Thread-safe: counters are relaxed atomics, so spans opened from worker
-/// threads fold into the same totals.
+/// Thread-safe: counters are relaxed atomics, so durations recorded from
+/// worker threads fold into the same totals.
 #[derive(Default)]
 pub struct SpanSet {
     aggs: [PhaseAgg; 5],
@@ -106,18 +97,14 @@ impl SpanSet {
         SpanSet::default()
     }
 
-    /// Opens an RAII span: the elapsed time is added to `phase` when the
-    /// returned guard drops.
-    pub fn span(&self, phase: Phase) -> Span<'_> {
-        Span {
-            agg: &self.aggs[phase.index()],
-            start: Instant::now(),
-        }
-    }
-
     /// Records an externally measured duration against `phase`.
     pub fn record(&self, phase: Phase, wall: Duration) {
-        self.aggs[phase.index()].record(wall);
+        let agg = &self.aggs[phase.index()];
+        agg.nanos.fetch_add(
+            wall.as_nanos().min(u64::MAX as u128) as u64,
+            Ordering::Relaxed,
+        );
+        agg.entries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total wall time recorded for `phase`.
@@ -144,28 +131,6 @@ impl SpanSet {
     }
 }
 
-/// RAII timer for one phase section; see [`SpanSet::span`].
-pub struct Span<'a> {
-    agg: &'a PhaseAgg,
-    start: Instant,
-}
-
-impl Span<'_> {
-    /// Stops the span now, recording and returning the elapsed time.
-    pub fn stop(self) -> Duration {
-        let wall = self.start.elapsed();
-        self.agg.record(wall);
-        std::mem::forget(self);
-        wall
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.agg.record(self.start.elapsed());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,27 +141,6 @@ mod tests {
             assert_eq!(Phase::from_name(p.name()), Some(p));
         }
         assert_eq!(Phase::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn raii_span_records_on_drop() {
-        let set = SpanSet::new();
-        {
-            let _s = set.span(Phase::Join);
-        }
-        assert_eq!(set.entries(Phase::Join), 1);
-        assert_eq!(set.entries(Phase::Merge), 0);
-        let snap = set.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].phase, Phase::Join);
-    }
-
-    #[test]
-    fn stop_records_exactly_once() {
-        let set = SpanSet::new();
-        let wall = set.span(Phase::Fingerprinting).stop();
-        assert_eq!(set.entries(Phase::Fingerprinting), 1);
-        assert!(set.total(Phase::Fingerprinting) >= wall || wall.is_zero());
     }
 
     #[test]

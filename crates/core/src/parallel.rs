@@ -3,8 +3,8 @@
 //! The paper's evaluation runs every algorithm on 8 hardware threads. These
 //! helpers give the KNN algorithms the same structure without pulling in a
 //! full task runtime: per-region atomic cursors with a stealing path for
-//! irregular work ([`par_fold_dynamic`]) and ordered collectors
-//! ([`par_map_indexed`], [`par_map_chunks`]).
+//! irregular work ([`par_fold_dynamic`], [`par_fill_users`]) and ordered
+//! collectors ([`par_map_indexed`], [`par_map_chunks`]).
 //!
 //! Every helper dispatches through [`Pool::scope`], on one of two pools:
 //!
@@ -25,7 +25,13 @@
 //! scheduler-dependent, but the output never is.
 
 use crate::pool::{Pool, StealRegions};
+use crate::profile::{ItemId, ProfileSource};
 use std::sync::Mutex;
+
+/// Most users per unit of [`par_fill_users`]: enough that claiming a unit
+/// costs nothing. Smaller populations get smaller units, at least four per
+/// worker, so that no worker is left alone with a long tail.
+pub(crate) const FILL_UNIT: usize = 1024;
 
 /// Effective thread count: `requested` capped to at least 1.
 ///
@@ -161,6 +167,65 @@ where
     });
 }
 
+/// The one per-user fill pass behind every fingerprint and key arena:
+/// calls `fill(unit, row, items)` with each user's items from `source`.
+///
+/// `units(size)` cuts the outputs into one disjoint unit per `size`
+/// consecutive users (typically arena rows and key slots cut with
+/// `chunks_mut`); `row` counts from the unit's first user. `threads`
+/// workers claim whole units dynamically, so the output does not depend
+/// on the thread count or the claim order. Returns the number of
+/// `(user, item)` associations read.
+///
+/// # Panics
+/// Panics unless `units` yields exactly one unit per `size` users.
+pub fn par_fill_users<P, I, F>(
+    source: &P,
+    threads: usize,
+    units: impl FnOnce(usize) -> I,
+    fill: F,
+) -> u64
+where
+    P: ProfileSource + ?Sized,
+    I: IntoIterator,
+    I::Item: Send,
+    F: Fn(&mut I::Item, usize, &[ItemId]) + Sync,
+{
+    let n = source.n_users();
+    let size = FILL_UNIT
+        .min(n.div_ceil(4 * effective_threads(threads)))
+        .max(1);
+    // The fold hands out unit indices; the mutex hands over the unit.
+    let units: Vec<Mutex<Option<I::Item>>> = units(size)
+        .into_iter()
+        .map(|u| Mutex::new(Some(u)))
+        .collect();
+    assert_eq!(units.len(), n.div_ceil(size), "one unit per {size} users");
+    let per_worker = par_fold_dynamic(
+        units.len(),
+        threads,
+        1,
+        |_| (0u64, Vec::new()),
+        |(associations, items), c| {
+            let mut unit = units[c]
+                .lock()
+                .expect("no worker panics holding a unit")
+                .take()
+                .expect("each unit is claimed once");
+            let lo = c * size;
+            for u in lo..(lo + size).min(n) {
+                source.items_into(u as u32, items);
+                *associations += items.len() as u64;
+                fill(&mut unit, u - lo, items);
+            }
+        },
+    );
+    per_worker
+        .iter()
+        .map(|(associations, _)| associations)
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +350,45 @@ mod tests {
         pool.install(|| pool.scope(4, |_| nested()));
         assert_eq!(pool.stats().dispatches, 1, "nested calls dispatched");
         par_map_indexed(4, 4, |_| nested());
+    }
+
+    #[test]
+    fn fill_hands_every_user_to_its_own_unit_once() {
+        use crate::profile::ProfileStore;
+        on_both_paths(|| {
+            for n in [0usize, 1, 7, FILL_UNIT, 4 * FILL_UNIT, 8 * FILL_UNIT + 37] {
+                let lists: Vec<Vec<u32>> = (0..n as u32).map(|u| (0..u % 5).collect()).collect();
+                let profiles = ProfileStore::from_item_lists(lists);
+                for threads in 1..=4 {
+                    // Each user adds its id and profile length to its own
+                    // slot pair, through the unit tagged with its first user.
+                    let mut out = vec![0u64; 2 * n];
+                    let associations = par_fill_users(
+                        &profiles,
+                        threads,
+                        |size| {
+                            let units = out.chunks_mut(2 * size).enumerate();
+                            units.map(move |(c, slots)| (c * size, slots))
+                        },
+                        |(first, slots), row, items| {
+                            slots[2 * row] += (*first + row) as u64;
+                            slots[2 * row + 1] += items.len() as u64;
+                        },
+                    );
+                    let want: Vec<u64> = (0..n as u64).flat_map(|u| [u, u % 5]).collect();
+                    assert_eq!(out, want, "n={n} threads={threads}");
+                    assert_eq!(associations, profiles.n_associations() as u64);
+                }
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "one unit per")]
+    fn fill_rejects_units_that_do_not_cover_the_population() {
+        use crate::profile::ProfileStore;
+        let profiles = ProfileStore::from_item_lists(vec![vec![1]; 9]);
+        par_fill_users(&profiles, 1, |_| [()], |_, _, _| {});
     }
 
     #[test]

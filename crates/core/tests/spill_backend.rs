@@ -8,6 +8,7 @@
 
 use goldfinger_core::hash::{DynHasher, HasherKind};
 use goldfinger_core::kernels;
+use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::shf::{ShfParams, ShfStore};
 use std::path::PathBuf;
@@ -56,7 +57,7 @@ fn spilled_stores_match_heap_stores_across_thread_counts() {
     let params = ShfParams::new(512, DynHasher::new(HasherKind::Jenkins, 7));
     let mut digests = Vec::new();
     for threads in [1usize, 4] {
-        let heap = params.fingerprint_store_threads(&profiles, threads);
+        let heap = Pool::new(threads).install(|| params.fingerprint_store(&profiles));
         assert_eq!(heap.backend_kind(), "heap");
         let dir = spill_dir(&format!("t{threads}"));
         let spilled = heap.spill_to(&dir).unwrap();
@@ -81,7 +82,7 @@ fn spilled_stores_match_heap_stores_across_thread_counts() {
 fn every_available_kernel_reads_both_backends_identically() {
     let profiles = fixture(150);
     let params = ShfParams::new(256, DynHasher::new(HasherKind::Jenkins, 42));
-    let heap = params.fingerprint_store_threads(&profiles, 1);
+    let heap = params.fingerprint_store(&profiles);
     let dir = spill_dir("kernels");
     let spilled = heap.spill_to(&dir).unwrap();
 
@@ -129,7 +130,7 @@ fn every_available_kernel_reads_both_backends_identically() {
 fn advising_cold_does_not_change_spilled_contents() {
     let profiles = fixture(80);
     let params = ShfParams::new(128, DynHasher::default());
-    let heap = params.fingerprint_store_threads(&profiles, 1);
+    let heap = params.fingerprint_store(&profiles);
     let dir = spill_dir("cold");
     let spilled = heap.spill_to(&dir).unwrap();
     let before = digest_store(&spilled);

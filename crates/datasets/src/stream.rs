@@ -175,7 +175,7 @@ fn stream_fingerprint_inner<H: ItemHasher>(
     writer.ingest_batch(&batch, params.hasher());
 
     Ok((
-        writer.finish(),
+        writer.finish()?,
         StreamSummary {
             raw_users: users.len(),
             kept_users: kept as usize,

@@ -32,7 +32,7 @@ use crate::partials::scan_workers;
 use crate::userscan::scan_all_users;
 use goldfinger_core::arena::ArenaBackend;
 use goldfinger_core::hash::splitmix64_mix;
-use goldfinger_core::parallel::par_map_chunks;
+use goldfinger_core::parallel::par_fill_users;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
 use goldfinger_core::visit::VisitStamp;
@@ -91,10 +91,6 @@ pub(crate) fn write_keys(items: &[u32], seed: u64, slots: &mut [u64]) {
     }
 }
 
-/// Users per unit of the in-RAM key fill: units are the disjoint pieces of
-/// the key arena the workers split between them.
-const KEY_FILL_CHUNK: usize = 256;
-
 /// A zeroed arena of `len` words: spilled to `name` under `spill_dir`
 /// when one is given, on the heap otherwise.
 pub(crate) fn arena(spill_dir: Option<&Path>, name: &str, len: usize) -> io::Result<ArenaBackend> {
@@ -119,9 +115,9 @@ pub(crate) struct BucketIndex {
 impl BucketIndex {
     /// The heap index of an in-memory population. `fill(items, slots)`
     /// writes one user's key for each table into its slots of the key
-    /// arena; the users are filled in parallel on `threads` workers, each
-    /// on its own units of consecutive users. Users with empty profiles
-    /// get no bucket, whatever `fill` left in their slots.
+    /// arena, in one [`par_fill_users`] pass on `threads` workers. Users
+    /// with empty profiles get no bucket, whatever `fill` left in their
+    /// slots.
     pub(crate) fn in_ram(
         profiles: &ProfileStore,
         tables: usize,
@@ -129,15 +125,12 @@ impl BucketIndex {
         fill: impl Fn(&[u32], &mut [u64]) + Sync,
     ) -> Self {
         let mut keys = ArenaBackend::heap(profiles.n_users() * tables);
-        let mut units: Vec<&mut [u64]> = keys.chunks_mut(KEY_FILL_CHUNK * tables).collect();
-        par_map_chunks(&mut units, scan_workers(threads), |_, first, units| {
-            for (c, unit) in units.iter_mut().enumerate() {
-                let base = (first + c) * KEY_FILL_CHUNK;
-                for (row, slots) in unit.chunks_mut(tables).enumerate() {
-                    fill(profiles.items((base + row) as u32), slots);
-                }
-            }
-        });
+        par_fill_users(
+            profiles,
+            scan_workers(threads),
+            |size| keys.chunks_mut(size * tables),
+            |unit, row, items| fill(items, &mut unit[row * tables..][..tables]),
+        );
         Self::sort(keys, tables, |u| !profiles.items(u).is_empty(), None)
             .expect("heap arenas do not fail")
     }
@@ -429,9 +422,9 @@ mod tests {
 
     #[test]
     fn key_fill_and_runs_are_thread_count_invariant() {
-        // Several fill units, the last one short, with empty profiles
-        // scattered through them.
-        let lists: Vec<Vec<u32>> = (0..3 * KEY_FILL_CHUNK as u32 + 17)
+        // Several fill units at any thread count, the last one short, with
+        // empty profiles scattered through them.
+        let lists: Vec<Vec<u32>> = (0..3 * 1024 + 17)
             .map(|u| match u % 100 {
                 0 => Vec::new(),
                 _ => (u % 97..u % 97 + 5).collect(),

@@ -19,10 +19,10 @@
 //!    [`ProfileSource`], OR-ing fingerprints into an [`ShfStore`] whose
 //!    arena lives on the spill backend, and writing each user's
 //!    per-table MinHash keys into the index's user-major key arena,
-//!    `keys[u·tables + t]`. Workers claim chunks of `FINGERPRINT_CHUNK`
-//!    users; a chunk's arena rows and key slots are two disjoint slices,
-//!    so no two workers write the same word. Peak memory: one profile per
-//!    worker.
+//!    `keys[u·tables + t]`, in one pass of the shared per-user fill
+//!    ([`par_fill_users`]): workers claim units of up to 1,024 users, and
+//!    a unit's arena rows and key slots are two disjoint slices, so no two
+//!    workers write the same word. Peak memory: one profile per worker.
 //! 2. **Index** — sort each table's `(key, user)` pairs into the index's
 //!    two spilled arrays, one table at a time.
 //! 3. **Scan** — users are partitioned into contiguous shards, scanned
@@ -44,7 +44,7 @@ use crate::graph::{CsrBuilder, KnnGraph};
 use crate::lsh::{arena, write_keys, BucketIndex};
 use crate::userscan::UserScan;
 use goldfinger_core::hash::ItemHasher;
-use goldfinger_core::parallel::par_fold_dynamic;
+use goldfinger_core::parallel::par_fill_users;
 use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileSource;
 use goldfinger_core::shf::{ShfParams, ShfStore, ShfStreamWriter};
@@ -53,15 +53,10 @@ use goldfinger_core::topk::Scored;
 use goldfinger_core::visit::VisitStamp;
 use goldfinger_obs::trace;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Users per work unit of the fingerprint phase: small enough to balance
-/// the workers, large enough that claiming a unit costs nothing.
-const FINGERPRINT_CHUNK: usize = 1024;
 
 /// Users per parallel block of a shard scan: the block's lists are held
 /// in RAM until they are written, in user order, to the segment.
@@ -163,25 +158,25 @@ pub struct OocStats {
     pub wall: Duration,
 }
 
-/// The spilled state shared by the scan phase.
-struct OocState {
-    store: ShfStore,
-    index: BucketIndex,
+/// Times one phase: opens its `ooc_*` trace span and, when dropped,
+/// writes the phase's wall time into its [`OocStats`] slot.
+struct PhaseClock<'a> {
+    slot: &'a mut Duration,
+    start: Instant,
+    _span: trace::TraceSpan,
 }
 
-impl OocState {
-    /// Evicts every resident spill page (no-op on heap backends).
-    fn advise_all_cold(&self) -> io::Result<()> {
-        self.store.advise_cold_rows(0, self.store.len())?;
-        self.index.advise_cold()
+impl<'a> PhaseClock<'a> {
+    fn start(slot: &'a mut Duration, name: &'static str, arg: u64) -> Self {
+        let start = Instant::now();
+        let _span = trace::span_arg("phase", name, arg);
+        PhaseClock { slot, start, _span }
     }
+}
 
-    fn spilled_bytes(&self) -> u64 {
-        if self.store.is_spilled() {
-            (self.store.arena_words().len() + self.index.words()) as u64 * 8
-        } else {
-            0
-        }
+impl Drop for PhaseClock<'_> {
+    fn drop(&mut self) {
+        *self.slot = self.start.elapsed();
     }
 }
 
@@ -193,17 +188,14 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     cfg: &OocConfig,
     threads: usize,
     stats: &mut OocStats,
-) -> io::Result<OocState> {
+) -> io::Result<(ShfStore, BucketIndex)> {
     let n = source.n_users();
     let tables = cfg.tables;
     let spill_dir = cfg.spill.then_some(cfg.spill_dir.as_path());
 
     // Fingerprint + keys in one streaming pass over the profiles. A unit
-    // is one chunk of users: their arena rows and their key slots. ORs
-    // into disjoint rows commute, so the store does not depend on which
-    // worker ran which unit, or when.
-    let t0 = Instant::now();
-    let _span = trace::span_arg("phase", "ooc_fingerprint", n as u64);
+    // is one chunk of users: their arena rows and their key slots.
+    let clock = PhaseClock::start(&mut stats.fingerprint_wall, "ooc_fingerprint", n as u64);
     std::fs::create_dir_all(&cfg.spill_dir)?;
     let mut writer = if cfg.spill {
         ShfStreamWriter::new_spilled(params.bits(), n, &cfg.spill_dir)?
@@ -211,47 +203,32 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
         ShfStreamWriter::new(params.bits(), n)
     };
     let mut keys = arena(spill_dir, "keys.words", n * tables)?;
-    let units: Vec<Mutex<Option<_>>> = writer
-        .row_chunks_mut(FINGERPRINT_CHUNK)
-        .zip(keys.chunks_mut(FINGERPRINT_CHUNK * tables))
-        .map(|unit| Mutex::new(Some(unit)))
-        .collect();
-    let per_worker = par_fold_dynamic(
-        units.len(),
+    stats.associations = par_fill_users(
+        source,
         threads,
-        1,
-        |_| (0u64, Vec::new()),
-        |(associations, items), c| {
-            let (mut rows, keys) = units[c]
-                .lock()
-                .expect("no worker panics holding a unit")
-                .take()
-                .expect("each unit is claimed once");
-            for (row, slots) in keys.chunks_mut(tables).enumerate() {
-                source.items_into((c * FINGERPRINT_CHUNK + row) as u32, items);
-                *associations += items.len() as u64;
-                write_keys(items, cfg.seed, slots);
-                for &it in items.iter() {
-                    rows.insert(row, it, params.hasher());
-                }
+        |size| {
+            writer
+                .row_chunks_mut(size)
+                .zip(keys.chunks_mut(size * tables))
+        },
+        |(rows, keys), row, items| {
+            write_keys(items, cfg.seed, &mut keys[row * tables..][..tables]);
+            for &it in items {
+                rows.insert(row, it, params.hasher());
             }
         },
     );
-    drop(units);
-    stats.associations = per_worker.iter().map(|&(a, _)| a).sum();
-    let store = writer.finish();
+    let store = writer.finish()?;
     keys.sync()?;
-    drop(_span);
-    stats.fingerprint_wall = t0.elapsed();
+    drop(clock);
 
-    let t1 = Instant::now();
-    let _span = trace::span_arg("phase", "ooc_index", cfg.tables as u64);
+    let clock = PhaseClock::start(&mut stats.index_wall, "ooc_index", tables as u64);
     let index = BucketIndex::sort(keys, tables, |u| store.cardinality(u) != 0, spill_dir)?;
-    stats.index_wall = t1.elapsed();
+    drop(clock);
 
     stats.n_users = n;
     stats.backend = store.backend_kind();
-    Ok(OocState { store, index })
+    Ok((store, index))
 }
 
 /// Phase 3: scan one shard's users and spill their top-k lists as a
@@ -262,12 +239,10 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
 /// segment does not depend on the thread count.
 fn scan_shard(
     k: usize,
-    shard: usize,
     users: Range<u32>,
     scan_block: &dyn Fn(Range<u32>) -> (Vec<Vec<Scored>>, u64),
     seg_path: &Path,
 ) -> io::Result<u64> {
-    let _span = trace::span_arg("phase", "ooc_shard", shard as u64);
     let file = BufWriter::new(File::create(seg_path)?);
     let mut seg = SegmentWriter::new(file, k, u64::from(users.start), users.len() as u64)?;
     let mut evals = 0;
@@ -290,21 +265,52 @@ fn read_spilled(path: &Path, n: u64) -> io::Result<Segment> {
     read_segment(&mut r, n).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Runs phases 1–3 and returns the state plus segment paths, in shard
-/// order. Shared by [`build`] and [`build_to_disk`].
-fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
+/// Where the stitch phase replays the spilled segments, in shard order.
+trait Stitch {
+    type Graph;
+    fn append(&mut self, seg: &Segment) -> io::Result<()>;
+    fn finish(self) -> io::Result<Self::Graph>;
+}
+
+impl Stitch for CsrBuilder {
+    type Graph = KnnGraph;
+    fn append(&mut self, seg: &Segment) -> io::Result<()> {
+        seg.append_into(self);
+        Ok(())
+    }
+    fn finish(self) -> io::Result<KnnGraph> {
+        Ok(CsrBuilder::finish(self))
+    }
+}
+
+impl<W: Write> Stitch for SegmentWriter<W> {
+    type Graph = ();
+    fn append(&mut self, seg: &Segment) -> io::Result<()> {
+        (0..seg.n_users()).try_for_each(|local| self.push_list(&seg.list(local)))
+    }
+    fn finish(self) -> io::Result<()> {
+        SegmentWriter::finish(self).map(drop)
+    }
+}
+
+/// Runs the four phases; the stitch replays the segments into the sink
+/// `open(n)` makes for the population of `n` users. Shared by [`build`]
+/// and [`build_to_disk`].
+fn run<P: ProfileSource + ?Sized, H: ItemHasher + Sync, S: Stitch>(
     source: &P,
     params: &ShfParams<H>,
     cfg: &OocConfig,
-) -> io::Result<(OocState, Vec<PathBuf>, OocStats)> {
+    open: impl FnOnce(u64) -> io::Result<S>,
+) -> io::Result<(S::Graph, OocStats)> {
     assert!(cfg.k > 0, "k must be positive");
     assert!(cfg.tables > 0, "need at least one hash table");
+    let total = Instant::now();
     let threads = Pool::current().map_or(1, |p| p.threads());
     let mut stats = OocStats::default();
-    let state = prepare(source, params, cfg, threads, &mut stats)?;
-    let n = state.store.len();
+    let (store, index) = prepare(source, params, cfg, threads, &mut stats)?;
+    let n = store.len();
 
-    let arena_bytes = state.store.arena_words().len() as u64 * 8;
+    let arena_bytes = store.arena_words().len() as u64 * 8;
     stats.arena_bytes = arena_bytes;
     let shards = cfg.effective_shards(n, arena_bytes);
     stats.shards = shards;
@@ -312,37 +318,51 @@ fn run_scan<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     // One visit stamp per worker for the whole build; a user with an
     // empty profile (cardinality zero) hashes nowhere.
     let t0 = Instant::now();
-    let sim = ShfJaccard::new(&state.store);
+    let sim = ShfJaccard::new(&store);
     let scan = UserScan::new(cfg.k, threads, || VisitStamp::new(n));
     let scan_block = |users: Range<u32>| {
         scan.run(users, &sim, |stamp, u, out| {
-            if state.store.cardinality(u) != 0 {
-                state.index.bucket_mates(u, cfg.max_bucket, stamp, out);
+            if store.cardinality(u) != 0 {
+                index.bucket_mates(u, cfg.max_bucket, stamp, out);
             }
         })
     };
     let mut segments = Vec::with_capacity(shards);
+    stats.shard_walls = vec![Duration::ZERO; shards];
     let per = n.div_ceil(shards.max(1)).max(1);
     for s in 0..shards {
         let lo = (s * per).min(n) as u32;
         let hi = ((s + 1) * per).min(n) as u32;
         let path = cfg.spill_dir.join(format!("seg-{s:05}.gfcs"));
-        let t_shard = Instant::now();
-        let evals = scan_shard(cfg.k, s, lo..hi, &scan_block, &path)?;
-        stats.similarity_evals += evals;
-        stats.shard_walls.push(t_shard.elapsed());
+        let clock = PhaseClock::start(&mut stats.shard_walls[s], "ooc_shard", s as u64);
+        stats.similarity_evals += scan_shard(cfg.k, lo..hi, &scan_block, &path)?;
+        drop(clock);
         // Drop this shard's page residency before the next one starts:
         // the whole point of the spill backend.
-        state.advise_all_cold()?;
+        store.advise_cold_rows(0, n)?;
+        index.advise_cold()?;
         segments.push(path);
     }
     stats.scan_wall = t0.elapsed();
-    stats.spilled_bytes = state.spilled_bytes()
-        + segments
-            .iter()
-            .map(|p| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0))
-            .sum::<u64>();
-    Ok((state, segments, stats))
+    // Free the workers' stamps before the stitch allocates its segments.
+    drop(scan);
+    if store.is_spilled() {
+        stats.spilled_bytes = (store.arena_words().len() + index.words()) as u64 * 8;
+    }
+    stats.spilled_bytes += segments
+        .iter()
+        .map(|p| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0))
+        .sum::<u64>();
+
+    let clock = PhaseClock::start(&mut stats.stitch_wall, "ooc_stitch", shards as u64);
+    let mut sink = open(n as u64)?;
+    for path in &segments {
+        sink.append(&read_spilled(path, n as u64)?)?;
+    }
+    let graph = sink.finish()?;
+    drop(clock);
+    stats.wall = total.elapsed();
+    Ok((graph, stats))
 }
 
 /// Out-of-core GoldFinger LSH build, stitched into an in-memory
@@ -360,19 +380,9 @@ pub fn build<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     params: &ShfParams<H>,
     cfg: &OocConfig,
 ) -> io::Result<(KnnGraph, OocStats)> {
-    let total = Instant::now();
-    let (state, segments, mut stats) = run_scan(source, params, cfg)?;
-    let n = state.store.len() as u64;
-
-    let t0 = Instant::now();
-    let _span = trace::span_arg("phase", "ooc_stitch", segments.len() as u64);
-    let mut builder = CsrBuilder::with_capacity(cfg.k, n as usize);
-    for path in &segments {
-        read_spilled(path, n)?.append_into(&mut builder);
-    }
-    stats.stitch_wall = t0.elapsed();
-    stats.wall = total.elapsed();
-    Ok((builder.finish(), stats))
+    run(source, params, cfg, |n| {
+        Ok(CsrBuilder::with_capacity(cfg.k, n as usize))
+    })
 }
 
 /// Out-of-core build stitched **streaming** into a `GFCS` graph file at
@@ -393,22 +403,9 @@ pub fn build_to_disk<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     cfg: &OocConfig,
     out: &Path,
 ) -> io::Result<OocStats> {
-    let total = Instant::now();
-    let (state, segments, mut stats) = run_scan(source, params, cfg)?;
-    let n = state.store.len() as u64;
-
-    let t0 = Instant::now();
-    let _span = trace::span_arg("phase", "ooc_stitch", segments.len() as u64);
-    let mut w = SegmentWriter::new(BufWriter::new(File::create(out)?), cfg.k, 0, n)?;
-    for path in &segments {
-        let seg = read_spilled(path, n)?;
-        for local in 0..seg.n_users() {
-            w.push_list(&seg.list(local))?;
-        }
-    }
-    w.finish()?;
-    stats.stitch_wall = t0.elapsed();
-    stats.wall = total.elapsed();
+    let ((), stats) = run(source, params, cfg, |n| {
+        SegmentWriter::new(BufWriter::new(File::create(out)?), cfg.k, 0, n)
+    })?;
     Ok(stats)
 }
 

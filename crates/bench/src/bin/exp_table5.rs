@@ -12,7 +12,7 @@
 //! cargo run --release -p goldfinger-bench --bin exp_table5
 //! ```
 
-use goldfinger_bench::jsonreport::{report_for, traffic_of};
+use goldfinger_bench::jsonreport::report_for;
 use goldfinger_bench::workloads::{build_dataset, dispatch_observed};
 use goldfinger_bench::{
     emit_if_requested, AlgoKind, Args, ExperimentConfig, ProviderKind, RunOutcome, Table,
@@ -81,7 +81,7 @@ fn main() {
                 prep: Duration::ZERO,
             };
             let mut report = report_for("table5", &cfg, kind, &data, provider, &out, obs);
-            report.traffic = Some(traffic_of(&traffic));
+            report.traffic = Some(traffic);
             set.runs.push(report);
         }
 

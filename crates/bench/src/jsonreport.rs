@@ -14,8 +14,7 @@ use crate::workloads::{
 use goldfinger_core::kernels::{self, KernelStats};
 use goldfinger_core::pool::PoolStats;
 use goldfinger_datasets::model::BinaryDataset;
-use goldfinger_knn::instrument::MemoryTraffic;
-use goldfinger_obs::{Json, RecordingObserver, ReportSet, RunReport, Traffic};
+use goldfinger_obs::{Json, RecordingObserver, ReportSet, RunReport};
 use std::path::Path;
 
 /// Runs one `(algorithm, provider)` combination under a recording observer
@@ -195,14 +194,6 @@ pub fn provider_name(provider: ProviderKind) -> &'static str {
     match provider {
         ProviderKind::Native => "native",
         ProviderKind::GoldFinger(_) => "goldfinger",
-    }
-}
-
-/// Converts `goldfinger-knn`'s measured traffic into the report type.
-pub fn traffic_of(t: &MemoryTraffic) -> Traffic {
-    Traffic {
-        calls: t.calls,
-        bytes: t.bytes,
     }
 }
 

@@ -319,11 +319,11 @@ fn run_observed_inner(
 
 /// Dispatches to the concrete algorithm with the paper's parameters
 /// (δ = 0.001, ≤ 30 iterations, 10 LSH tables).
-pub fn dispatch<S: Similarity>(
+pub fn dispatch(
     cfg: &ExperimentConfig,
     kind: AlgoKind,
     profiles: &ProfileStore,
-    sim: &S,
+    sim: &dyn Similarity,
 ) -> KnnResult {
     dispatch_observed(cfg, kind, profiles, sim, &NoopObserver)
 }
@@ -332,22 +332,18 @@ pub fn dispatch<S: Similarity>(
 /// code here: the kind's registry entry instantiates the builder and the
 /// erased trait runs it, so every algorithm (KIFF included) reports the same
 /// iteration events and phase spans.
-pub fn dispatch_observed<S: Similarity>(
+pub fn dispatch_observed(
     cfg: &ExperimentConfig,
     kind: AlgoKind,
     profiles: &ProfileStore,
-    sim: &S,
+    sim: &dyn Similarity,
     obs: &dyn BuildObserver,
 ) -> KnnResult {
     let builder = kind.spec().instantiate(&BuilderConfig {
         seed: cfg.seed,
         threads: cfg.threads,
     });
-    builder.build_erased(
-        BuildInput::with_profiles(sim as &dyn Similarity, profiles),
-        cfg.k,
-        obs,
-    )
+    builder.build_erased(BuildInput::with_profiles(sim, profiles), cfg.k, obs)
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //! KNN-graph algorithms only ever ask "how similar are users `u` and `v`?".
 //! The [`Similarity`] trait captures that question; the two implementations
 //! answer it from explicit profiles (the *native* approach) or from packed
-//! fingerprints (*GoldFinger*). Because algorithms are generic over the
-//! provider, every algorithm in `goldfinger-knn` is accelerated by switching
-//! the provider — exactly the paper's claim that fingerprinting is generic.
+//! fingerprints (*GoldFinger*). Because algorithms take any provider
+//! (`&dyn Similarity`), every algorithm in `goldfinger-knn` is accelerated
+//! by switching the provider — exactly the paper's claim that fingerprinting is generic.
 
 use crate::profile::{intersection_size_sorted, ProfileStore};
 use crate::shf::ShfStore;

@@ -146,18 +146,63 @@ impl SynthConfig {
 
     /// Generates the ratings dataset.
     pub fn generate(&self) -> RatingsDataset {
-        assert!(self.n_items >= 2, "need at least two items");
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let model = Model::new(self, &mut rng);
+        let mut ratings = Vec::new();
+        let mut seen: HashSet<u32> = HashSet::new();
+        for user in 0..self.n_users as u32 {
+            seen.clear();
+            model.draw_profile(&mut rng, |rng, item| {
+                let new = seen.insert(item);
+                if new {
+                    // Positive rating: strictly above the threshold of 3.
+                    let value = *[3.5f32, 4.0, 4.5, 5.0]
+                        .get(rng.gen_range(0..4usize))
+                        .expect("index in range");
+                    ratings.push(Rating { user, item, value });
+                }
+                new
+            });
+            // Sub-threshold ratings (filtered out by binarisation).
+            let negatives = (seen.len() as f64 * self.negative_ratio).round() as usize;
+            for _ in 0..negatives {
+                let rank = model.zipf.sample(&mut rng) as u64;
+                let item = (rank % model.n_items) as u32;
+                if seen.insert(item) {
+                    let value = 0.5 + 0.5 * rng.gen_range(0..=5) as f32; // 0.5–3.0
+                    ratings.push(Rating { user, item, value });
+                }
+            }
+        }
+        RatingsDataset::new(self.name.clone(), self.n_users, self.n_items, ratings)
+    }
+}
+
+/// The generation model both generators draw from: the validated
+/// calibration, the cluster rank permutations and the lognormal size law.
+#[derive(Debug, Clone)]
+struct Model {
+    n_items: u64,
+    cluster_affinity: f64,
+    zipf: ZipfSampler,
+    perms: Vec<(u64, u64)>,
+    mu: f64,
+    sigma: f64,
+}
+
+impl Model {
+    /// Validates `cfg` and draws the cluster permutations from `rng`.
+    fn new(cfg: &SynthConfig, rng: &mut StdRng) -> Self {
+        assert!(cfg.n_items >= 2, "need at least two items");
         assert!(
-            (0.0..=1.0).contains(&self.cluster_affinity),
+            (0.0..=1.0).contains(&cfg.cluster_affinity),
             "cluster_affinity must be a probability"
         );
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let zipf = ZipfSampler::new(self.n_items, self.zipf_exponent);
         // Cluster rank permutations: affine bijections r ↦ (a·r + b) mod m
         // with a coprime to m — cheap, deterministic, and distinct per
         // cluster.
-        let m = self.n_items as u64;
-        let perms: Vec<(u64, u64)> = (0..self.n_clusters.max(1))
+        let m = cfg.n_items as u64;
+        let perms: Vec<(u64, u64)> = (0..cfg.n_clusters.max(1))
             .map(|_| {
                 let a = loop {
                     let cand = rng.gen_range(1..m);
@@ -168,50 +213,40 @@ impl SynthConfig {
                 (a, rng.gen_range(0..m))
             })
             .collect();
-
         // Lognormal profile sizes with the calibrated mean.
         let sigma: f64 = 0.6;
-        let mu = self.mean_profile.max(1.0).ln() - sigma * sigma / 2.0;
+        Model {
+            n_items: m,
+            cluster_affinity: cfg.cluster_affinity,
+            zipf: ZipfSampler::new(cfg.n_items, cfg.zipf_exponent),
+            perms,
+            mu: cfg.mean_profile.max(1.0).ln() - sigma * sigma / 2.0,
+            sigma,
+        }
+    }
 
-        let mut ratings = Vec::new();
-        let mut seen: HashSet<u32> = HashSet::new();
-        for user in 0..self.n_users as u32 {
-            let cluster = rng.gen_range(0..perms.len());
-            let (a, b) = perms[cluster];
-            let size = sample_lognormal(&mut rng, mu, sigma)
-                .round()
-                .clamp(5.0, (self.n_items / 2) as f64) as usize;
-
-            seen.clear();
-            let mut attempts = 0usize;
-            while seen.len() < size && attempts < size * 20 {
-                attempts += 1;
-                let rank = zipf.sample(&mut rng) as u64;
-                let item = if rng.gen::<f64>() < self.cluster_affinity {
-                    ((a * rank + b) % m) as u32
-                } else {
-                    rank as u32
-                };
-                if seen.insert(item) {
-                    // Positive rating: strictly above the threshold of 3.
-                    let value = *[3.5f32, 4.0, 4.5, 5.0]
-                        .get(rng.gen_range(0..4usize))
-                        .expect("index in range");
-                    ratings.push(Rating { user, item, value });
-                }
-            }
-            // Sub-threshold ratings (filtered out by binarisation).
-            let negatives = (seen.len() as f64 * self.negative_ratio).round() as usize;
-            for _ in 0..negatives {
-                let rank = zipf.sample(&mut rng) as u64;
-                let item = (rank % m) as u32;
-                if seen.insert(item) {
-                    let value = 0.5 + 0.5 * rng.gen_range(0..=5) as f32; // 0.5–3.0
-                    ratings.push(Rating { user, item, value });
-                }
+    /// Draws one user's positive items: a cluster and a profile size, then
+    /// items by Zipf rank (through the cluster's permutation with
+    /// probability `cluster_affinity`) until `add(rng, item)` has reported
+    /// `size` new items or `20·size` draws are spent.
+    fn draw_profile(&self, rng: &mut StdRng, mut add: impl FnMut(&mut StdRng, u32) -> bool) {
+        let (a, b) = self.perms[rng.gen_range(0..self.perms.len())];
+        let size = sample_lognormal(rng, self.mu, self.sigma)
+            .round()
+            .clamp(5.0, (self.n_items / 2) as f64) as usize;
+        let (mut added, mut attempts) = (0usize, 0usize);
+        while added < size && attempts < size * 20 {
+            attempts += 1;
+            let rank = self.zipf.sample(rng) as u64;
+            let item = if rng.gen::<f64>() < self.cluster_affinity {
+                ((a * rank + b) % self.n_items) as u32
+            } else {
+                rank as u32
+            };
+            if add(rng, item) {
+                added += 1;
             }
         }
-        RatingsDataset::new(self.name.clone(), self.n_users, self.n_items, ratings)
     }
 }
 
@@ -234,12 +269,7 @@ impl SynthConfig {
 #[derive(Debug, Clone)]
 pub struct StreamProfiles {
     n_users: usize,
-    n_items: u64,
-    cluster_affinity: f64,
-    zipf: ZipfSampler,
-    perms: Vec<(u64, u64)>,
-    mu: f64,
-    sigma: f64,
+    model: Model,
     seed: u64,
 }
 
@@ -250,34 +280,9 @@ impl StreamProfiles {
     /// # Panics
     /// Panics on the same invalid configs as [`SynthConfig::generate`].
     pub fn new(cfg: &SynthConfig) -> Self {
-        assert!(cfg.n_items >= 2, "need at least two items");
-        assert!(
-            (0.0..=1.0).contains(&cfg.cluster_affinity),
-            "cluster_affinity must be a probability"
-        );
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let m = cfg.n_items as u64;
-        let perms: Vec<(u64, u64)> = (0..cfg.n_clusters.max(1))
-            .map(|_| {
-                let a = loop {
-                    let cand = rng.gen_range(1..m);
-                    if gcd(cand, m) == 1 {
-                        break cand;
-                    }
-                };
-                (a, rng.gen_range(0..m))
-            })
-            .collect();
-        let sigma: f64 = 0.6;
-        let mu = cfg.mean_profile.max(1.0).ln() - sigma * sigma / 2.0;
         StreamProfiles {
             n_users: cfg.n_users,
-            n_items: m,
-            cluster_affinity: cfg.cluster_affinity,
-            zipf: ZipfSampler::new(cfg.n_items, cfg.zipf_exponent),
-            perms,
-            mu,
-            sigma,
+            model: Model::new(cfg, &mut StdRng::seed_from_u64(cfg.seed)),
             seed: cfg.seed,
         }
     }
@@ -295,24 +300,13 @@ impl ProfileSource for StreamProfiles {
         let mut rng = StdRng::seed_from_u64(splitmix64_mix(
             self.seed ^ (u as u64).wrapping_mul(0xA076_1D64),
         ));
-        let cluster = rng.gen_range(0..self.perms.len());
-        let (a, b) = self.perms[cluster];
-        let size = sample_lognormal(&mut rng, self.mu, self.sigma)
-            .round()
-            .clamp(5.0, (self.n_items / 2) as f64) as usize;
-        let mut attempts = 0usize;
-        while buf.len() < size && attempts < size * 20 {
-            attempts += 1;
-            let rank = self.zipf.sample(&mut rng) as u64;
-            let item = if rng.gen::<f64>() < self.cluster_affinity {
-                ((a * rank + b) % self.n_items) as u32
-            } else {
-                rank as u32
-            };
-            if !buf.contains(&item) {
+        self.model.draw_profile(&mut rng, |_, item| {
+            let new = !buf.contains(&item);
+            if new {
                 buf.push(item);
             }
-        }
+            new
+        });
         buf.sort_unstable();
     }
 }
@@ -402,6 +396,39 @@ mod tests {
         let b = tiny().generate();
         assert_eq!(a.ratings().len(), b.ratings().len());
         assert_eq!(a.ratings()[10], b.ratings()[10]);
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in words.into_iter().flat_map(u64::to_le_bytes) {
+            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn both_generators_match_their_pinned_digests() {
+        // Pins every RNG draw of both generators, so a refactor of the
+        // shared generation model cannot change a dataset silently.
+        let ratings = tiny().generate();
+        let gen = fnv(ratings
+            .ratings()
+            .iter()
+            .flat_map(|r| [r.user as u64, r.item as u64, r.value.to_bits() as u64]));
+        assert_eq!(
+            (ratings.ratings().len(), gen),
+            (23_298, 0x05f0_8eef_115e_c1e0)
+        );
+        let stream = StreamProfiles::new(&tiny());
+        let mut buf = Vec::new();
+        let mut words = Vec::new();
+        for u in 0..stream.n_users() as u32 {
+            stream.items_into(u, &mut buf);
+            words.push(buf.len() as u64);
+            words.extend(buf.iter().map(|&i| i as u64));
+        }
+        assert_eq!(fnv(words), 0xa8c3_88c6_5e26_16b9);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl BruteForce {
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn build<S: Similarity + ?Sized>(&self, sim: &S, k: usize) -> KnnResult {
+    pub fn build(&self, sim: &dyn Similarity, k: usize) -> KnnResult {
         self.build_observed(sim, k, &NoopObserver)
     }
 
@@ -62,9 +62,9 @@ impl BruteForce {
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn build_observed<S: Similarity + ?Sized>(
+    pub fn build_observed(
         &self,
-        sim: &S,
+        sim: &dyn Similarity,
         k: usize,
         obs: &dyn BuildObserver,
     ) -> KnnResult {

@@ -1,25 +1,23 @@
-//! The `KnnBuilder` abstraction: one interface over every construction
+//! The builder abstraction: one interface over every construction
 //! algorithm in this crate.
 //!
-//! Two layers:
-//!
-//! - [`KnnBuilder`] is the statically-dispatched trait the six builders
-//!   implement. It is generic over the [`Similarity`] provider and takes
-//!   the [`BuildObserver`] as a `&dyn` reference — exactly like the
-//!   builders' inherent methods, which remain in place (concrete call
-//!   sites keep their signatures).
-//! - [`ErasedBuilder`] is the dyn-safe form, obtained for free from any
-//!   `KnnBuilder` via a blanket impl. The registry
-//!   ([`crate::builders`]) hands out `Box<dyn ErasedBuilder>` so harnesses
-//!   can enumerate and run algorithms without naming their types; the
-//!   similarity is passed behind a `dyn` reference there too.
+//! The six builders implement [`ErasedBuilder`], whose
+//! [`build_erased`](ErasedBuilder::build_erased) takes the [`Similarity`]
+//! provider behind a `dyn` reference in [`BuildInput`] and the
+//! [`BuildObserver`] as a `&dyn` reference. The registry
+//! ([`crate::builders`]) hands out `Box<dyn ErasedBuilder>` so harnesses
+//! can enumerate and run algorithms without naming their types. Every
+//! builder's inherent `build`/`build_observed` take `&dyn Similarity`
+//! too, so each builder is compiled once whatever the provider. The
+//! virtual call is small next to the comparison it dispatches, which reads
+//! a whole profile or fingerprint pair (DESIGN.md §11).
 //!
 //! Inputs are bundled in [`BuildInput`] because the builders disagree on
 //! what they need: the greedy refiners only consume a [`Similarity`], while
 //! LSH and KIFF additionally read the explicit [`ProfileStore`] (bucketing
 //! and the inverted index are GoldFinger-immune). The
-//! [`KnnBuilder::needs_profiles`] capability flag tells callers which case
-//! they are in.
+//! [`ErasedBuilder::needs_profiles`] capability flag tells callers which
+//! case they are in.
 
 use crate::brute::BruteForce;
 use crate::cluster::Cluster;
@@ -30,24 +28,24 @@ use crate::lsh::Lsh;
 use crate::nndescent::NNDescent;
 use goldfinger_core::profile::ProfileStore;
 use goldfinger_core::similarity::Similarity;
-use goldfinger_obs::{BuildObserver, NoopObserver};
+use goldfinger_obs::BuildObserver;
 
 /// The inputs a builder may consume: the similarity provider, plus the
 /// explicit profiles for algorithms whose candidate generation reads them.
-#[derive(Debug)]
-pub struct BuildInput<'a, S: ?Sized> {
+#[derive(Clone, Copy)]
+pub struct BuildInput<'a> {
     /// Scores candidate pairs (explicit provider = native run, SHF provider
     /// = GoldFinger run).
-    pub sim: &'a S,
+    pub sim: &'a dyn Similarity,
     /// Raw item sets, required by builders with
-    /// [`KnnBuilder::needs_profiles`]` == true` (LSH bucketing, KIFF's
+    /// [`ErasedBuilder::needs_profiles`]` == true` (LSH bucketing, KIFF's
     /// inverted index).
     pub profiles: Option<&'a ProfileStore>,
 }
 
-impl<'a, S: ?Sized> BuildInput<'a, S> {
+impl<'a> BuildInput<'a> {
     /// Input carrying only a similarity provider.
-    pub fn new(sim: &'a S) -> Self {
+    pub fn new(sim: &'a dyn Similarity) -> Self {
         BuildInput {
             sim,
             profiles: None,
@@ -55,7 +53,7 @@ impl<'a, S: ?Sized> BuildInput<'a, S> {
     }
 
     /// Input carrying the provider and the explicit profiles.
-    pub fn with_profiles(sim: &'a S, profiles: &'a ProfileStore) -> Self {
+    pub fn with_profiles(sim: &'a dyn Similarity, profiles: &'a ProfileStore) -> Self {
         BuildInput {
             sim,
             profiles: Some(profiles),
@@ -66,29 +64,21 @@ impl<'a, S: ?Sized> BuildInput<'a, S> {
     ///
     /// # Panics
     /// Panics when the input carries none — callers must honour
-    /// [`KnnBuilder::needs_profiles`].
+    /// [`ErasedBuilder::needs_profiles`].
     pub fn profiles(&self) -> &'a ProfileStore {
         self.profiles
-            .expect("this builder needs explicit profiles (see KnnBuilder::needs_profiles)")
+            .expect("this builder needs explicit profiles (see ErasedBuilder::needs_profiles)")
     }
 }
 
-impl<S: ?Sized> Clone for BuildInput<'_, S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<S: ?Sized> Copy for BuildInput<'_, S> {}
-
-/// A KNN graph construction algorithm, generic over the provider.
+/// A KNN graph construction algorithm, run on any provider.
 ///
 /// The determinism contract mirrors the golden-seed suite: when
-/// [`deterministic`](KnnBuilder::deterministic) reports `true`, repeated
+/// [`deterministic`](ErasedBuilder::deterministic) reports `true`, repeated
 /// builds over the same input produce bit-identical graphs and identical
 /// `BuildStats` counters, and plugging in any observer never changes the
 /// output.
-pub trait KnnBuilder: Sync {
+pub trait ErasedBuilder: Sync {
     /// Display name, as printed in the paper's tables.
     fn name(&self) -> &'static str;
 
@@ -110,68 +100,10 @@ pub trait KnnBuilder: Sync {
 
     /// Builds the graph, reporting iteration events and phase spans to
     /// `obs`.
-    fn build_observed<S: Similarity + ?Sized>(
-        &self,
-        input: BuildInput<'_, S>,
-        k: usize,
-        obs: &dyn BuildObserver,
-    ) -> KnnResult;
-
-    /// Builds the graph unobserved.
-    fn build<S: Similarity + ?Sized>(&self, input: BuildInput<'_, S>, k: usize) -> KnnResult {
-        self.build_observed(input, k, &NoopObserver)
-    }
+    fn build_erased(&self, input: BuildInput<'_>, k: usize, obs: &dyn BuildObserver) -> KnnResult;
 }
 
-/// Dyn-safe form of [`KnnBuilder`], implemented for every builder by a
-/// blanket impl. This is what the registry boxes.
-pub trait ErasedBuilder: Sync {
-    /// See [`KnnBuilder::name`].
-    fn name(&self) -> &'static str;
-
-    /// See [`KnnBuilder::deterministic`].
-    fn deterministic(&self) -> bool;
-
-    /// See [`KnnBuilder::needs_profiles`].
-    fn needs_profiles(&self) -> bool;
-
-    /// Builds the graph with the provider behind a `dyn` reference.
-    fn build_erased<'a>(
-        &self,
-        input: BuildInput<'a, dyn Similarity + 'a>,
-        k: usize,
-        obs: &dyn BuildObserver,
-    ) -> KnnResult;
-}
-
-impl<B: KnnBuilder> ErasedBuilder for B {
-    fn name(&self) -> &'static str {
-        KnnBuilder::name(self)
-    }
-
-    fn deterministic(&self) -> bool {
-        KnnBuilder::deterministic(self)
-    }
-
-    fn needs_profiles(&self) -> bool {
-        KnnBuilder::needs_profiles(self)
-    }
-
-    fn build_erased<'a>(
-        &self,
-        input: BuildInput<'a, dyn Similarity + 'a>,
-        k: usize,
-        obs: &dyn BuildObserver,
-    ) -> KnnResult {
-        KnnBuilder::build_observed(self, input, k, obs)
-    }
-}
-
-// The trait impls delegate to the builders' inherent entry points, which
-// keep their historical signatures (inherent methods win at concrete call
-// sites, so existing callers are untouched).
-
-impl KnnBuilder for BruteForce {
+impl ErasedBuilder for BruteForce {
     fn name(&self) -> &'static str {
         "Brute Force"
     }
@@ -183,17 +115,12 @@ impl KnnBuilder for BruteForce {
         true
     }
 
-    fn build_observed<S: Similarity + ?Sized>(
-        &self,
-        input: BuildInput<'_, S>,
-        k: usize,
-        obs: &dyn BuildObserver,
-    ) -> KnnResult {
+    fn build_erased(&self, input: BuildInput<'_>, k: usize, obs: &dyn BuildObserver) -> KnnResult {
         BruteForce::build_observed(self, input.sim, k, obs)
     }
 }
 
-impl KnnBuilder for Hyrec {
+impl ErasedBuilder for Hyrec {
     fn name(&self) -> &'static str {
         "Hyrec"
     }
@@ -204,17 +131,12 @@ impl KnnBuilder for Hyrec {
         self.threads <= 1
     }
 
-    fn build_observed<S: Similarity + ?Sized>(
-        &self,
-        input: BuildInput<'_, S>,
-        k: usize,
-        obs: &dyn BuildObserver,
-    ) -> KnnResult {
+    fn build_erased(&self, input: BuildInput<'_>, k: usize, obs: &dyn BuildObserver) -> KnnResult {
         Hyrec::build_observed(self, input.sim, k, obs)
     }
 }
 
-impl KnnBuilder for NNDescent {
+impl ErasedBuilder for NNDescent {
     fn name(&self) -> &'static str {
         "NNDescent"
     }
@@ -225,17 +147,12 @@ impl KnnBuilder for NNDescent {
         self.threads <= 1
     }
 
-    fn build_observed<S: Similarity + ?Sized>(
-        &self,
-        input: BuildInput<'_, S>,
-        k: usize,
-        obs: &dyn BuildObserver,
-    ) -> KnnResult {
+    fn build_erased(&self, input: BuildInput<'_>, k: usize, obs: &dyn BuildObserver) -> KnnResult {
         NNDescent::build_observed(self, input.sim, k, obs)
     }
 }
 
-impl KnnBuilder for Lsh {
+impl ErasedBuilder for Lsh {
     fn name(&self) -> &'static str {
         "LSH"
     }
@@ -250,17 +167,12 @@ impl KnnBuilder for Lsh {
         true
     }
 
-    fn build_observed<S: Similarity + ?Sized>(
-        &self,
-        input: BuildInput<'_, S>,
-        k: usize,
-        obs: &dyn BuildObserver,
-    ) -> KnnResult {
+    fn build_erased(&self, input: BuildInput<'_>, k: usize, obs: &dyn BuildObserver) -> KnnResult {
         Lsh::build_observed(self, input.profiles(), input.sim, k, obs)
     }
 }
 
-impl KnnBuilder for Cluster {
+impl ErasedBuilder for Cluster {
     fn name(&self) -> &'static str {
         "Cluster"
     }
@@ -276,17 +188,12 @@ impl KnnBuilder for Cluster {
         true
     }
 
-    fn build_observed<S: Similarity + ?Sized>(
-        &self,
-        input: BuildInput<'_, S>,
-        k: usize,
-        obs: &dyn BuildObserver,
-    ) -> KnnResult {
+    fn build_erased(&self, input: BuildInput<'_>, k: usize, obs: &dyn BuildObserver) -> KnnResult {
         Cluster::build_observed(self, input.profiles(), input.sim, k, obs)
     }
 }
 
-impl KnnBuilder for Kiff {
+impl ErasedBuilder for Kiff {
     fn name(&self) -> &'static str {
         "KIFF"
     }
@@ -299,12 +206,7 @@ impl KnnBuilder for Kiff {
         true
     }
 
-    fn build_observed<S: Similarity + ?Sized>(
-        &self,
-        input: BuildInput<'_, S>,
-        k: usize,
-        obs: &dyn BuildObserver,
-    ) -> KnnResult {
+    fn build_erased(&self, input: BuildInput<'_>, k: usize, obs: &dyn BuildObserver) -> KnnResult {
         Kiff::build_observed(self, input.profiles(), input.sim, k, obs)
     }
 }

@@ -6,8 +6,7 @@
 //! applies the paper's evaluation parameters (§3.3: `δ = 0.001`, at most 30
 //! refinement iterations, 10 LSH tables) with the caller's seed and thread
 //! count. No caller needs a per-algorithm match arm; adding a builder means
-//! implementing [`KnnBuilder`](crate::builder::KnnBuilder) and appending a
-//! [`BuilderSpec`] here.
+//! implementing [`ErasedBuilder`] and appending a [`BuilderSpec`] here.
 
 use crate::brute::BruteForce;
 use crate::builder::ErasedBuilder;
@@ -24,7 +23,7 @@ pub struct BuilderConfig {
     /// RNG seed for builders that draw randomness (random-graph init,
     /// sampling, LSH permutations).
     pub seed: u64,
-    /// Worker threads (1 = serial).
+    /// Worker threads (0 = default parallelism, 1 = serial).
     pub threads: usize,
 }
 

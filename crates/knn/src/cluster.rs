@@ -298,12 +298,7 @@ impl Cluster {
     /// # Panics
     /// Panics if `k == 0`, `tables == 0`, or the provider's population
     /// differs from the profile store's.
-    pub fn build<S: Similarity + ?Sized>(
-        &self,
-        profiles: &ProfileStore,
-        sim: &S,
-        k: usize,
-    ) -> KnnResult {
+    pub fn build(&self, profiles: &ProfileStore, sim: &dyn Similarity, k: usize) -> KnnResult {
         self.build_observed(profiles, sim, k, &NoopObserver)
     }
 
@@ -316,10 +311,10 @@ impl Cluster {
     ///
     /// # Panics
     /// Same contract as [`Cluster::build`].
-    pub fn build_observed<S: Similarity + ?Sized>(
+    pub fn build_observed(
         &self,
         profiles: &ProfileStore,
-        sim: &S,
+        sim: &dyn Similarity,
         k: usize,
         obs: &dyn BuildObserver,
     ) -> KnnResult {

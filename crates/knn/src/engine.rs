@@ -59,7 +59,7 @@
 
 use crate::graph::{BuildStats, KnnGraph, KnnResult};
 use crate::neighborlist::{outranks, random_lists, NeighborList};
-use goldfinger_core::parallel::par_map_chunks;
+use goldfinger_core::parallel::{effective_threads, par_map_chunks};
 use goldfinger_core::similarity::Similarity;
 use goldfinger_obs::trace;
 use goldfinger_obs::{BuildObserver, IterationEvent, Phase, PhaseTimer};
@@ -168,14 +168,14 @@ struct Worker<Sc> {
 }
 
 /// The [`Joiner`] a scoring worker hands to its strategy.
-struct Scorer<'a, S: ?Sized> {
-    sim: &'a S,
+struct Scorer<'a> {
+    sim: &'a dyn Similarity,
     floors: &'a [Floor],
     shard_len: usize,
     out: &'a mut Proposals,
 }
 
-impl<S: Similarity + ?Sized> Joiner for Scorer<'_, S> {
+impl Joiner for Scorer<'_> {
     fn join_batch(&mut self, a: u32, bs: &[u32]) {
         let out = &mut *self.out;
         out.sims.clear();
@@ -247,7 +247,7 @@ pub struct RefineEngine {
     pub max_iterations: u32,
     /// RNG seed for the initial random graph and candidate sampling.
     pub seed: u64,
-    /// Worker threads for the join phase (0 and 1 both mean one). The
+    /// Worker threads for the join phase (0 = default parallelism). The
     /// output does not depend on it.
     pub threads: usize,
 }
@@ -259,16 +259,18 @@ impl RefineEngine {
     /// # Panics
     /// Panics if `k == 0`, `delta` is negative, or
     /// [`JoinStrategy::validate`] rejects the strategy's parameters.
-    pub fn run<S, St>(&self, sim: &S, k: usize, strategy: &St, obs: &dyn BuildObserver) -> KnnResult
-    where
-        S: Similarity + ?Sized,
-        St: JoinStrategy,
-    {
+    pub fn run<St: JoinStrategy>(
+        &self,
+        sim: &dyn Similarity,
+        k: usize,
+        strategy: &St,
+        obs: &dyn BuildObserver,
+    ) -> KnnResult {
         assert!(k > 0, "k must be positive");
         assert!(self.delta >= 0.0, "delta must be non-negative");
         strategy.validate();
         let n = sim.n_users();
-        let threads = self.threads.max(1);
+        let threads = effective_threads(self.threads);
         let start = Instant::now();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut evals = 0u64;

@@ -33,7 +33,7 @@ pub struct Hyrec {
     /// RNG seed for the initial random graph.
     pub seed: u64,
     /// Worker threads for the candidate scans, as in the paper's
-    /// multi-threaded runs (0 and 1 both mean one). The plan/score/apply
+    /// multi-threaded runs (0 = default parallelism). The plan/score/apply
     /// join of [`RefineEngine`] makes the output bit-identical for every
     /// thread count. The scan dispatches twice per window of users.
     /// Installing a `goldfinger_core::pool::Pool` turns each dispatch's
@@ -60,7 +60,7 @@ impl Hyrec {
     ///
     /// # Panics
     /// Panics if `k == 0` or `delta` is negative.
-    pub fn build<S: Similarity + ?Sized>(&self, sim: &S, k: usize) -> KnnResult {
+    pub fn build(&self, sim: &dyn Similarity, k: usize) -> KnnResult {
         self.build_observed(sim, k, &NoopObserver)
     }
 
@@ -73,9 +73,9 @@ impl Hyrec {
     ///
     /// # Panics
     /// Panics if `k == 0` or `delta` is negative.
-    pub fn build_observed<S: Similarity + ?Sized>(
+    pub fn build_observed(
         &self,
-        sim: &S,
+        sim: &dyn Similarity,
         k: usize,
         obs: &dyn BuildObserver,
     ) -> KnnResult {

@@ -10,6 +10,7 @@
 //! between native and GoldFinger runs reproduce the paper's Table 5 shape.
 
 use goldfinger_core::similarity::Similarity;
+use goldfinger_obs::Traffic;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A provider wrapper counting evaluations and modelled memory traffic.
@@ -34,8 +35,8 @@ impl<'a, S: Similarity> CountingSimilarity<'a, S> {
     }
 
     /// Snapshot of the accumulated counters.
-    pub fn traffic(&self) -> MemoryTraffic {
-        MemoryTraffic {
+    pub fn traffic(&self) -> Traffic {
+        Traffic {
             calls: self.calls.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
         }
@@ -68,26 +69,6 @@ impl<S: Similarity> Similarity for CountingSimilarity<'_, S> {
     }
 }
 
-/// Accumulated similarity-path memory traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoryTraffic {
-    /// Number of similarity evaluations.
-    pub calls: u64,
-    /// Modelled bytes of profile payload read by those evaluations.
-    pub bytes: u64,
-}
-
-impl MemoryTraffic {
-    /// Mean bytes per evaluation (0 when nothing ran).
-    pub fn bytes_per_call(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.calls as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,7 +96,7 @@ mod tests {
         assert_eq!(t.calls, 2);
         assert_eq!(t.bytes, sim.bytes_per_eval(0, 1) + sim.bytes_per_eval(0, 2));
         counting.reset();
-        assert_eq!(counting.traffic(), MemoryTraffic::default());
+        assert_eq!(counting.traffic(), Traffic::default());
     }
 
     #[test]

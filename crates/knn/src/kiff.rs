@@ -157,12 +157,7 @@ impl Kiff {
     /// # Panics
     /// Panics if `k == 0`, `candidate_factor == 0`, or the populations
     /// disagree.
-    pub fn build<S: Similarity + ?Sized>(
-        &self,
-        profiles: &ProfileStore,
-        sim: &S,
-        k: usize,
-    ) -> KnnResult {
+    pub fn build(&self, profiles: &ProfileStore, sim: &dyn Similarity, k: usize) -> KnnResult {
         self.build_observed(profiles, sim, k, &NoopObserver)
     }
 
@@ -177,10 +172,10 @@ impl Kiff {
     ///
     /// # Panics
     /// Same contract as [`Kiff::build`].
-    pub fn build_observed<S: Similarity + ?Sized>(
+    pub fn build_observed(
         &self,
         profiles: &ProfileStore,
-        sim: &S,
+        sim: &dyn Similarity,
         k: usize,
         obs: &dyn BuildObserver,
     ) -> KnnResult {

@@ -1,7 +1,7 @@
 //! # goldfinger-knn
 //!
-//! KNN graph construction algorithms, generic over
-//! [`goldfinger_core::similarity::Similarity`] providers. Running any
+//! KNN graph construction algorithms over any
+//! [`goldfinger_core::similarity::Similarity`] provider. Running any
 //! algorithm with the explicit provider reproduces the paper's *native*
 //! baselines; swapping in the SHF provider turns the same algorithm into its
 //! *GoldFinger* variant — no other change required, which is the paper's
@@ -16,10 +16,10 @@
 //! | KIFF | [`kiff`] | inverted-index co-rating candidates |
 //! | Cluster | [`cluster`] | blip-hashed cache-resident cluster scans |
 //!
-//! All six implement the [`KnnBuilder`] trait ([`builder`]); harnesses
-//! enumerate them through the [`builders`] registry instead of naming
-//! concrete types, and the greedy refiners share the iterative scaffolding
-//! of [`engine::RefineEngine`].
+//! All six implement the [`ErasedBuilder`] trait ([`builder`]) and take
+//! the provider as `&dyn Similarity`; harnesses enumerate them through the
+//! [`builders`] registry instead of naming concrete types, and the greedy
+//! refiners share the iterative scaffolding of [`engine::RefineEngine`].
 //!
 //! ```
 //! use goldfinger_core::shf::ShfParams;
@@ -67,14 +67,14 @@ pub use analysis::{degree_stats, edge_overlap, in_degrees, reverse_graph, Degree
 // Observability: every builder also has a `build_observed` variant taking a
 // `BuildObserver` (re-exported from `goldfinger-obs` for convenience).
 pub use brute::BruteForce;
-pub use builder::{BuildInput, ErasedBuilder, KnnBuilder};
+pub use builder::{BuildInput, ErasedBuilder};
 pub use cluster::{Cluster, ClusterAssignment, ClusterStats};
 pub use csr::{read_knn_graph, write_knn_graph};
 pub use engine::{JoinStrategy, RefineEngine};
 pub use goldfinger_obs::{BuildObserver, IterationEvent, NoopObserver, RecordingObserver};
 pub use graph::{BuildStats, KnnGraph, KnnResult};
 pub use hyrec::Hyrec;
-pub use instrument::{CountingSimilarity, MemoryTraffic};
+pub use instrument::CountingSimilarity;
 pub use kiff::Kiff;
 pub use lsh::Lsh;
 pub use metrics::{average_similarity, edge_recall, quality};

@@ -246,12 +246,7 @@ impl Lsh {
     /// # Panics
     /// Panics if `k == 0`, `tables == 0`, or the provider's population
     /// differs from the profile store's.
-    pub fn build<S: Similarity + ?Sized>(
-        &self,
-        profiles: &ProfileStore,
-        sim: &S,
-        k: usize,
-    ) -> KnnResult {
+    pub fn build(&self, profiles: &ProfileStore, sim: &dyn Similarity, k: usize) -> KnnResult {
         self.build_observed(profiles, sim, k, &NoopObserver)
     }
 
@@ -266,10 +261,10 @@ impl Lsh {
     ///
     /// # Panics
     /// Same contract as [`Lsh::build`].
-    pub fn build_observed<S: Similarity + ?Sized>(
+    pub fn build_observed(
         &self,
         profiles: &ProfileStore,
-        sim: &S,
+        sim: &dyn Similarity,
         k: usize,
         obs: &dyn BuildObserver,
     ) -> KnnResult {

@@ -230,8 +230,8 @@ impl NeighborList {
 /// Initialises one random neighbour list per user: `k` distinct random
 /// neighbours (≠ owner), scored with the provider. Counts the similarity
 /// evaluations it performs into `evals`.
-pub fn random_lists<S: goldfinger_core::similarity::Similarity + ?Sized>(
-    sim: &S,
+pub fn random_lists(
+    sim: &dyn goldfinger_core::similarity::Similarity,
     k: usize,
     rng: &mut StdRng,
     evals: &mut u64,

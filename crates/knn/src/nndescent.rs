@@ -36,7 +36,7 @@ pub struct NNDescent {
     /// RNG seed for the initial random graph and sampling.
     pub seed: u64,
     /// Worker threads for the local joins, as in the paper's
-    /// multi-threaded runs (0 and 1 both mean one). Candidate sampling
+    /// multi-threaded runs (0 = default parallelism). Candidate sampling
     /// stays sequential and seeded, and the plan/score/apply join of
     /// [`RefineEngine`] makes the output bit-identical for every thread
     /// count. The join dispatches twice per window of users. Installing
@@ -65,7 +65,7 @@ impl NNDescent {
     ///
     /// # Panics
     /// Panics if `k == 0` or the parameters are out of range.
-    pub fn build<S: Similarity + ?Sized>(&self, sim: &S, k: usize) -> KnnResult {
+    pub fn build(&self, sim: &dyn Similarity, k: usize) -> KnnResult {
         self.build_observed(sim, k, &NoopObserver)
     }
 
@@ -79,9 +79,9 @@ impl NNDescent {
     ///
     /// # Panics
     /// Panics if `k == 0` or the parameters are out of range.
-    pub fn build_observed<S: Similarity + ?Sized>(
+    pub fn build_observed(
         &self,
-        sim: &S,
+        sim: &dyn Similarity,
         k: usize,
         obs: &dyn BuildObserver,
     ) -> KnnResult {

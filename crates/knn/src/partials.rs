@@ -85,7 +85,7 @@ impl Partials {
     /// [`Similarity::similarity_batch`] call (the gather kernel for
     /// fingerprint providers) and offers each pair to both of its ends.
     #[inline]
-    pub(crate) fn score_row<S: Similarity + ?Sized>(&mut self, sim: &S, u: u32) {
+    pub(crate) fn score_row(&mut self, sim: &dyn Similarity, u: u32) {
         self.sims.clear();
         self.sims.resize(self.ids.len(), 0.0);
         sim.similarity_batch(u, &self.ids, &mut self.sims);
@@ -99,7 +99,7 @@ impl Partials {
     /// Scores one pair through [`Similarity::similarity`] and offers it to
     /// both of its ends.
     #[inline]
-    pub(crate) fn score_pair<S: Similarity + ?Sized>(&mut self, sim: &S, u: u32, v: u32) {
+    pub(crate) fn score_pair(&mut self, sim: &dyn Similarity, u: u32, v: u32) {
         let s = sim.similarity(u, v);
         self.evals += 1;
         self.lists.offer(u as usize, s, v);

@@ -68,14 +68,13 @@ impl<W: Send, I: Fn() -> W + Sync> UserScan<W, I> {
     /// candidates to the empty `out`, and the driver scores and ranks
     /// them. Returns the top-k lists in user order and the evaluation
     /// count.
-    pub(crate) fn run<S, C>(
+    pub(crate) fn run<C>(
         &self,
         users: Range<u32>,
-        sim: &S,
+        sim: &dyn Similarity,
         candidates: C,
     ) -> (Vec<Vec<Scored>>, u64)
     where
-        S: Similarity + ?Sized,
         C: Fn(&mut W, u32, &mut Vec<u32>) + Sync,
     {
         let lo = users.start;
@@ -124,8 +123,8 @@ impl<W: Send, I: Fn() -> W + Sync> UserScan<W, I> {
 /// The join of a one-pass builder (LSH, KIFF) over every user of `sim`:
 /// one [`UserScan`] run under a [`Phase::Join`] span, then the shared
 /// one-pass tail. `start` is when the build began.
-pub(crate) fn scan_all_users<S, W, I, C>(
-    sim: &S,
+pub(crate) fn scan_all_users<W, I, C>(
+    sim: &dyn Similarity,
     k: usize,
     threads: usize,
     obs: &dyn BuildObserver,
@@ -134,7 +133,6 @@ pub(crate) fn scan_all_users<S, W, I, C>(
     candidates: C,
 ) -> KnnResult
 where
-    S: Similarity + ?Sized,
     W: Send,
     I: Fn() -> W + Sync,
     C: Fn(&mut W, u32, &mut Vec<u32>) + Sync,

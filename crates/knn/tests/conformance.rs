@@ -1,6 +1,7 @@
 //! Cross-builder conformance suite: every algorithm in the
-//! [`goldfinger_knn::builders`] registry must honour the [`KnnBuilder`]
-//! contract, whatever its internals.
+//! [`goldfinger_knn::builders`] registry must honour the
+//! [`ErasedBuilder`](goldfinger_knn::ErasedBuilder) contract, whatever its
+//! internals.
 //!
 //! Checked for each registered builder, at one thread and at the
 //! `GF_THREADS` thread count (the CI matrix runs both):
@@ -10,15 +11,15 @@
 //! - trace consistency: the per-iteration events seen by an observer sum to
 //!   exactly the `BuildStats` totals (evaluated and pruned);
 //! - observer neutrality: for configurations reporting
-//!   [`KnnBuilder::deterministic`], attaching an observer changes nothing —
-//!   graph and counters are bit-identical to the unobserved run;
+//!   `ErasedBuilder::deterministic`, attaching an observer changes nothing
+//!   — graph and counters are bit-identical to the unobserved run;
 //! - input contract: builders that do not claim
-//!   [`KnnBuilder::needs_profiles`] also work from a profile-less
+//!   `ErasedBuilder::needs_profiles` also work from a profile-less
 //!   [`BuildInput`].
 
 use goldfinger_core::profile::ProfileStore;
-use goldfinger_core::similarity::{ExplicitJaccard, Similarity};
-use goldfinger_knn::builder::{BuildInput, ErasedBuilder, KnnBuilder};
+use goldfinger_core::similarity::ExplicitJaccard;
+use goldfinger_knn::builder::BuildInput;
 use goldfinger_knn::builders::{self, BuilderConfig};
 use goldfinger_knn::graph::KnnResult;
 use goldfinger_obs::{NoopObserver, RecordingObserver};
@@ -117,7 +118,7 @@ fn every_registered_builder_honours_the_contract() {
     let profiles = population();
     let sim = ExplicitJaccard::new(&profiles);
     let n = profiles.n_users();
-    let input = BuildInput::with_profiles(&sim as &dyn Similarity, &profiles);
+    let input = BuildInput::with_profiles(&sim, &profiles);
 
     for spec in builders::all() {
         for threads in thread_counts() {
@@ -163,8 +164,8 @@ fn every_registered_builder_honours_the_contract() {
 fn profile_free_builders_run_without_profiles() {
     let profiles = population();
     let sim = ExplicitJaccard::new(&profiles);
-    let with = BuildInput::with_profiles(&sim as &dyn Similarity, &profiles);
-    let without = BuildInput::new(&sim as &dyn Similarity);
+    let with = BuildInput::with_profiles(&sim, &profiles);
+    let without = BuildInput::new(&sim);
 
     for spec in builders::all() {
         let builder = spec.instantiate(&BuilderConfig::default());
@@ -178,24 +179,4 @@ fn profile_free_builders_run_without_profiles() {
             assert_same(spec.name, 1, &a, &b);
         }
     }
-}
-
-#[test]
-fn the_static_trait_matches_the_erased_path() {
-    // The generic `KnnBuilder` entry points and the registry's erased form
-    // must agree; spot-check with the one builder that exercises both the
-    // profiles and the provider (KIFF is deterministic, so outputs must be
-    // bit-identical).
-    let profiles = population();
-    let sim = ExplicitJaccard::new(&profiles);
-    let kiff = goldfinger_knn::kiff::Kiff::default();
-    let input = BuildInput::with_profiles(&sim, &profiles);
-    let via_trait = KnnBuilder::build(&kiff, input, K);
-    let erased: &dyn ErasedBuilder = &kiff;
-    let via_erased = erased.build_erased(
-        BuildInput::with_profiles(&sim as &dyn Similarity, &profiles),
-        K,
-        &NoopObserver,
-    );
-    assert_same("KIFF", 1, &via_trait, &via_erased);
 }

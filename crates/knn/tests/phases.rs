@@ -8,7 +8,7 @@
 //! can record into, or drain, the session.
 
 use goldfinger_core::profile::ProfileStore;
-use goldfinger_core::similarity::{ExplicitJaccard, Similarity};
+use goldfinger_core::similarity::ExplicitJaccard;
 use goldfinger_knn::builder::BuildInput;
 use goldfinger_knn::builders::{self, BuilderConfig};
 use goldfinger_obs::trace::{self, TraceKind};
@@ -54,11 +54,7 @@ fn observer_and_flight_recorder_see_the_same_phases() {
             let label = format!("{} at {threads} thread(s)", spec.name);
             let rec = RecordingObserver::new();
             trace::enable(RING_CAPACITY);
-            builder.build_erased(
-                BuildInput::with_profiles(&sim as &dyn Similarity, &profiles),
-                5,
-                &rec,
-            );
+            builder.build_erased(BuildInput::with_profiles(&sim, &profiles), 5, &rec);
             let timeline = trace::disable_and_drain();
             assert_eq!(timeline.dropped, 0, "{label}: events dropped");
             timeline.validate_nesting().unwrap();

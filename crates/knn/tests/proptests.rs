@@ -274,8 +274,8 @@ proptest! {
 
     /// The refine engine's pinned invariant: NNDescent and Hyrec produce
     /// the serial build's graph, eval and iteration counts and
-    /// per-iteration update counts at every worker count, kernel variant
-    /// and dispatch path. Populations run from below the engine's join
+    /// per-iteration update counts at every worker count (`0`, the default
+    /// parallelism, included), kernel variant and dispatch path. Populations run from below the engine's join
     /// window (32 users) to a few uneven windows.
     #[test]
     fn refine_is_bit_identical_across_threads_and_kernels(
@@ -288,7 +288,7 @@ proptest! {
         let mut reference: Option<Vec<RefineOutcome>> = None;
         for kernel in kernels::available() {
             let sim = PinnedKernelJaccard { store: &store, kernel };
-            for threads in 1usize..=4 {
+            for threads in 0usize..=4 {
                 for pooled in [false, true] {
                     let got = if pooled {
                         shared_pool().install(|| refine_outcomes(&sim, k, threads))
@@ -296,7 +296,8 @@ proptest! {
                         refine_outcomes(&sim, k, threads)
                     };
                     match &reference {
-                        // The first run is the serial, unpooled build.
+                        // The first run (default parallelism, unpooled) is
+                        // the reference every other run must equal.
                         None => reference = Some(got),
                         Some(want) => {
                             for (case, (g, w)) in

@@ -15,15 +15,25 @@ use std::time::Duration;
 /// Schema tag written at the root of every report file.
 pub const SCHEMA: &str = "goldfinger-bench/v1";
 
-/// Modelled memory traffic of the similarity path (mirrors
-/// `goldfinger-knn`'s `MemoryTraffic`, duplicated here to keep this crate
-/// dependency-free).
+/// Modelled memory traffic of the similarity path, as accumulated by
+/// `goldfinger-knn`'s `CountingSimilarity`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Traffic {
     /// Similarity evaluations counted by the wrapper.
     pub calls: u64,
     /// Modelled bytes of profile payload those evaluations read.
     pub bytes: u64,
+}
+
+impl Traffic {
+    /// Mean bytes per evaluation (0 when nothing ran).
+    pub fn bytes_per_call(&self) -> f64 {
+        if self.calls == 0 {
+            0.0
+        } else {
+            self.bytes as f64 / self.calls as f64
+        }
+    }
 }
 
 /// One `(algorithm, provider)` run of one experiment.

@@ -39,15 +39,11 @@ fn main() {
     for spec in builders::all() {
         let builder = spec.instantiate(&cfg);
         let nat = builder.build_erased(
-            BuildInput::with_profiles(&native as &dyn Similarity, profiles),
+            BuildInput::with_profiles(&native, profiles),
             k,
             &NoopObserver,
         );
-        let gold = builder.build_erased(
-            BuildInput::with_profiles(&gf as &dyn Similarity, profiles),
-            k,
-            &NoopObserver,
-        );
+        let gold = builder.build_erased(BuildInput::with_profiles(&gf, profiles), k, &NoopObserver);
         let t_nat = nat.stats.wall.as_secs_f64();
         let t_gf = gold.stats.wall.as_secs_f64();
         println!(

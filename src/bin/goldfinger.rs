@@ -227,20 +227,16 @@ fn build_graph(cli: &Cli, data: &BinaryDataset) -> Result<(KnnResult, bool), Str
     Ok((result, use_gf))
 }
 
-fn dispatch_algo<S: Similarity>(
+fn dispatch_algo(
     algo: &str,
     profiles: &ProfileStore,
-    sim: &S,
+    sim: &dyn Similarity,
     k: usize,
     seed: u64,
 ) -> Result<KnnResult, String> {
     let spec = builders::get(algo).map_err(|e| format!("--algo: {e}"))?;
     let builder = spec.instantiate(&BuilderConfig { seed, threads: 1 });
-    Ok(builder.build_erased(
-        BuildInput::with_profiles(sim as &dyn Similarity, profiles),
-        k,
-        &NoopObserver,
-    ))
+    Ok(builder.build_erased(BuildInput::with_profiles(sim, profiles), k, &NoopObserver))
 }
 
 fn run() -> Result<(), String> {

@@ -10,8 +10,8 @@
 //!
 //! - [`core`] ([`goldfinger_core`]) — SHFs, hashing, profiles, providers;
 //! - [`datasets`] ([`goldfinger_datasets`]) — loaders, synthetic data, CV;
-//! - [`knn`] ([`goldfinger_knn`]) — Brute Force, NNDescent, Hyrec, LSH and
-//!   KIFF behind the `KnnBuilder` trait and its registry;
+//! - [`knn`] ([`goldfinger_knn`]) — Brute Force, NNDescent, Hyrec, LSH,
+//!   KIFF and Cluster behind the `ErasedBuilder` trait and its registry;
 //! - [`minhash`] ([`goldfinger_minhash`]) — the sketching baseline;
 //! - [`theory`] ([`goldfinger_theory`]) — estimator law and privacy;
 //! - [`recommend`] ([`goldfinger_recommend`]) — the application case study.
@@ -62,7 +62,7 @@ pub mod prelude {
     pub use goldfinger_datasets::stats::DatasetStats;
     pub use goldfinger_datasets::synth::SynthConfig;
     pub use goldfinger_knn::brute::BruteForce;
-    pub use goldfinger_knn::builder::{BuildInput, ErasedBuilder, KnnBuilder};
+    pub use goldfinger_knn::builder::{BuildInput, ErasedBuilder};
     pub use goldfinger_knn::builders::{BuilderConfig, BuilderSpec};
     pub use goldfinger_knn::graph::{KnnGraph, KnnResult};
     pub use goldfinger_knn::hyrec::Hyrec;

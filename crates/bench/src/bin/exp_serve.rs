@@ -1,16 +1,17 @@
-//! Online-serving replay driver: sharded `KnnService` under a
-//! deterministic interleaved stream of profile updates and top-k lookups.
+//! Online-serving replay driver: a `KnnService` under a deterministic
+//! interleaved stream of profile updates and top-k lookups.
 //!
 //! The paper's §1.2 motivation — "web real-time" services refreshing
 //! suggestions on fresh data — is exercised end to end: the driver builds
-//! an initial GoldFinger graph, partitions it into shards, replays a
-//! seeded op log (updates queue batched repairs; lookups read epoch
-//! snapshots), and reports p50/p99 latencies plus sustained throughput
-//! through the `goldfinger-bench/v1` `RunReport` schema.
+//! an initial GoldFinger graph, hands it and its fingerprint store to the
+//! service, replays a seeded op log (updates queue batched repairs;
+//! lookups read epoch snapshots), and reports p50/p99 latencies plus
+//! sustained throughput through the `goldfinger-bench/v1` `RunReport`
+//! schema.
 //!
 //! ```text
 //! cargo run --release -p goldfinger-bench --bin exp_serve [-- \
-//!     --ops 100000 --batch 256 --update-pct 30 --shards 8 \
+//!     --ops 100000 --batch 256 --update-pct 30 --threads 4 \
 //!     --ops-file trace.oplog --verify-serial --json results/serve.json]
 //! ```
 //!
@@ -34,6 +35,7 @@
 use goldfinger_bench::workloads::{build_dataset, record_mem_gauges, shared_pool};
 use goldfinger_bench::{emit_if_requested, mem_json, prep_json, Args, ExperimentConfig, Table};
 use goldfinger_core::hash::DynHasher;
+use goldfinger_core::parallel::effective_threads;
 use goldfinger_core::shf::ShfParams;
 use goldfinger_core::similarity::ShfJaccard;
 use goldfinger_datasets::synth::SynthConfig;
@@ -141,11 +143,11 @@ fn main() {
     let cfg = ExperimentConfig::from_args(&args);
     let n_ops = args.get_usize("ops", 100_000);
     let serve = ServeConfig {
-        shards: args.get_usize("shards", 8),
         batch: args.get_usize("batch", 256),
         probes: args.get_usize("probes", 4),
         seed: cfg.seed,
-        threads: cfg.threads,
+        threads: effective_threads(cfg.threads),
+        ..ServeConfig::default()
     };
     let update_pct = args.get_usize("update-pct", 30) as u32;
 
@@ -164,18 +166,16 @@ fn main() {
     match &source {
         OpSource::Synth { .. } => println!(
             "dataset: {n} users, {} items — streaming {n_ops} synthetic ops \
-             ({update_pct}% updates, batch {}, {} shards, {} threads)\n",
+             ({update_pct}% updates, batch {}, {} threads)\n",
             data.n_items(),
             serve.batch,
-            serve.shards,
             serve.threads
         ),
         OpSource::File(path) => println!(
             "dataset: {n} users, {} items — streaming ops from {path} \
-             (batch {}, {} shards, {} threads)\n",
+             (batch {}, {} threads)\n",
             data.n_items(),
             serve.batch,
-            serve.shards,
             serve.threads
         ),
     }
@@ -292,7 +292,6 @@ fn main() {
         ("updates", run.outcome.updates as f64),
         ("lookups", run.outcome.lookups as f64),
         ("update_pct", update_pct as f64),
-        ("shards", serve.shards as f64),
         ("batch", serve.batch as f64),
         ("threads", serve.threads as f64),
         ("drains", drains as f64),

@@ -751,28 +751,6 @@ impl ShfStore {
         }
     }
 
-    /// Copies the contiguous user range `lo..hi` into its own store — the
-    /// shard-slice constructor of the serving layer: each shard owns the
-    /// aligned arena rows (and cached cardinalities) of its users and
-    /// mutates them through [`ShfStore::apply_deltas`] without touching
-    /// any other shard's slice. Rows are cache-line aligned in the slice
-    /// exactly as in the parent, so batched kernels work unchanged.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > len()`.
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> ShfStore {
-        assert!(lo <= hi && hi <= self.len(), "invalid slice {lo}..{hi}");
-        let mut data = AlignedWords::zeroed(self.row_words * (hi - lo));
-        data.copy_from_slice(&self.data[lo * self.row_words..hi * self.row_words]);
-        ShfStore {
-            bits: self.bits,
-            words_per_fp: self.words_per_fp,
-            row_words: self.row_words,
-            data: data.into(),
-            cards: self.cards[lo..hi].to_vec(),
-        }
-    }
-
     /// Folds fresh items into fingerprint `u` in place — the
     /// delta-fingerprinting primitive: bits are OR-ed directly into the
     /// arena row and the cached cardinality is maintained incrementally,
@@ -1252,40 +1230,6 @@ mod tests {
         let delta = kernels::stats().since(&before);
         assert!(delta.batched_calls >= 1);
         assert!(delta.batched_rows >= ids.len() as u64);
-    }
-
-    #[test]
-    fn slice_rows_matches_parent_rows() {
-        let store = batch_fixture();
-        let slice = store.slice_rows(10, 25);
-        assert_eq!(slice.len(), 15);
-        assert_eq!(slice.width(), store.width());
-        assert_eq!(slice.row_words(), store.row_words());
-        assert_eq!(slice.arena_words().as_ptr() as usize % 64, 0);
-        for local in 0..15u32 {
-            let global = local + 10;
-            assert_eq!(
-                slice.fingerprint_words(local),
-                store.fingerprint_words(global)
-            );
-            assert_eq!(slice.cardinality(local), store.cardinality(global));
-        }
-        // Cross-slice similarities equal parent similarities: rows are
-        // bit-identical, cards travel with them.
-        let other = store.slice_rows(0, 10);
-        let inter = kernels::and_count(other.fingerprint_words(3), slice.fingerprint_words(2));
-        assert_eq!(
-            jaccard_from_counts(inter, other.cardinality(3), slice.cardinality(2)),
-            store.jaccard(3, 12)
-        );
-        // Degenerate slices are fine.
-        assert!(store.slice_rows(5, 5).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid slice")]
-    fn slice_rows_rejects_out_of_range() {
-        let _ = batch_fixture().slice_rows(30, 40);
     }
 
     #[test]

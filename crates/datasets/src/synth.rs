@@ -228,12 +228,14 @@ impl Model {
     /// Draws one user's positive items: a cluster and a profile size, then
     /// items by Zipf rank (through the cluster's permutation with
     /// probability `cluster_affinity`) until `add(rng, item)` has reported
-    /// `size` new items or `20·size` draws are spent.
+    /// `size` new items or `20·size` draws are spent. Sizes are clamped to
+    /// `min(5, n_items / 2) ..= n_items / 2`.
     fn draw_profile(&self, rng: &mut StdRng, mut add: impl FnMut(&mut StdRng, u32) -> bool) {
         let (a, b) = self.perms[rng.gen_range(0..self.perms.len())];
+        let max = (self.n_items / 2) as f64;
         let size = sample_lognormal(rng, self.mu, self.sigma)
             .round()
-            .clamp(5.0, (self.n_items / 2) as f64) as usize;
+            .clamp(max.min(5.0), max) as usize;
         let (mut added, mut attempts) = (0usize, 0usize);
         while added < size && attempts < size * 20 {
             attempts += 1;
@@ -429,6 +431,32 @@ mod tests {
             words.extend(buf.iter().map(|&i| i as u64));
         }
         assert_eq!(fnv(words), 0xa8c3_88c6_5e26_16b9);
+    }
+
+    #[test]
+    fn tiny_item_universes_generate_in_range_profiles() {
+        // Regression: below ten items the size clamp's lower bound (5)
+        // exceeded its upper bound (n_items / 2) and `f64::clamp` panicked.
+        for n_items in [2usize, 9] {
+            let cfg = SynthConfig {
+                n_items,
+                n_users: 40,
+                ..tiny()
+            };
+            let ratings = cfg.generate();
+            assert!(!ratings.ratings().is_empty(), "n_items {n_items}");
+            assert!(ratings
+                .ratings()
+                .iter()
+                .all(|r| (r.item as usize) < n_items));
+            let stream = StreamProfiles::new(&cfg);
+            let mut buf = Vec::new();
+            for u in 0..stream.n_users() as u32 {
+                stream.items_into(u, &mut buf);
+                assert!(!buf.is_empty(), "n_items {n_items}, user {u}");
+                assert!(buf.iter().all(|&i| (i as usize) < n_items));
+            }
+        }
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub mod nndescent;
 pub mod oocbuild;
 pub mod oplog;
 mod partials;
+pub mod repair;
 pub mod serve;
-pub mod shard;
 mod userscan;
 
 pub use analysis::{degree_stats, edge_overlap, in_degrees, reverse_graph, DegreeStats};
@@ -81,8 +81,8 @@ pub use metrics::{average_similarity, edge_recall, quality};
 pub use nndescent::NNDescent;
 pub use oocbuild::{OocConfig, OocStats};
 pub use oplog::{write_op_log, OpLogReader};
+pub use repair::{Repair, RepairGraph};
 pub use serve::{
     replay, replay_stream, synth_op_stream, synth_ops, KnnService, Op, ReplayOutcome, ServeConfig,
     ServiceSnapshot,
 };
-pub use shard::{Repair, Shard, ShardSet};

@@ -1,5 +1,5 @@
-//! User-id-partitioned shards of a dynamic KNN graph: the local repair
-//! engine behind online serving.
+//! The local repair engine behind online serving: one dynamic KNN graph
+//! over one fingerprint arena.
 //!
 //! Rebuilding the whole graph for one changed profile is wasteful. A
 //! repair instead re-scores the changed user `u` against a Hyrec-style
@@ -9,20 +9,20 @@
 //! index, so one repair costs `O(k² + |rev(u)|)` evaluations, independent
 //! of the population size.
 //!
-//! The serving layer ([`crate::serve`]) splits the population into
-//! contiguous user-id ranges. Each [`Shard`] owns its range's slice of the
-//! fingerprint arena (cut with `ShfStore::slice_rows`, so profile updates
-//! write only the owner's rows), the range's neighbour lists, the
-//! reverse-adjacency index for the owned users, and their repair counters.
-//! The [`ShardSet`] splits every repair into a **read-only planning half**
-//! ([`ShardSet::plan_repair`], safe to fan out across threads over a
-//! frozen set) and a **serial application half**
-//! ([`ShardSet::apply_repair`], cheap `O(k)` list surgery), which is what
-//! makes batched drains deterministic for any thread count. A one-shard
-//! set is the plain, unpartitioned graph.
+//! A [`RepairGraph`] holds the serving layer's ([`crate::serve`]) own copy
+//! of the fingerprint arena, which profile updates write through
+//! `ShfStore::apply_deltas`, plus one vector each of neighbour lists,
+//! reverse-adjacency lists and per-user repair counters. Repairs score
+//! through [`ShfJaccard`], the provider every builder runs on, so a plan
+//! gathers its candidates' rows with the store's batched kernel. Every
+//! repair is split into a **read-only planning half**
+//! ([`RepairGraph::plan_repair`], safe to fan out across threads over a
+//! frozen graph) and a **serial application half**
+//! ([`RepairGraph::apply_repair`], cheap `O(k)` list surgery), which is
+//! what makes batched drains deterministic for any thread count.
 //!
 //! The application half tracks which users' lists it mutated
-//! ([`ShardSet::take_dirty`]), so the serving layer republishes only
+//! ([`RepairGraph::take_dirty`]), so the serving layer republishes only
 //! those. A symmetric offer first asks the reverse index whether the
 //! offered user is already a member and, if not, compares it with the
 //! target's floor (its full list's worst entry, which the list caches): a
@@ -33,8 +33,8 @@
 use crate::graph::KnnGraph;
 use crate::neighborlist::{outranks, NeighborList};
 use goldfinger_core::hash::{splitmix64_mix, ItemHasher};
-use goldfinger_core::kernels;
-use goldfinger_core::shf::{jaccard_from_counts, ShfStore};
+use goldfinger_core::shf::ShfStore;
+use goldfinger_core::similarity::{ShfJaccard, Similarity};
 use goldfinger_core::topk::{Scored, TopK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,53 +67,94 @@ fn sorted_remove(ids: &mut Vec<u32>, v: u32) {
     }
 }
 
-/// One contiguous user-id range of the service: rows `lo .. lo + len` of
-/// the global population. Neighbour and reverse-neighbour ids stored
-/// inside a shard are **global**; only the vector indices are local.
+/// The planned outcome of repairing one user against a frozen
+/// [`RepairGraph`]: the user's rebuilt neighbour list plus every scored
+/// candidate (for the symmetric offers). Produced by the parallel
+/// read-only phase, consumed by the serial apply phase.
 #[derive(Debug, Clone)]
-pub struct Shard {
-    lo: u32,
-    store: ShfStore,
-    lists: Vec<NeighborList>,
-    /// `rev[local]` = sorted global ids of users whose list contains
-    /// `lo + local` (those users may live on any shard).
-    rev: Vec<Vec<u32>>,
-    /// Per-owned-user repair counters, mixed into probe seeds.
-    repairs: Vec<u64>,
+pub struct Repair {
+    /// The repaired user.
+    pub user: u32,
+    /// Similarity evaluations this plan spent.
+    pub evals: u64,
+    fresh: TopK,
+    /// The scored candidates, ascending, and their similarities to `user`.
+    candidates: Vec<u32>,
+    sims: Vec<f64>,
 }
 
-impl Shard {
-    /// First global user id owned by this shard.
-    pub fn lo(&self) -> u32 {
-        self.lo
+/// A dynamic KNN graph over its own fingerprint arena, with every repair
+/// split into a parallel-safe planning half and a serial applying half.
+#[derive(Debug, Clone)]
+pub struct RepairGraph {
+    k: usize,
+    store: ShfStore,
+    lists: Vec<NeighborList>,
+    /// `rev[u]` = sorted ids of the users whose list contains `u`.
+    rev: Vec<Vec<u32>>,
+    /// Per-user repair counters, mixed into probe seeds.
+    repairs: Vec<u64>,
+    /// `dirty[u]`: `u`'s list changed since [`RepairGraph::take_dirty`].
+    dirty: Vec<bool>,
+    /// The users flagged in `dirty`, in marking order — the snapshot
+    /// rebuild set.
+    changed: Vec<u32>,
+}
+
+impl RepairGraph {
+    /// Loads a built graph and copies its fingerprint store, which the
+    /// repair graph then owns and updates. The copy is always on the heap,
+    /// even when `store` is spilled.
+    ///
+    /// # Panics
+    /// Panics when the store and graph disagree on the population or the
+    /// population is empty.
+    pub fn new(graph: &KnnGraph, store: &ShfStore) -> Self {
+        let n = graph.n_users();
+        assert!(n > 0, "cannot serve an empty population");
+        assert_eq!(store.len(), n, "store/graph population mismatch");
+        let lists = (0..n as u32)
+            .map(|u| {
+                let mut list = NeighborList::new(graph.k());
+                for sc in graph.neighbors(u) {
+                    list.insert(sc.user, sc.sim);
+                }
+                list
+            })
+            .collect();
+        // `u` lists `v` → `rev[v]` records `u`. Users are visited in
+        // ascending order, so every `rev[v]` comes out sorted.
+        let mut rev = vec![Vec::new(); n];
+        for u in 0..n as u32 {
+            for sc in graph.neighbors(u) {
+                rev[sc.user as usize].push(u);
+            }
+        }
+        RepairGraph {
+            k: graph.k(),
+            store: store.clone(),
+            lists,
+            rev,
+            repairs: vec![0; n],
+            dirty: vec![false; n],
+            changed: Vec::new(),
+        }
     }
 
-    /// Number of users owned by this shard.
-    pub fn len(&self) -> usize {
+    /// Total number of users.
+    pub fn n_users(&self) -> usize {
         self.lists.len()
     }
 
-    /// True when the shard owns no users (never produced by
-    /// [`ShardSet::partition`], but the type allows it).
-    pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
+    /// Neighbourhood size.
+    pub fn k(&self) -> usize {
+        self.k
     }
 
-    /// The owned slice of the fingerprint arena.
-    pub fn store(&self) -> &ShfStore {
-        &self.store
-    }
-
-    /// Reverse neighbours (global ids, sorted) of local user `local`.
-    pub fn reverse(&self, local: usize) -> &[u32] {
-        &self.rev[local]
-    }
-
-    /// Applies a whole drain batch of `(local, items)` deltas to the
-    /// owned arena slice in batch order (delta fingerprinting:
-    /// `ShfStore::apply_deltas`) and returns the total bits newly set.
-    /// This is the per-shard write path of profile updates: only the
-    /// owner's arena slice is touched.
+    /// Applies a whole drain batch of `(user, items)` deltas to the arena
+    /// in batch order (delta fingerprinting: `ShfStore::apply_deltas`) and
+    /// returns the total bits newly set. Neighbour lists are untouched
+    /// until the users are repaired.
     pub fn apply_updates<H: ItemHasher + Sync>(
         &mut self,
         deltas: &[(u32, Vec<u32>)],
@@ -122,144 +163,18 @@ impl Shard {
         self.store.apply_deltas(deltas, hasher)
     }
 
-    /// Returns the repair counter for `local` and advances it — one call
-    /// per scheduled repair, so consecutive repairs of the same user draw
+    /// Returns the repair counter for `u` and advances it — one call per
+    /// scheduled repair, so consecutive repairs of the same user draw
     /// distinct probe streams (see [`probe_seed`]).
-    pub fn bump_repair(&mut self, local: usize) -> u64 {
-        let c = self.repairs[local];
-        self.repairs[local] += 1;
+    pub fn bump_repair(&mut self, u: u32) -> u64 {
+        let c = self.repairs[u as usize];
+        self.repairs[u as usize] += 1;
         c
-    }
-}
-
-/// The planned outcome of repairing one user against a frozen
-/// [`ShardSet`]: the user's rebuilt neighbour list plus every scored
-/// candidate (for the symmetric offers). Produced by the parallel
-/// read-only phase, consumed by the serial apply phase.
-#[derive(Debug, Clone)]
-pub struct Repair {
-    /// The repaired user (global id).
-    pub user: u32,
-    /// Similarity evaluations this plan spent.
-    pub evals: u64,
-    fresh: TopK,
-    scored: Vec<(u32, f64)>,
-}
-
-/// A full population partitioned into contiguous [`Shard`]s, with every
-/// repair split into a parallel-safe planning half and a serial applying
-/// half.
-#[derive(Debug, Clone)]
-pub struct ShardSet {
-    k: usize,
-    n: usize,
-    /// Users per shard (`ceil(n / shards)`); `owner(u) = u / per`.
-    per: usize,
-    shards: Vec<Shard>,
-    /// `dirty[u]`: `u`'s list changed since [`ShardSet::take_dirty`].
-    dirty: Vec<bool>,
-    /// The users flagged in `dirty`, in marking order — the snapshot
-    /// rebuild set.
-    changed: Vec<u32>,
-}
-
-impl ShardSet {
-    /// Partitions a built graph and its fingerprint store into (at most)
-    /// `shards` contiguous user-id ranges.
-    ///
-    /// # Panics
-    /// Panics when the store and graph disagree on the population or the
-    /// population is empty.
-    pub fn partition(graph: &KnnGraph, store: &ShfStore, shards: usize) -> Self {
-        let n = graph.n_users();
-        assert!(n > 0, "cannot partition an empty population");
-        assert_eq!(store.len(), n, "store/graph population mismatch");
-        let per = n.div_ceil(shards.clamp(1, n));
-        let n_shards = n.div_ceil(per);
-        let mut out: Vec<Shard> = (0..n_shards)
-            .map(|s| {
-                let lo = s * per;
-                let hi = ((s + 1) * per).min(n);
-                let lists: Vec<NeighborList> = (lo..hi)
-                    .map(|u| {
-                        let mut list = NeighborList::new(graph.k());
-                        for sc in graph.neighbors(u as u32) {
-                            list.insert(sc.user, sc.sim);
-                        }
-                        list
-                    })
-                    .collect();
-                Shard {
-                    lo: lo as u32,
-                    store: store.slice_rows(lo, hi),
-                    lists,
-                    rev: vec![Vec::new(); hi - lo],
-                    repairs: vec![0; hi - lo],
-                }
-            })
-            .collect();
-        // Second pass: the reverse index. `u` lists `v` → `v`'s owner
-        // records `u`, wherever the two live.
-        for u in 0..n as u32 {
-            for sc in graph.neighbors(u) {
-                let (s, l) = (sc.user as usize / per, sc.user as usize % per);
-                out[s].rev[l].push(u);
-            }
-        }
-        for shard in &mut out {
-            for ids in &mut shard.rev {
-                ids.sort_unstable();
-            }
-        }
-        ShardSet {
-            k: graph.k(),
-            n,
-            per,
-            shards: out,
-            dirty: vec![false; n],
-            changed: Vec::new(),
-        }
-    }
-
-    /// Total number of users.
-    pub fn n_users(&self) -> usize {
-        self.n
-    }
-
-    /// Neighbourhood size.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard index owning global user `u`.
-    pub fn owner(&self, u: u32) -> usize {
-        u as usize / self.per
-    }
-
-    /// `u`'s index inside its owner shard.
-    pub fn local(&self, u: u32) -> usize {
-        u as usize % self.per
-    }
-
-    /// The shards, immutable (snapshot building, planning).
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
-    /// The shards, mutable — for the parallel per-shard update phase
-    /// (each worker writes only its own shards' arena slices).
-    pub fn shards_mut(&mut self) -> &mut [Shard] {
-        &mut self.shards
     }
 
     /// Returns the users whose lists changed since the last call, in
     /// ascending order, and resets their flags — `O(changed)`, not
-    /// `O(n)`. [`ShardSet::apply_repair`] marks precisely the lists it
+    /// `O(n)`. [`RepairGraph::apply_repair`] marks precisely the lists it
     /// mutated, so the serving layer republishes only those.
     pub fn take_dirty(&mut self) -> Vec<u32> {
         let mut out = std::mem::take(&mut self.changed);
@@ -276,21 +191,6 @@ impl ShardSet {
         }
     }
 
-    /// Fingerprint similarity of two global users, computed straight from
-    /// the owning shards' arena slices (cross-shard reads are plain
-    /// immutable loads).
-    pub fn similarity(&self, u: u32, v: u32) -> f64 {
-        let (a, ca) = self.fp(u);
-        let (b, cb) = self.fp(v);
-        jaccard_from_counts(kernels::and_count(a, b), ca, cb)
-    }
-
-    fn fp(&self, u: u32) -> (&[u64], u32) {
-        let shard = &self.shards[self.owner(u)];
-        let l = self.local(u) as u32;
-        (shard.store.fingerprint_words(l), shard.store.cardinality(l))
-    }
-
     /// Current neighbours of `u`, sorted by decreasing similarity.
     pub fn neighbors(&self, u: u32) -> Vec<Scored> {
         self.list(u).to_sorted()
@@ -298,19 +198,19 @@ impl ShardSet {
 
     /// `u`'s neighbour list, unsorted.
     pub(crate) fn list(&self, u: u32) -> &NeighborList {
-        &self.shards[self.owner(u)].lists[self.local(u)]
+        &self.lists[u as usize]
     }
 
-    /// Hyrec-style candidate set of `u`: neighbours, their neighbours,
-    /// and the maintained reverse neighbours — `O(k² + |rev(u)|)`,
-    /// independent of both the population and the shard count.
+    /// Hyrec-style candidate set of `u`, ascending: neighbours, their
+    /// neighbours, and the maintained reverse neighbours —
+    /// `O(k² + |rev(u)|)`, independent of the population.
     pub fn candidate_set(&self, u: u32) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::new();
         for &v in self.list(u).users() {
             out.push(v);
             out.extend_from_slice(self.list(v).users());
         }
-        out.extend_from_slice(&self.shards[self.owner(u)].rev[self.local(u)]);
+        out.extend_from_slice(&self.rev[u as usize]);
         out.sort_unstable();
         out.dedup();
         out.retain(|&v| v != u);
@@ -319,18 +219,20 @@ impl ShardSet {
 
     /// Read-only planning half of a repair: scores `u` against its
     /// candidate set plus `probes` random users (stream selected by
-    /// `(seed, u, counter)`, see [`probe_seed`]) and returns the rebuilt
-    /// list plus all scored pairs. Takes `&self` — many plans can run
-    /// concurrently over a frozen set, and a plan depends only on that
-    /// frozen state, never on sibling plans. The rebuilt list is the
-    /// exact top-k of the candidates under the `(sim desc, id asc)` total
-    /// order, so it does not depend on the order candidates are scored in.
+    /// `(seed, u, counter)`, see [`probe_seed`]) in one batched
+    /// [`ShfJaccard`] call, and returns the rebuilt list plus all scored
+    /// pairs. Takes `&self` — many plans can run concurrently over a
+    /// frozen graph, and a plan depends only on that frozen state, never
+    /// on sibling plans. The rebuilt list is the exact top-k of the
+    /// candidates under the `(sim desc, id asc)` total order, so it does
+    /// not depend on the order candidates are scored in.
     pub fn plan_repair(&self, u: u32, counter: u64, probes: usize, seed: u64) -> Repair {
         let mut candidates = self.candidate_set(u);
-        if probes > 0 && self.n > 1 {
+        let n = self.n_users();
+        if probes > 0 && n > 1 {
             let mut rng = StdRng::seed_from_u64(probe_seed(seed, u, counter));
             for _ in 0..probes {
-                let v = rng.gen_range(0..self.n) as u32;
+                let v = rng.gen_range(0..n) as u32;
                 if v != u {
                     candidates.push(v);
                 }
@@ -338,20 +240,18 @@ impl ShardSet {
             candidates.sort_unstable();
             candidates.dedup();
         }
-        let (a, ca) = self.fp(u);
-        let mut top = TopK::new(self.k);
-        let mut scored = Vec::with_capacity(candidates.len());
-        for &v in &candidates {
-            let (b, cb) = self.fp(v);
-            let s = jaccard_from_counts(kernels::and_count(a, b), ca, cb);
-            top.offer(s, v);
-            scored.push((v, s));
+        let mut sims = vec![0.0; candidates.len()];
+        ShfJaccard::new(&self.store).similarity_batch(u, &candidates, &mut sims);
+        let mut fresh = TopK::new(self.k);
+        for (&v, &s) in candidates.iter().zip(&sims) {
+            fresh.offer(s, v);
         }
         Repair {
             user: u,
-            evals: scored.len() as u64,
-            fresh: top,
-            scored,
+            evals: candidates.len() as u64,
+            fresh,
+            candidates,
+            sims,
         }
     }
 
@@ -360,7 +260,7 @@ impl ShardSet {
     /// place**, a non-member must beat the worst), then the rebuilt list,
     /// with the reverse index maintained through every membership change.
     pub fn apply_repair(&mut self, r: &Repair) {
-        for &(v, s) in &r.scored {
+        for (&v, &s) in r.candidates.iter().zip(&r.sims) {
             self.offer_entry(v, r.user, s);
         }
         self.replace_list(r.user, &r.fresh);
@@ -379,11 +279,8 @@ impl ShardSet {
     /// slot write into `v`'s list plus a rescan for its new worst entry
     /// ([`NeighborList::upsert`]).
     fn offer_entry(&mut self, v: u32, u: u32, s: f64) {
-        let member = self.shards[self.owner(u)].rev[self.local(u)]
-            .binary_search(&v)
-            .is_ok();
-        let (sv, lv) = (self.owner(v), self.local(v));
-        let list = &mut self.shards[sv].lists[lv];
+        let member = self.rev[u as usize].binary_search(&v).is_ok();
+        let list = &mut self.lists[v as usize];
         let evict = match list.floor() {
             _ if member => None,
             Some(f) if !outranks(s, u, f.sim, f.user) => return,
@@ -392,47 +289,34 @@ impl ShardSet {
         list.upsert(u, s, evict);
         self.mark(v);
         if !member {
-            self.rev_insert(u, v);
+            sorted_insert(&mut self.rev[u as usize], v);
             if let Some(evicted) = evict {
-                self.rev_remove(evicted, v);
+                sorted_remove(&mut self.rev[evicted as usize], v);
             }
         }
     }
 
-    /// Replaces `u`'s whole list in its own buffer, routing every
-    /// reverse-index delta to the affected user's owner shard.
+    /// Replaces `u`'s whole list in its own buffer, applying every
+    /// reverse-index delta.
     ///
     /// Refilling in place, rather than installing a list the plan
     /// allocated, keeps the long-lived lists in their own buffers: lists
     /// allocated amid the plans' short-lived buffers fragment the heap and
     /// raise resident memory.
     fn replace_list(&mut self, u: u32, fresh: &TopK) {
-        let (su, lu) = (self.owner(u), self.local(u));
         let old = self.list(u).users().to_vec();
         for &w in &old {
             if !fresh.users().any(|x| x == w) {
-                self.rev_remove(w, u);
+                sorted_remove(&mut self.rev[w as usize], u);
             }
         }
         for w in fresh.users() {
             if !old.contains(&w) {
-                self.rev_insert(w, u);
+                sorted_insert(&mut self.rev[w as usize], u);
             }
         }
-        self.shards[su].lists[lu].refill(fresh.entries());
+        self.lists[u as usize].refill(fresh.entries());
         self.mark(u);
-    }
-
-    /// Records "`w` lists `u`" on `u`'s owner.
-    fn rev_insert(&mut self, u: u32, w: u32) {
-        let (s, l) = (self.owner(u), self.local(u));
-        sorted_insert(&mut self.shards[s].rev[l], w);
-    }
-
-    /// Drops "`w` lists `u`" from `u`'s owner.
-    fn rev_remove(&mut self, u: u32, w: u32) {
-        let (s, l) = (self.owner(u), self.local(u));
-        sorted_remove(&mut self.shards[s].rev[l], w);
     }
 }
 
@@ -443,7 +327,6 @@ mod tests {
     use goldfinger_core::hash::DynHasher;
     use goldfinger_core::profile::ProfileStore;
     use goldfinger_core::shf::ShfParams;
-    use goldfinger_core::similarity::ShfJaccard;
 
     fn fixture(clusters: u32) -> (KnnGraph, ShfStore, ShfParams<DynHasher>) {
         let mut lists = Vec::new();
@@ -463,7 +346,7 @@ mod tests {
         (graph, store, params)
     }
 
-    fn rev_invariant(set: &ShardSet) {
+    fn rev_invariant(set: &RepairGraph) {
         let mut expect = vec![Vec::new(); set.n_users()];
         for u in 0..set.n_users() as u32 {
             for &v in set.list(u).users() {
@@ -473,104 +356,45 @@ mod tests {
         for ids in &mut expect {
             ids.sort_unstable();
         }
-        for u in 0..set.n_users() as u32 {
-            let shard = &set.shards()[set.owner(u)];
-            assert_eq!(
-                shard.reverse(set.local(u)),
-                &expect[u as usize][..],
-                "reverse index out of sync for user {u}"
-            );
-        }
+        assert_eq!(set.rev, expect, "reverse index out of sync");
     }
 
-    #[test]
-    fn partition_covers_the_population_and_preserves_the_graph() {
-        let (graph, store, _) = fixture(3); // 18 users
-        for shards in [1usize, 3, 4, 18, 99] {
-            let set = ShardSet::partition(&graph, &store, shards);
-            assert!(set.n_shards() <= 18);
-            let total: usize = set.shards().iter().map(Shard::len).sum();
-            assert_eq!(total, 18);
-            for u in 0..18u32 {
-                let s = &set.shards()[set.owner(u)];
-                assert!(!s.is_empty());
-                assert_eq!(
-                    (u - s.lo()) as usize,
-                    set.local(u),
-                    "owner/local disagree for u={u}, shards={shards}"
-                );
-                assert_eq!(set.neighbors(u), graph.neighbors(u).to_vec());
-                // The owned arena slice carries the user's exact row.
-                assert_eq!(
-                    s.store().fingerprint_words(set.local(u) as u32),
-                    store.fingerprint_words(u)
-                );
-            }
-            rev_invariant(&set);
-        }
-    }
-
-    #[test]
-    fn cross_shard_similarity_matches_the_unsharded_store() {
-        let (graph, store, _) = fixture(2);
-        let set = ShardSet::partition(&graph, &store, 4);
-        let sim = ShfJaccard::new(&store);
-        use goldfinger_core::similarity::Similarity;
-        for u in 0..12u32 {
-            for v in 0..12u32 {
-                assert_eq!(set.similarity(u, v), sim.similarity(u, v));
-            }
-        }
+    /// The fingerprint similarity the repair graph's own arena gives.
+    fn sim(set: &RepairGraph, u: u32, v: u32) -> f64 {
+        ShfJaccard::new(&set.store).similarity(u, v)
     }
 
     /// One scheduled repair, run the way a serve drain runs it: bump the
-    /// user's counter, plan against the frozen set, apply.
-    fn repair(set: &mut ShardSet, u: u32, probes: usize, seed: u64) -> u64 {
-        let (s, l) = (set.owner(u), set.local(u));
-        let counter = set.shards_mut()[s].bump_repair(l);
+    /// user's counter, plan against the frozen graph, apply.
+    fn repair(set: &mut RepairGraph, u: u32, probes: usize, seed: u64) -> u64 {
+        let counter = set.bump_repair(u);
         let plan = set.plan_repair(u, counter, probes, seed);
         set.apply_repair(&plan);
         plan.evals
     }
 
-    /// Folds `items` into `u`'s fingerprint on its owner shard.
-    fn update(set: &mut ShardSet, params: &ShfParams<DynHasher>, u: u32, items: &[u32]) -> u32 {
-        let (s, l) = (set.owner(u), set.local(u));
-        set.shards_mut()[s].apply_updates(&[(l as u32, items.to_vec())], params.hasher())
+    /// Folds `items` into `u`'s fingerprint.
+    fn update(set: &mut RepairGraph, params: &ShfParams<DynHasher>, u: u32, items: &[u32]) -> u32 {
+        set.apply_updates(&[(u, items.to_vec())], params.hasher())
     }
 
     #[test]
-    fn one_shard_and_three_shard_repairs_agree() {
-        // The one-shard set is the plain monolithic graph; the same update,
-        // plan and apply sequence over three shards must match it in
-        // every neighbour list and every eval count.
-        let (graph, store, params) = fixture(2);
-        let mut mono = ShardSet::partition(&graph, &store, 1);
-        let mut sharded = ShardSet::partition(&graph, &store, 3);
-        assert_eq!((mono.n_shards(), sharded.n_shards()), (1, 3));
-        let cluster_b: Vec<u32> = (1000..1015).collect();
-        update(&mut mono, &params, 0, &cluster_b);
-        update(&mut sharded, &params, 0, &cluster_b);
-        for u in (0..12u32).chain([0, 0]) {
-            let evals = repair(&mut mono, u, 4, 42);
-            assert!(evals > 0);
-            assert_eq!(repair(&mut sharded, u, 4, 42), evals, "repair of {u}");
-            for v in 0..12u32 {
-                assert_eq!(
-                    sharded.neighbors(v),
-                    mono.neighbors(v),
-                    "user {v} diverged after repairing {u}"
-                );
-            }
+    fn new_preserves_the_graph_and_copies_the_store() {
+        let (graph, store, _) = fixture(3); // 18 users
+        let set = RepairGraph::new(&graph, &store);
+        assert_eq!((set.n_users(), set.k()), (18, 3));
+        assert_eq!(set.store.arena_words(), store.arena_words());
+        for u in 0..18u32 {
+            assert_eq!(set.store.cardinality(u), store.cardinality(u));
+            assert_eq!(set.neighbors(u), graph.neighbors(u).to_vec());
         }
-        rev_invariant(&mono);
-        rev_invariant(&sharded);
+        rev_invariant(&set);
     }
 
     #[test]
     fn reverse_index_tracks_probed_repairs_of_every_user() {
         let (graph, store, _) = fixture(2);
-        let mut set = ShardSet::partition(&graph, &store, 3);
+        let mut set = RepairGraph::new(&graph, &store);
         for u in 0..set.n_users() as u32 {
             repair(&mut set, u, 3, 99);
             // Reverse neighbours stay exactly the users listing u.
@@ -590,7 +414,7 @@ mod tests {
             // Sanity: the exact graph keeps user 0 inside its own cluster,
             // so the candidate set cannot grow with the cluster count.
             assert!(graph.neighbors(0).iter().all(|s| s.user < 6));
-            let mut set = ShardSet::partition(&graph, &store, 3);
+            let mut set = RepairGraph::new(&graph, &store);
             costs.push(repair(&mut set, 0, 0, 0));
             rev_invariant(&set);
         }
@@ -604,7 +428,7 @@ mod tests {
     #[test]
     fn rescored_sims_follow_a_fingerprint_delta() {
         let (graph, store, params) = fixture(2);
-        let mut set = ShardSet::partition(&graph, &store, 3);
+        let mut set = RepairGraph::new(&graph, &store);
         // Fold cluster B's items into user 0's fingerprint incrementally.
         assert!(update(&mut set, &params, 0, &(1000..1015).collect::<Vec<_>>()) > 0);
         repair(&mut set, 0, 0, 0);
@@ -613,11 +437,11 @@ mod tests {
         // candidates' lists — must now match the updated fingerprint.
         assert!(!set.neighbors(0).is_empty());
         for s in set.neighbors(0) {
-            assert_eq!(s.sim, set.similarity(0, s.user));
+            assert_eq!(s.sim, sim(&set, 0, s.user));
         }
         for v in 1..12u32 {
             for s in set.neighbors(v).iter().filter(|s| s.user == 0) {
-                assert_eq!(s.sim, set.similarity(v, 0), "user {v}'s entry for 0");
+                assert_eq!(s.sim, sim(&set, v, 0), "user {v}'s entry for 0");
             }
         }
     }
@@ -631,21 +455,12 @@ mod tests {
             let b = probe_seed(42, u, 1);
             assert_ne!(a, b, "user {u}: counter did not change the seed");
         }
-        // End to end: two plans of one user over the same frozen set share
-        // the candidate set, so their scored users differ only through
-        // the probes the counter selects.
+        // End to end: two plans of one user over the same frozen graph
+        // share the candidate set, so their scored users differ only
+        // through the probes the counter selects.
         let (graph, store, _) = fixture(20);
-        let set = ShardSet::partition(&graph, &store, 3);
-        let scored = |counter| {
-            let mut ids: Vec<u32> = set
-                .plan_repair(0, counter, 4, 7)
-                .scored
-                .iter()
-                .map(|&(v, _)| v)
-                .collect();
-            ids.sort_unstable();
-            ids
-        };
+        let set = RepairGraph::new(&graph, &store);
+        let scored = |counter| set.plan_repair(0, counter, 4, 7).candidates;
         assert_ne!(
             scored(0),
             scored(1),
@@ -660,8 +475,9 @@ mod tests {
         // become evictable), not removed-and-reinserted as if it were a
         // winning fresh offer.
         let (graph, store, params) = fixture(2);
-        let mut set = ShardSet::partition(&graph, &store, 3);
-        let lists = |set: &ShardSet, v: u32, w: u32| set.neighbors(v).iter().any(|s| s.user == w);
+        let mut set = RepairGraph::new(&graph, &store);
+        let lists =
+            |set: &RepairGraph, v: u32, w: u32| set.neighbors(v).iter().any(|s| s.user == w);
         let victim = (1..6u32)
             .find(|&v| lists(&set, v, 0))
             .expect("a cluster-A user lists user 0");
@@ -684,7 +500,7 @@ mod tests {
         let fresh = (1..6u32)
             .find(|&w| w != victim && !lists(&set, victim, w))
             .expect("the victim has an unlisted cluster mate");
-        set.offer_entry(victim, fresh, set.similarity(victim, fresh));
+        set.offer_entry(victim, fresh, sim(&set, victim, fresh));
         rev_invariant(&set);
         let after = set.neighbors(victim);
         assert!(
@@ -700,23 +516,19 @@ mod tests {
     #[test]
     fn apply_updates_tracks_dirty_users_and_fingerprints() {
         let (graph, store, params) = fixture(2);
-        let mut set = ShardSet::partition(&graph, &store, 3);
+        let mut set = RepairGraph::new(&graph, &store);
         assert!(set.take_dirty().is_empty(), "clean at rest");
-        // Fold new items into user 9's fingerprint on its owner shard.
-        let (s, l) = (set.owner(9), set.local(9));
-        let before = set.similarity(9, 0);
-        let added =
-            set.shards_mut()[s].apply_updates(&[(l as u32, (0..15).collect())], params.hasher());
-        assert!(added > 0);
-        assert!(
-            set.similarity(9, 0) > before,
-            "update did not move similarity"
-        );
+        // Fold new items into user 9's fingerprint.
+        let before = sim(&set, 9, 0);
+        assert!(update(&mut set, &params, 9, &(0..15).collect::<Vec<_>>()) > 0);
+        assert!(sim(&set, 9, 0) > before, "update did not move similarity");
+        // The caller's store is a separate copy and stays as it was.
+        assert_eq!(ShfJaccard::new(&store).similarity(9, 0), before);
         // Updates alone don't dirty lists; a repair does, and marks
         // exactly the lists whose stored entries changed.
         assert!(set.take_dirty().is_empty());
         let before: Vec<Vec<Scored>> = (0..12).map(|u| set.neighbors(u)).collect();
-        let counter = set.shards_mut()[s].bump_repair(l);
+        let counter = set.bump_repair(9);
         let plan = set.plan_repair(9, counter, 2, 7);
         set.apply_repair(&plan);
         let dirty = set.take_dirty();

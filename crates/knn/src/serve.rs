@@ -1,23 +1,22 @@
-//! Online KNN serving: sharded graph, epoch snapshots, batched repairs.
+//! Online KNN serving: one repairable graph, epoch snapshots, batched
+//! repairs.
 //!
 //! [`KnnService`] is the long-running serving layer of the paper's §1.2
-//! "web real-time" motivation, built on the local repairs of
-//! [`crate::shard`]. The population is partitioned into a [`ShardSet`]
-//! (one shard is the plain, unpartitioned graph); profile
+//! "web real-time" motivation, built on the local repairs of a
+//! [`RepairGraph`] (one graph over one fingerprint arena); profile
 //! updates are queued and drained in deterministic batches; top-k lookups
 //! read an immutable [`ServiceSnapshot`] behind one atomic pointer swap,
 //! so they never wait on repair work.
 //!
 //! A drain runs five phases under the writer lock:
 //!
-//! 1. **Apply updates** — queued item additions are routed to their owner
-//!    shard and folded into that shard's arena slice, in parallel across
-//!    shards ([`Shard::apply_updates`](crate::shard::Shard::apply_updates)
-//!    → `ShfStore::apply_deltas` on the slice, in op order).
+//! 1. **Apply updates** — the queued item additions are folded into the
+//!    arena in op order ([`RepairGraph::apply_updates`] →
+//!    `ShfStore::apply_deltas`).
 //! 2. **Bump counters** — each distinct dirty user gets one repair whose
 //!    probe stream is selected by its per-user counter.
-//! 3. **Plan repairs** — read-only [`ShardSet::plan_repair`] fan-out over
-//!    the frozen shards via the work-stealing pool; every plan depends
+//! 3. **Plan repairs** — read-only [`RepairGraph::plan_repair`] fan-out
+//!    over the frozen graph via the work-stealing pool; every plan depends
 //!    only on the pre-drain state, never on sibling plans.
 //! 4. **Apply plans** — serial, in ascending user order: `O(k)` list
 //!    surgery per plan, marking every list it mutates dirty.
@@ -39,9 +38,9 @@
 //! produce the same epoch, digest, and lookup results.
 
 use crate::graph::KnnGraph;
-use crate::shard::{Repair, ShardSet};
+use crate::repair::{Repair, RepairGraph};
 use goldfinger_core::hash::{splitmix64_mix, ItemHasher};
-use goldfinger_core::parallel::{par_map_chunks, par_map_indexed};
+use goldfinger_core::parallel::par_map_indexed;
 use goldfinger_core::shf::ShfStore;
 use goldfinger_core::topk::Scored;
 use goldfinger_obs::trace;
@@ -80,7 +79,9 @@ fn digest_term(u: usize, hash: u64) -> u64 {
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of user-id-range shards (clamped to the population).
+    /// Has no effect: the service holds one graph over one fingerprint
+    /// arena. Kept only because the pinned benchmark still sets it; it is
+    /// retired with the benchmark's next change.
     pub shards: usize,
     /// Queued profile updates that trigger a repair drain.
     pub batch: usize,
@@ -88,7 +89,8 @@ pub struct ServeConfig {
     pub probes: usize,
     /// Seed for the per-`(user, repair)` probe streams.
     pub seed: u64,
-    /// Worker threads for the parallel drain phases (uses the installed
+    /// Worker threads for the parallel drain phases: 0 = default
+    /// parallelism, 1 = serial (uses the installed
     /// [`goldfinger_core::pool::Pool`] when one is present).
     pub threads: usize,
 }
@@ -139,17 +141,17 @@ impl Page {
         &self.entries[self.offsets[l] as usize..self.offsets[l + 1] as usize]
     }
 
-    /// Builds page `p` of `set`. With a previous version of the page,
+    /// Builds page `p` of `graph`. With a previous version of the page,
     /// only the users in `dirty` (ascending global ids inside the page)
     /// are sorted afresh; every other list and hash is copied. Without
     /// one, every list is built. Returns the page and the wrapping change
     /// of the digest: new terms minus the previous page's.
-    fn build(set: &ShardSet, p: usize, prev: Option<&Page>, dirty: &[u32]) -> (Page, u64) {
+    fn build(graph: &RepairGraph, p: usize, prev: Option<&Page>, dirty: &[u32]) -> (Page, u64) {
         let lo = p * PAGE;
-        let hi = (lo + PAGE).min(set.n_users());
+        let hi = (lo + PAGE).min(graph.n_users());
         let mut page = Page {
             offsets: Vec::with_capacity(hi - lo + 1),
-            entries: Vec::with_capacity((hi - lo) * set.k()),
+            entries: Vec::with_capacity((hi - lo) * graph.k()),
             hashes: Vec::with_capacity(hi - lo),
         };
         page.offsets.push(0);
@@ -164,7 +166,7 @@ impl Page {
                 }
                 _ => {
                     let start = page.entries.len();
-                    page.entries.extend(set.list(u as u32).scored());
+                    page.entries.extend(graph.list(u as u32).scored());
                     let list = &mut page.entries[start..];
                     // Jaccard values lie in [0, 1], where the bit pattern
                     // orders like the value: a total-order key.
@@ -210,10 +212,9 @@ impl ServiceSnapshot {
 
     /// Order-independent digest of the served graph: the wrapping sum
     /// over users `u` of a splitmix64 mix of `u` and the FNV-1a hash of
-    /// `u`'s list. It is a pure function of the graph — not of shard or
-    /// page bounds — so the determinism tests can compare it across
-    /// thread *and* shard counts, and a drain updates it with two terms
-    /// per changed list.
+    /// `u`'s list. It is a pure function of the graph — not of page
+    /// bounds — so the determinism tests can compare it across thread
+    /// counts, and a drain updates it with two terms per changed list.
     pub fn digest(&self) -> u64 {
         self.digest
     }
@@ -245,20 +246,16 @@ impl ServiceSnapshot {
     }
 }
 
-/// A pending profile update with its enqueue time (for update latency:
-/// enqueue → publish of the epoch that includes it).
-struct Pending {
-    user: u32,
-    items: Vec<u32>,
-    enqueued: Instant,
-}
-
-/// Writer-side state, guarded by one mutex: the shards and the update
+/// Writer-side state, guarded by one mutex: the graph and the update
 /// queue. Readers never touch this — they go through the snapshot.
 struct Writer<H> {
-    set: ShardSet,
+    graph: RepairGraph,
     hasher: H,
-    queue: Vec<Pending>,
+    /// Queued `(user, items)` profile updates, in op order.
+    queue: Vec<(u32, Vec<u32>)>,
+    /// Each queued update's enqueue time (for update latency: enqueue →
+    /// publish of the epoch that includes it).
+    enqueued: Vec<Instant>,
 }
 
 /// Instruments registered once at construction; all relaxed atomics, so
@@ -291,7 +288,7 @@ impl Instruments {
     }
 }
 
-/// The sharded online serving layer: concurrent lookups against epoch
+/// The online serving layer: concurrent lookups against epoch
 /// snapshots, batched repair drains behind a writer lock.
 ///
 /// ```
@@ -329,8 +326,9 @@ pub struct KnnService<H: ItemHasher> {
 
 impl<H: ItemHasher> KnnService<H> {
     /// Builds the service from an initial graph and its fingerprint
-    /// store, slicing the arena across shards and publishing epoch 0.
-    /// Metrics are registered under `serve.*` in `registry`.
+    /// store, which it copies once (see [`RepairGraph::new`]), and
+    /// publishes epoch 0. Metrics are registered under `serve.*` in
+    /// `registry`.
     pub fn new(
         graph: &KnnGraph,
         store: &ShfStore,
@@ -338,10 +336,10 @@ impl<H: ItemHasher> KnnService<H> {
         cfg: ServeConfig,
         registry: &Registry,
     ) -> Self {
-        let set = ShardSet::partition(graph, store, cfg.shards);
-        let n = set.n_users();
-        let built = par_map_indexed(n.div_ceil(PAGE), cfg.threads.max(1), |p| {
-            Page::build(&set, p, None, &[])
+        let graph = RepairGraph::new(graph, store);
+        let n = graph.n_users();
+        let built = par_map_indexed(n.div_ceil(PAGE), cfg.threads, |p| {
+            Page::build(&graph, p, None, &[])
         });
         let digest = built.iter().fold(0u64, |d, b| d.wrapping_add(b.1));
         let pages = built.into_iter().map(|b| Arc::new(b.0)).collect();
@@ -356,9 +354,10 @@ impl<H: ItemHasher> KnnService<H> {
         KnnService {
             cfg,
             writer: Mutex::new(Writer {
-                set,
+                graph,
                 hasher,
                 queue: Vec::new(),
+                enqueued: Vec::new(),
             }),
             snapshot: RwLock::new(snap),
             epoch: AtomicU64::new(0),
@@ -391,7 +390,7 @@ impl<H: ItemHasher> KnnService<H> {
 
     /// Queues a profile update (items added to `u`'s profile). When the
     /// queue reaches `cfg.batch` the calling thread drains it: updates
-    /// are applied to the owner shards, each dirty user is repaired, and
+    /// are folded into the fingerprints, each dirty user is repaired, and
     /// a new epoch is published.
     ///
     /// # Panics
@@ -399,14 +398,11 @@ impl<H: ItemHasher> KnnService<H> {
     pub fn update(&self, u: u32, items: Vec<u32>) {
         let mut w = self.writer.lock().expect("writer lock");
         assert!(
-            (u as usize) < w.set.n_users(),
+            (u as usize) < w.graph.n_users(),
             "update for unknown user {u}"
         );
-        w.queue.push(Pending {
-            user: u,
-            items,
-            enqueued: Instant::now(),
-        });
+        w.queue.push((u, items));
+        w.enqueued.push(Instant::now());
         self.metrics.updates.inc();
         self.metrics.queue_depth.set(w.queue.len() as i64);
         if w.queue.len() >= self.cfg.batch.max(1) {
@@ -426,50 +422,30 @@ impl<H: ItemHasher> KnnService<H> {
     /// phase 5's pointer swap touches the reader path.
     fn drain(&self, w: &mut Writer<H>) {
         let _drain = trace::span_arg("serve", "drain", w.queue.len() as u64);
-        let threads = self.cfg.threads.max(1);
+        let threads = self.cfg.threads;
         let queue = std::mem::take(&mut w.queue);
-        let Writer { set, hasher, .. } = w;
-
-        // Route updates to their owner shards, preserving op order.
-        let mut by_shard: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); set.n_shards()];
-        let mut dirty_users: Vec<u32> = Vec::with_capacity(queue.len());
-        for p in &queue {
-            by_shard[set.owner(p.user)].push((set.local(p.user) as u32, p.items.clone()));
-            dirty_users.push(p.user);
-        }
+        let enqueued = std::mem::take(&mut w.enqueued);
+        let Writer { graph, hasher, .. } = w;
+        let mut dirty_users: Vec<u32> = queue.iter().map(|&(u, _)| u).collect();
         dirty_users.sort_unstable();
         dirty_users.dedup();
 
-        // Phase 1: fold each shard's delta batch into its arena slice, in
-        // parallel — each worker writes only its own shards, and within a
-        // shard the batch is applied in op order (delta fingerprinting;
-        // no whole-user refingerprint ever happens here).
+        // Phase 1: fold the batch into the arena in op order (delta
+        // fingerprinting; no whole-user refingerprint ever happens here).
         let apply_trace = trace::span_arg("serve", "apply_updates", queue.len() as u64);
-        par_map_chunks(set.shards_mut(), threads, |_, base, chunk| {
-            for (i, shard) in chunk.iter_mut().enumerate() {
-                shard.apply_updates(&by_shard[base + i], hasher);
-            }
-        });
-
+        graph.apply_updates(&queue, hasher);
         drop(apply_trace);
 
         // Phase 2: one repair per dirty user; the counter selects this
         // repair's probe stream.
         let bump_trace = trace::span_arg("serve", "bump_counters", dirty_users.len() as u64);
-        let counters: Vec<u64> = dirty_users
-            .iter()
-            .map(|&u| {
-                let (s, l) = (set.owner(u), set.local(u));
-                set.shards_mut()[s].bump_repair(l)
-            })
-            .collect();
-
+        let counters: Vec<u64> = dirty_users.iter().map(|&u| graph.bump_repair(u)).collect();
         drop(bump_trace);
 
-        // Phase 3: read-only planning fan-out over the frozen set. Plans
+        // Phase 3: read-only planning fan-out over the frozen graph. Plans
         // land in ascending-user order regardless of thread count.
         let plan_trace = trace::span_arg("serve", "plan_repairs", dirty_users.len() as u64);
-        let frozen: &ShardSet = set;
+        let frozen: &RepairGraph = graph;
         let plans: Vec<Repair> = par_map_indexed(dirty_users.len(), threads, |i| {
             frozen.plan_repair(dirty_users[i], counters[i], self.cfg.probes, self.cfg.seed)
         });
@@ -481,7 +457,7 @@ impl<H: ItemHasher> KnnService<H> {
         let mut evals = 0u64;
         for plan in &plans {
             evals += plan.evals;
-            set.apply_repair(plan);
+            graph.apply_repair(plan);
         }
         drop(apply_repairs_trace);
 
@@ -489,12 +465,12 @@ impl<H: ItemHasher> KnnService<H> {
         // sharing every other page with the previous epoch, and move the
         // digest by the rebuilt lists' terms.
         let rebuild_trace = trace::span("serve", "rebuild_snapshots");
-        let dirty = set.take_dirty();
+        let dirty = graph.take_dirty();
         let runs: Vec<&[u32]> = dirty
             .chunk_by(|a, b| *a as usize / PAGE == *b as usize / PAGE)
             .collect();
         let previous = self.snapshot();
-        let frozen: &ShardSet = set;
+        let frozen: &RepairGraph = graph;
         let rebuilt = par_map_indexed(runs.len(), threads, |i| {
             let p = runs[i][0] as usize / PAGE;
             Page::build(frozen, p, Some(&previous.pages[p]), runs[i])
@@ -519,10 +495,10 @@ impl<H: ItemHasher> KnnService<H> {
         drop(publish_trace);
 
         let published = Instant::now();
-        for p in &queue {
+        for &t in &enqueued {
             self.metrics
                 .update_latency
-                .observe(published.saturating_duration_since(p.enqueued));
+                .observe(published.saturating_duration_since(t));
         }
         self.metrics.queue_depth.set(0);
         self.metrics.epoch.set(epoch as i64);
@@ -582,7 +558,7 @@ pub struct ReplayOutcome {
     pub lookup_digest: u64,
     /// Final published graph digest (after a trailing flush; see
     /// [`ServiceSnapshot::digest`]): equal for equal graphs, so replays
-    /// of one op log at any thread or shard count agree on it.
+    /// of one op log at any thread count agree on it.
     pub final_digest: u64,
     /// Final epoch.
     pub final_epoch: u64,
@@ -646,11 +622,11 @@ mod tests {
 
     fn service(batch: usize, threads: usize) -> KnnService<DynHasher> {
         let cfg = ServeConfig {
-            shards: 3,
             batch,
             probes: 3,
             seed: 11,
             threads,
+            ..ServeConfig::default()
         };
         clustered_service(40, cfg)
     }
@@ -711,11 +687,11 @@ mod tests {
         // only its cluster (users 0..8), so every list it can change lies
         // in page 0.
         let cfg = ServeConfig {
-            shards: 3,
             batch: 1,
             probes: 0,
             seed: 11,
             threads: 1,
+            ..ServeConfig::default()
         };
         let svc = clustered_service(320, cfg);
         let held = svc.snapshot();
@@ -755,7 +731,7 @@ mod tests {
         let w = svc.writer.lock().unwrap();
         let mut digest = 0u64;
         for u in 0..snap.n_users() {
-            let list = w.set.neighbors(u as u32);
+            let list = w.graph.neighbors(u as u32);
             prop_assert_eq!(snap.top_k(u as u32).unwrap(), &list[..], "user {}", u);
             digest = digest.wrapping_add(digest_term(u, list_hash(&list)));
         }
@@ -765,19 +741,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Random op streams × shard counts × batch sizes × threads: the
-        /// paged, incrementally digested snapshot never drifts from the
-        /// graph it publishes.
+        /// Random op streams × batch sizes × threads: the paged,
+        /// incrementally digested snapshot never drifts from the graph it
+        /// publishes.
         #[test]
         fn serve_digest_is_incremental(
             users in 1u32..300,
-            shards in 1usize..6,
             batch in 1usize..24,
             threads in prop_oneof![Just(1usize), Just(4)],
             update_pct in 20u32..100,
             seed in 0u64..1000,
         ) {
-            let cfg = ServeConfig { shards, batch, probes: 2, seed, threads };
+            let cfg = ServeConfig { batch, probes: 2, seed, threads, ..ServeConfig::default() };
             let svc = clustered_service(users, cfg);
             check_published(&svc);
             let ops = synth_ops(users as usize, 3000, 300, update_pct, seed);

@@ -65,11 +65,11 @@ fn metrics_endpoint_serves_live_series_during_a_replay() {
     let (graph, store, params) = fixture(60);
     let registry = Arc::new(Registry::new());
     let cfg = ServeConfig {
-        shards: 4,
         batch: 16,
         probes: 3,
         seed: 11,
         threads: 1,
+        ..ServeConfig::default()
     };
     let svc = Arc::new(KnnService::new(
         &graph,

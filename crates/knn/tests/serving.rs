@@ -51,11 +51,11 @@ fn service(cfg: ServeConfig) -> KnnService<DynHasher> {
 #[test]
 fn snapshot_readers_always_observe_a_consistent_epoch() {
     let svc = service(ServeConfig {
-        shards: 4,
         batch: 8,
         probes: 3,
         seed: 9,
         threads: 2,
+        ..ServeConfig::default()
     });
     let done = AtomicBool::new(false);
     let observed: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
@@ -132,11 +132,11 @@ fn replay_is_deterministic_across_thread_counts() {
     let mut outcomes = Vec::new();
     for threads in [1usize, 4] {
         let svc = service(ServeConfig {
-            shards: 4,
             batch: 16,
             probes: 3,
             seed: 9,
             threads,
+            ..ServeConfig::default()
         });
         // Run both bare and under an installed work-stealing pool: the
         // drain must dispatch identically through either parallel path.
@@ -155,26 +155,6 @@ fn replay_is_deterministic_across_thread_counts() {
     assert!(outcomes[0].lookups > 0 && outcomes[0].updates > 0);
 }
 
-/// The sharding degree must not change the graph either: the partition
-/// only routes ownership; plans and applications are global-order.
-#[test]
-fn replay_is_deterministic_across_shard_counts() {
-    let ops = synth_ops(60, 5000, 500, 50, 13);
-    let mut digests = Vec::new();
-    for shards in [1usize, 3, 60] {
-        let svc = service(ServeConfig {
-            shards,
-            batch: 16,
-            probes: 3,
-            seed: 9,
-            threads: 2,
-        });
-        digests.push(replay(&svc, &ops));
-    }
-    assert_eq!(digests[0], digests[1]);
-    assert_eq!(digests[1], digests[2]);
-}
-
 /// Served lists are pinned across implementations of the drain: the
 /// lookup digest folds every list a replay looked up, so any change to
 /// repair decisions or to the published order shows here. The graph
@@ -189,23 +169,22 @@ fn replay_lookups_match_the_golden_outcomes() {
         (16, 0x1d19_e640_dd73_dd16, 82),
     ];
     for (batch, lookup_digest, final_epoch) in goldens {
-        for shards in [1usize, 3] {
-            for threads in [1usize, 4] {
-                let cfg = ServeConfig {
-                    shards,
-                    batch,
-                    probes: 3,
-                    seed: 9,
-                    threads,
-                };
-                let svc = KnnService::new(&graph, &store, *params.hasher(), cfg, &Registry::new());
-                let outcome = replay(&svc, &ops);
-                let at = format!("batch {batch}, {shards} shards, {threads} threads");
-                assert_eq!((outcome.lookups, outcome.updates), (1693, 1307), "{at}");
-                assert_eq!(outcome.lookup_digest, lookup_digest, "{at}");
-                assert_eq!(outcome.final_epoch, final_epoch, "{at}");
-                assert!(svc.snapshot().verify(), "{at}");
-            }
+        // 0 is the default parallelism.
+        for threads in [0usize, 1, 4] {
+            let cfg = ServeConfig {
+                batch,
+                probes: 3,
+                seed: 9,
+                threads,
+                ..ServeConfig::default()
+            };
+            let svc = KnnService::new(&graph, &store, *params.hasher(), cfg, &Registry::new());
+            let outcome = replay(&svc, &ops);
+            let at = format!("batch {batch}, {threads} threads");
+            assert_eq!((outcome.lookups, outcome.updates), (1693, 1307), "{at}");
+            assert_eq!(outcome.lookup_digest, lookup_digest, "{at}");
+            assert_eq!(outcome.final_epoch, final_epoch, "{at}");
+            assert!(svc.snapshot().verify(), "{at}");
         }
     }
 }

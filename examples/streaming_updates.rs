@@ -4,7 +4,7 @@
 //! This is the paper's "web real-time" motivation (§1.2) made concrete:
 //! a news service where users keep clicking, the graph must stay fresh,
 //! and a full rebuild per click is out of the question. The graph is
-//! served by a one-shard `KnnService` that drains every update at once.
+//! served by a `KnnService` that drains every update at once.
 //!
 //! ```text
 //! cargo run --release --example streaming_updates
@@ -38,14 +38,14 @@ fn main() {
         full_build, initial.stats.similarity_evals
     );
 
-    // One shard, a drain per update, 16 random probes per repair so the
-    // repair can escape a stale neighbourhood.
+    // A drain per update, 16 random probes per repair so the repair can
+    // escape a stale neighbourhood.
     let cfg = ServeConfig {
-        shards: 1,
         batch: 1,
         probes: 16,
         seed: 7,
         threads: 1,
+        ..ServeConfig::default()
     };
     let registry = Registry::new();
     let service = KnnService::new(

@@ -6,7 +6,7 @@
 //! goldfinger knn         --synth ml1m --algo hyrec --k 30 [--goldfinger] --out graph.gfg
 //! goldfinger recommend   --synth ml1m --algo brute --k 30 --user 0 --n 10
 //! goldfinger privacy     --items 171356 --bits 1024 --cardinality 56
-//! goldfinger serve       --synth ml1m --replay 100000 [--shards 8 --batch 256]
+//! goldfinger serve       --synth ml1m --replay 100000 [--batch 256 --threads 4]
 //! ```
 //!
 //! Datasets come either from `--synth {ml1m,ml10m,ml20m,am,dblp,gowalla}`
@@ -104,12 +104,12 @@ fn usage() -> &'static str {
      serve:       --replay N (ops, default 100000)  --update-pct P (default 30)\n\
                   --ops-file FILE   stream a recorded op log (`L u` / `U u i,j`\n\
                                     lines) instead of the synthetic generator\n\
-                  --shards S (default 8)  --batch B (default 256)\n\
-                  --probes P (default 4)  --threads T (default 1)\n\
+                  --batch B (default 256)  --probes P (default 4)\n\
+                  --threads T (default 1; 0 = GF_THREADS or all cores)\n\
                   --metrics-addr HOST:PORT   serve /metrics, /healthz and /epoch\n\
                   --hold SECS                keep the exposition server up after\n\
                                              the replay finishes (default 0)\n\
-                  replays an interleaved update+lookup log against the sharded\n\
+                  replays an interleaved update+lookup log against the\n\
                   online service and reports latency/throughput\n\
      \n\
      environment:\n\
@@ -482,12 +482,14 @@ fn run() -> Result<(), String> {
             let seed: u64 = cli.parse_num("seed", 42)?;
             let n_ops: usize = cli.parse_num("replay", 100_000)?;
             let update_pct: u32 = cli.parse_num("update-pct", 30)?;
+            let threads =
+                goldfinger::core::parallel::effective_threads(cli.parse_num("threads", 1)?);
             let cfg = ServeConfig {
-                shards: cli.parse_num("shards", 8)?,
                 batch: cli.parse_num("batch", 256)?,
                 probes: cli.parse_num("probes", 4)?,
                 seed,
-                threads: cli.parse_num("threads", 1)?,
+                threads,
+                ..ServeConfig::default()
             };
 
             let params = ShfParams::new(bits, DynHasher::default());
@@ -554,7 +556,6 @@ fn run() -> Result<(), String> {
             let t0 = std::time::Instant::now();
             // One pool for the whole replay, so the drain phases reuse its
             // parked workers instead of building a pool per helper call.
-            let threads: usize = cli.parse_num("threads", 1)?;
             let outcome = if threads > 1 {
                 goldfinger::core::pool::Pool::new(threads).install(|| replay_stream(&svc, ops))
             } else {

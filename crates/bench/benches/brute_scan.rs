@@ -1,7 +1,8 @@
 //! Criterion bench for the tiled brute-force scan engine: the store's
-//! gather AND+popcount kernel (`ShfStore::and_counts_gather`, what every
-//! row of a tile cell is scored through) against the per-pair kernel, and
-//! the whole scan on explicit and fingerprint providers.
+//! gather AND+popcount kernel (`ShfStore::and_counts_gather`, which
+//! `ShfStore::estimate_batch` drives for every row of a tile cell, whatever
+//! the provider's count function) against the per-pair kernel, and the
+//! whole scan on explicit and fingerprint providers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use goldfinger_core::bits::{and_count_words, BitArray};

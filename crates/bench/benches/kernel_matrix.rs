@@ -11,7 +11,7 @@
 //!   arena layout must keep the scalar and SIMD variants at parity?
 //!
 //! Rows are gathered through each variant's `and_counts_gather` entry point
-//! exactly as `ShfStore::jaccard_batch` drives it: an aligned arena, rows
+//! exactly as `ShfStore::estimate_batch` drives it: an aligned arena, rows
 //! padded to the cache-line stride, ids in shuffled order so the prefetcher
 //! works for its living.
 

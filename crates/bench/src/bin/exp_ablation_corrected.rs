@@ -2,7 +2,8 @@
 //! `Ĵ*` vs the paper's raw estimator `Ĵ` (Eq. 4) as the fingerprint
 //! shrinks. The corrected estimator inverts the occupancy expectations, so
 //! its bias stays near zero where Eq. 4 drifts upward — buying back
-//! quality at small b for one bisection per comparison.
+//! quality at small b for a closed-form inversion (one square root, two
+//! logarithms) per comparison.
 //!
 //! ```text
 //! cargo run --release -p goldfinger-bench --bin exp_ablation_corrected

@@ -465,7 +465,7 @@ mod tests {
         let profiles = ProfileStore::from_item_lists(vec![vec![1, 2], vec![2, 3], vec![3, 4]]);
         let store = ShfParams::default().fingerprint_store(&profiles);
         let mut out = [0.0f64; 2];
-        store.jaccard_batch(0, &[1, 2], &mut out);
+        ShfJaccard::new(&store).similarity_batch(0, &[1, 2], &mut out);
         record_kernel_stats(&reg, &goldfinger_core::kernels::stats().since(&before));
         assert!(reg.counter("kernel.batched_calls").get() >= 1);
         assert!(reg.counter("kernel.batched_rows").get() >= 2);

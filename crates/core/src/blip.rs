@@ -18,8 +18,10 @@
 //! ```
 //!
 //! which is unbiased in expectation and degrades gracefully as ε shrinks.
+//! All three inputs are counts of the noisy fingerprints, so the noisy rows
+//! live in an ordinary [`ShfStore`] and the estimator is one more count
+//! function for its gather ([`ShfStore::estimate_batch`]).
 
-use crate::bits::and_count_words;
 use crate::shf::ShfStore;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,12 +60,8 @@ impl BlipParams {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlipStore {
-    bits: u32,
-    words_per_fp: usize,
-    data: Vec<u64>,
-    /// Debiased cardinality estimates (may be negative for tiny profiles
-    /// under heavy noise; kept as f64 on purpose).
-    est_cards: Vec<f64>,
+    /// The flipped fingerprints, with their observed popcounts.
+    store: ShfStore,
     flip_prob: f64,
 }
 
@@ -78,57 +76,41 @@ impl BlipStore {
             "epsilon must be positive and finite"
         );
         let p = params.flip_probability();
-        let q = 1.0 - 2.0 * p;
         let b = store.width();
-        let words_per_fp = store.words_per_fingerprint();
-        let tail_bits = b as usize - (words_per_fp - 1) * 64;
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut data = Vec::with_capacity(store.len() * words_per_fp);
-        let mut est_cards = Vec::with_capacity(store.len());
+        let mut data = Vec::with_capacity(store.len() * store.words_per_fingerprint());
+        let mut cards = Vec::with_capacity(store.len());
         for u in 0..store.len() as u32 {
-            let words = store.fingerprint_words(u);
-            let mut card = 0u32;
-            for (wi, &w) in words.iter().enumerate() {
-                // Flip mask: bit set with probability p.
-                let live = if wi == words_per_fp - 1 {
-                    tail_bits
-                } else {
-                    64
-                };
-                let mut mask = 0u64;
-                for bit in 0..live {
-                    if rng.gen::<f64>() < p {
-                        mask |= 1u64 << bit;
-                    }
+            let mut row = store.fingerprint_words(u).to_vec();
+            // One draw per bit, in bit order: the bit flips with probability
+            // p. Bits past the width are never drawn, so they stay zero.
+            for pos in 0..b as usize {
+                if rng.gen::<f64>() < p {
+                    row[pos / 64] ^= 1 << (pos % 64);
                 }
-                let flipped = w ^ mask;
-                card += flipped.count_ones();
-                data.push(flipped);
             }
-            est_cards.push((card as f64 - b as f64 * p) / q);
+            cards.push(row.iter().map(|w| w.count_ones()).sum());
+            data.extend(row);
         }
         BlipStore {
-            bits: b,
-            words_per_fp,
-            data,
-            est_cards,
+            store: ShfStore::from_raw_parts(b, cards, data),
             flip_prob: p,
         }
     }
 
     /// Number of fingerprints.
     pub fn len(&self) -> usize {
-        self.est_cards.len()
+        self.store.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.est_cards.is_empty()
+        self.store.is_empty()
     }
 
     /// Fingerprint width in bits.
     pub fn width(&self) -> u32 {
-        self.bits
+        self.store.width()
     }
 
     /// The flip probability that was applied.
@@ -138,22 +120,31 @@ impl BlipStore {
 
     /// The observed (noisy) words of fingerprint `u`.
     pub fn fingerprint_words(&self, u: u32) -> &[u64] {
-        &self.data[u as usize * self.words_per_fp..(u as usize + 1) * self.words_per_fp]
+        self.store.fingerprint_words(u)
     }
 
     /// Debiased Jaccard estimate between users `u` and `v`, clamped to
     /// `[0, 1]`; 0 when the denominators degenerate under noise.
     pub fn jaccard(&self, u: u32, v: u32) -> f64 {
-        let p = self.flip_prob;
+        self.store.estimate(u, v, self.estimator())
+    }
+
+    /// The module-level estimator as a count function of the noisy store.
+    /// The debiased cardinalities `ĉ` may be negative for tiny profiles
+    /// under heavy noise; they stay `f64` on purpose.
+    fn estimator(&self) -> impl Fn(u32, u32, u32) -> f64 {
+        let (b, p) = (self.store.width() as f64, self.flip_prob);
         let q = 1.0 - 2.0 * p;
-        let obs_and = and_count_words(self.fingerprint_words(u), self.fingerprint_words(v)) as f64;
-        let (c1, c2) = (self.est_cards[u as usize], self.est_cards[v as usize]);
-        let n11 = (obs_and - (c1 + c2) * p * q - self.bits as f64 * p * p) / (q * q);
-        let denom = c1 + c2 - n11;
-        if denom <= 0.0 || n11 <= 0.0 {
-            return 0.0;
+        move |obs_and, card1, card2| {
+            let c1 = (card1 as f64 - b * p) / q;
+            let c2 = (card2 as f64 - b * p) / q;
+            let n11 = (obs_and as f64 - (c1 + c2) * p * q - b * p * p) / (q * q);
+            let denom = c1 + c2 - n11;
+            if denom <= 0.0 || n11 <= 0.0 {
+                return 0.0;
+            }
+            (n11 / denom).clamp(0.0, 1.0)
         }
-        (n11 / denom).clamp(0.0, 1.0)
     }
 }
 
@@ -180,7 +171,12 @@ impl crate::similarity::Similarity for BlipJaccard<'_> {
     }
 
     fn bytes_per_eval(&self, _u: u32, _v: u32) -> u64 {
-        2 * (self.store.words_per_fp as u64 * 8 + 8)
+        self.store.store.bytes_per_comparison()
+    }
+
+    fn similarity_batch(&self, u: u32, vs: &[u32], out: &mut [f64]) {
+        let noisy = self.store;
+        noisy.store.estimate_batch(u, vs, out, noisy.estimator());
     }
 }
 
@@ -201,6 +197,94 @@ mod tests {
 
     fn shf_store(bits: u32) -> ShfStore {
         ShfParams::new(bits, DynHasher::new(HasherKind::Jenkins, 1)).fingerprint_store(&profiles())
+    }
+
+    /// Reference release: word-by-word flip masks over an unpadded arena,
+    /// with precomputed `f64` debiased cardinalities.
+    fn oracle_release(store: &ShfStore, params: BlipParams) -> (Vec<u64>, Vec<f64>) {
+        let p = params.flip_probability();
+        let q = 1.0 - 2.0 * p;
+        let b = store.width();
+        let words_per_fp = store.words_per_fingerprint();
+        let tail_bits = b as usize - (words_per_fp - 1) * 64;
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let (mut data, mut est_cards) = (Vec::new(), Vec::new());
+        for u in 0..store.len() as u32 {
+            let mut card = 0u32;
+            for (wi, &w) in store.fingerprint_words(u).iter().enumerate() {
+                let live = if wi == words_per_fp - 1 {
+                    tail_bits
+                } else {
+                    64
+                };
+                let mut mask = 0u64;
+                for bit in 0..live {
+                    if rng.gen::<f64>() < p {
+                        mask |= 1u64 << bit;
+                    }
+                }
+                card += (w ^ mask).count_ones();
+                data.push(w ^ mask);
+            }
+            est_cards.push((card as f64 - b as f64 * p) / q);
+        }
+        (data, est_cards)
+    }
+
+    /// Reference per-pair debiased estimator over the reference release.
+    fn oracle_jaccard(words: &[&[u64]; 2], c1: f64, c2: f64, b: u32, p: f64) -> f64 {
+        let q = 1.0 - 2.0 * p;
+        let obs_and = crate::bits::and_count_words(words[0], words[1]) as f64;
+        let n11 = (obs_and - (c1 + c2) * p * q - b as f64 * p * p) / (q * q);
+        let denom = c1 + c2 - n11;
+        if denom <= 0.0 || n11 <= 0.0 {
+            return 0.0;
+        }
+        (n11 / denom).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn release_and_estimates_match_the_unpadded_oracle() {
+        use crate::similarity::Similarity;
+        // 320 bits: a partial tail word and padded arena rows. User 3 is
+        // empty, user 4 saturated, and 70 users exceed one gather chunk.
+        let mut lists: Vec<Vec<u32>> = (0..70u32)
+            .map(|u| (u * 7..u * 7 + 20 + u % 50).collect())
+            .collect();
+        lists[3].clear();
+        lists[4] = (0..5_000).collect();
+        let store = ShfParams::new(320, DynHasher::new(HasherKind::Jenkins, 3))
+            .fingerprint_store(&ProfileStore::from_item_lists(lists));
+        assert_eq!(store.cardinality(4), 320);
+        let ids: Vec<u32> = (0..store.len() as u32).collect();
+        for epsilon in [0.5, 2.0, 8.0] {
+            let params = BlipParams { epsilon, seed: 11 };
+            let noisy = BlipStore::from_shf_store(&store, params);
+            let (data, est_cards) = oracle_release(&store, params);
+            let w = store.words_per_fingerprint();
+            let row = |u: u32| &data[u as usize * w..(u as usize + 1) * w];
+            let sim = BlipJaccard::new(&noisy);
+            let mut batch = vec![0.0; ids.len()];
+            for u in 0..store.len() as u32 {
+                assert_eq!(
+                    noisy.fingerprint_words(u),
+                    row(u),
+                    "ε = {epsilon}, user {u}"
+                );
+                sim.similarity_batch(u, &ids, &mut batch);
+                for &v in &ids {
+                    let want = oracle_jaccard(
+                        &[row(u), row(v)],
+                        est_cards[u as usize],
+                        est_cards[v as usize],
+                        320,
+                        noisy.flip_probability(),
+                    );
+                    assert_eq!(sim.similarity(u, v), want, "ε = {epsilon}, pair ({u}, {v})");
+                    assert_eq!(batch[v as usize], want, "ε = {epsilon}, batched ({u}, {v})");
+                }
+            }
+        }
     }
 
     #[test]

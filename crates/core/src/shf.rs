@@ -407,11 +407,7 @@ impl Shf {
     /// intersection-driven set similarity; cosine is the other common one.
     #[inline]
     pub fn cosine(&self, other: &Shf) -> f64 {
-        if self.card == 0 || other.card == 0 {
-            return 0.0;
-        }
-        let inter = self.bits.and_count(&other.bits) as f64;
-        inter / ((self.card as f64) * (other.card as f64)).sqrt()
+        cosine_from_counts(self.bits.and_count(&other.bits), self.card, other.card)
     }
 }
 
@@ -428,7 +424,17 @@ pub fn jaccard_from_counts(intersection: u32, c1: u32, c2: u32) -> f64 {
     }
 }
 
-/// Ids per gather chunk in the fused batch estimators: large enough to
+/// Assembles the cosine estimate `|B1 ∧ B2| / √(c1·c2)` from an
+/// AND-popcount and two cardinalities; 0 when either fingerprint is empty.
+#[inline]
+pub(crate) fn cosine_from_counts(intersection: u32, c1: u32, c2: u32) -> f64 {
+    if c1 == 0 || c2 == 0 {
+        return 0.0;
+    }
+    intersection as f64 / ((c1 as f64) * (c2 as f64)).sqrt()
+}
+
+/// Ids per gather chunk in [`ShfStore::estimate_batch`]: large enough to
 /// amortise the kernel call and keep the prefetch pipeline full, small
 /// enough for the intermediate counts to live on the stack.
 const GATHER_CHUNK: usize = 64;
@@ -671,8 +677,18 @@ impl ShfStore {
     /// Estimated Jaccard index between users `u` and `v` (Eq. 4).
     #[inline]
     pub fn jaccard(&self, u: u32, v: u32) -> f64 {
+        self.estimate(u, v, jaccard_from_counts)
+    }
+
+    /// Per-pair twin of [`ShfStore::estimate_batch`]:
+    /// `f(|B_u ∧ B_v|, c_u, c_v)` through the active kernel.
+    #[inline]
+    pub fn estimate<F>(&self, u: u32, v: u32, f: F) -> f64
+    where
+        F: Fn(u32, u32, u32) -> f64,
+    {
         let inter = kernels::and_count(self.fingerprint_words(u), self.fingerprint_words(v));
-        jaccard_from_counts(inter, self.cards[u as usize], self.cards[v as usize])
+        f(inter, self.cards[u as usize], self.cards[v as usize])
     }
 
     /// Jaccard estimate computed without the cached cardinalities,
@@ -703,18 +719,23 @@ impl ShfStore {
         kernels::note_batched(ids.len());
     }
 
-    /// Query-major batched Jaccard (Eq. 4): estimates `Ĵ(u, id)` for every
-    /// id, fusing the gather-popcount with the division so callers never
-    /// see intermediate counts. Works in fixed-size stack chunks — no
-    /// allocation, any `ids.len()`.
+    /// Query-major batched estimate: `out[i] = f(|B_u ∧ B_id|, c_u, c_id)`
+    /// for every `id`, where `f` is a count function such as
+    /// [`jaccard_from_counts`]. This is the one chunked gather of every SHF
+    /// estimator: ids go through [`ShfStore::and_counts_gather`] in
+    /// fixed-size stack chunks (no allocation, any `ids.len()`), and `f` is
+    /// monomorphised into the loop.
     ///
-    /// Values are identical to per-pair [`ShfStore::jaccard`] calls: the
-    /// counts are exact integers and the final division is performed in
-    /// the same order on the same inputs.
+    /// Values are identical to per-pair [`ShfStore::estimate`] calls with
+    /// the same `f`: the counts are exact integers whatever the kernel, and
+    /// `f` sees the same inputs.
     ///
     /// # Panics
     /// Panics if `ids.len() != out.len()` or any id is out of range.
-    pub fn jaccard_batch(&self, u: u32, ids: &[u32], out: &mut [f64]) {
+    pub fn estimate_batch<F>(&self, u: u32, ids: &[u32], out: &mut [f64], f: F)
+    where
+        F: Fn(u32, u32, u32) -> f64,
+    {
         assert_eq!(ids.len(), out.len());
         let c_u = self.cards[u as usize];
         let mut counts = [0u32; GATHER_CHUNK];
@@ -722,31 +743,7 @@ impl ShfStore {
             let counts = &mut counts[..ids.len()];
             self.and_counts_gather(u, ids, counts);
             for ((&inter, &v), o) in counts.iter().zip(ids).zip(out.iter_mut()) {
-                *o = jaccard_from_counts(inter, c_u, self.cards[v as usize]);
-            }
-        }
-    }
-
-    /// Query-major batched cosine: `|B_u ∧ B_id| / √(c_u·c_id)` for every
-    /// id, with the same chunked-gather structure (and the same values) as
-    /// [`ShfStore::jaccard_batch`].
-    ///
-    /// # Panics
-    /// Panics if `ids.len() != out.len()` or any id is out of range.
-    pub fn cosine_batch(&self, u: u32, ids: &[u32], out: &mut [f64]) {
-        assert_eq!(ids.len(), out.len());
-        let c_u = self.cards[u as usize];
-        let mut counts = [0u32; GATHER_CHUNK];
-        for (ids, out) in ids.chunks(GATHER_CHUNK).zip(out.chunks_mut(GATHER_CHUNK)) {
-            let counts = &mut counts[..ids.len()];
-            self.and_counts_gather(u, ids, counts);
-            for ((&inter, &v), o) in counts.iter().zip(ids).zip(out.iter_mut()) {
-                let c_v = self.cards[v as usize];
-                *o = if c_u == 0 || c_v == 0 {
-                    0.0
-                } else {
-                    inter as f64 / ((c_u as f64) * (c_v as f64)).sqrt()
-                };
+                *o = f(inter, c_u, self.cards[v as usize]);
             }
         }
     }
@@ -1208,8 +1205,8 @@ mod tests {
         let ids: Vec<u32> = (0..150u32).map(|i| (i * 7) % 37).collect();
         let mut jac = vec![0.0; ids.len()];
         let mut cos = vec![0.0; ids.len()];
-        store.jaccard_batch(3, &ids, &mut jac);
-        store.cosine_batch(3, &ids, &mut cos);
+        store.estimate_batch(3, &ids, &mut jac, jaccard_from_counts);
+        store.estimate_batch(3, &ids, &mut cos, cosine_from_counts);
         let q = store.get(3);
         for ((&v, &j), &c) in ids.iter().zip(&jac).zip(&cos) {
             let other = store.get(v);
@@ -1226,7 +1223,7 @@ mod tests {
         let before = kernels::stats();
         let ids = [0u32, 4, 9];
         let mut out = [0.0; 3];
-        store.jaccard_batch(0, &ids, &mut out);
+        store.estimate_batch(0, &ids, &mut out, jaccard_from_counts);
         let delta = kernels::stats().since(&before);
         assert!(delta.batched_calls >= 1);
         assert!(delta.batched_rows >= ids.len() as u64);
@@ -1408,8 +1405,8 @@ mod tests {
         let ids: Vec<u32> = (0..37).collect();
         let mut heap_j = vec![0.0; ids.len()];
         let mut mmap_j = vec![0.0; ids.len()];
-        store.jaccard_batch(5, &ids, &mut heap_j);
-        spilled.jaccard_batch(5, &ids, &mut mmap_j);
+        store.estimate_batch(5, &ids, &mut heap_j, jaccard_from_counts);
+        spilled.estimate_batch(5, &ids, &mut mmap_j, jaccard_from_counts);
         assert_eq!(heap_j, mmap_j);
         // Evicting rows must not change what subsequent reads observe.
         spilled.advise_cold_rows(0, spilled.len()).unwrap();

@@ -1,14 +1,22 @@
 //! Similarity providers: the abstraction GoldFinger plugs into.
 //!
 //! KNN-graph algorithms only ever ask "how similar are users `u` and `v`?".
-//! The [`Similarity`] trait captures that question; the two implementations
-//! answer it from explicit profiles (the *native* approach) or from packed
-//! fingerprints (*GoldFinger*). Because algorithms take any provider
+//! The [`Similarity`] trait captures that question. The native providers
+//! answer it from explicit profiles; the fingerprint providers (*GoldFinger*)
+//! answer it from packed fingerprints. Because algorithms take any provider
 //! (`&dyn Similarity`), every algorithm in `goldfinger-knn` is accelerated
 //! by switching the provider — exactly the paper's claim that fingerprinting is generic.
+//!
+//! Every fingerprint estimator is a scalar function of three counts: the
+//! AND-popcount and the two cached cardinalities. [`ShfJaccard`] (Eq. 4),
+//! [`ShfCosine`], [`crate::estimate::CorrectedShfJaccard`] and
+//! [`crate::blip::BlipJaccard`] differ only in that *count function*; each
+//! answers `similarity` through [`ShfStore::estimate`] and
+//! `similarity_batch` through the one chunked gather,
+//! [`ShfStore::estimate_batch`].
 
 use crate::profile::{intersection_size_sorted, ProfileStore};
-use crate::shf::ShfStore;
+use crate::shf::{cosine_from_counts, jaccard_from_counts, ShfStore};
 
 /// A symmetric similarity oracle over `n` users, safe to query from many
 /// threads at once.
@@ -163,7 +171,7 @@ impl Similarity for ShfJaccard<'_> {
 
     #[inline]
     fn similarity(&self, u: u32, v: u32) -> f64 {
-        self.store.jaccard(u, v)
+        self.store.estimate(u, v, jaccard_from_counts)
     }
 
     #[inline]
@@ -173,7 +181,7 @@ impl Similarity for ShfJaccard<'_> {
 
     #[inline]
     fn similarity_batch(&self, u: u32, vs: &[u32], out: &mut [f64]) {
-        self.store.jaccard_batch(u, vs, out);
+        self.store.estimate_batch(u, vs, out, jaccard_from_counts);
     }
 }
 
@@ -198,15 +206,7 @@ impl Similarity for ShfCosine<'_> {
 
     #[inline]
     fn similarity(&self, u: u32, v: u32) -> f64 {
-        let (cu, cv) = (self.store.cardinality(u), self.store.cardinality(v));
-        if cu == 0 || cv == 0 {
-            return 0.0;
-        }
-        let inter = crate::kernels::and_count(
-            self.store.fingerprint_words(u),
-            self.store.fingerprint_words(v),
-        ) as f64;
-        inter / ((cu as f64) * (cv as f64)).sqrt()
+        self.store.estimate(u, v, cosine_from_counts)
     }
 
     #[inline]
@@ -216,7 +216,7 @@ impl Similarity for ShfCosine<'_> {
 
     #[inline]
     fn similarity_batch(&self, u: u32, vs: &[u32], out: &mut [f64]) {
-        self.store.cosine_batch(u, vs, out);
+        self.store.estimate_batch(u, vs, out, cosine_from_counts);
     }
 }
 
@@ -283,21 +283,46 @@ mod tests {
 
     #[test]
     fn similarity_batch_is_bit_identical_to_per_pair_for_all_providers() {
-        let profiles = small_store();
+        use crate::blip::{BlipJaccard, BlipParams, BlipStore};
+        use crate::estimate::CorrectedShfJaccard;
+        // User 3 is empty and user 4 saturates the 320-bit fingerprint; the
+        // 150 candidates span three gather chunks, with repeats.
+        let mut lists: Vec<Vec<u32>> = vec![
+            (0..100).collect(),
+            (50..150).collect(),
+            (200..220).collect(),
+            vec![],
+            (0..5_000).collect(),
+        ];
+        lists.extend((0..6u32).map(|u| (u * 40..u * 40 + 30 + u * 9).collect()));
+        let profiles = ProfileStore::from_item_lists(lists);
         let store = ShfParams::new(320, DynHasher::new(HasherKind::Jenkins, 7))
             .fingerprint_store(&profiles);
+        assert_eq!((store.cardinality(3), store.cardinality(4)), (0, 320));
+        let noisy = BlipStore::from_shf_store(
+            &store,
+            BlipParams {
+                epsilon: 2.0,
+                seed: 5,
+            },
+        );
         let providers: Vec<Box<dyn Similarity>> = vec![
             Box::new(ExplicitJaccard::new(&profiles)),
             Box::new(ExplicitCosine::new(&profiles)),
             Box::new(ShfJaccard::new(&store)),
             Box::new(ShfCosine::new(&store)),
+            Box::new(CorrectedShfJaccard::new(&store)),
+            Box::new(BlipJaccard::new(&noisy)),
         ];
-        let vs = [1u32, 3, 0, 2, 2, 1];
+        let n = profiles.n_users() as u32;
+        let vs: Vec<u32> = (0..150u32).map(|i| (i * 7 + i / 11) % n).collect();
         for (i, sim) in providers.iter().enumerate() {
-            let mut out = vec![0.0; vs.len()];
-            sim.similarity_batch(0, &vs, &mut out);
-            for (&v, &got) in vs.iter().zip(&out) {
-                assert_eq!(got, sim.similarity(0, v), "provider {i}, candidate {v}");
+            for u in 0..n {
+                let mut out = vec![0.0; vs.len()];
+                sim.similarity_batch(u, &vs, &mut out);
+                for (&v, &got) in vs.iter().zip(&out) {
+                    assert_eq!(got, sim.similarity(u, v), "provider {i}, pair ({u}, {v})");
+                }
             }
         }
     }

@@ -63,10 +63,14 @@ proptest! {
         }
     }
 
-    /// Linear counting is monotone and bounded by its inputs.
+    /// Linear counting is monotone and bounded by its inputs, saturated
+    /// rows included.
     #[test]
-    fn set_size_estimate_is_monotone(b in prop_oneof![Just(64u32), Just(256), Just(1024)], c in 0u32..64) {
-        let c = c.min(b);
+    fn set_size_estimate_is_monotone((b, c) in prop_oneof![
+        (Just(64u32), 0..=64u32),
+        (Just(256u32), 0..=256u32),
+        (Just(1024u32), 0..=1024u32),
+    ]) {
         let here = estimate_set_size(c, b);
         prop_assert!(here >= c as f64 - 1e-9, "n̂ ≥ c");
         if c < b {
@@ -74,15 +78,16 @@ proptest! {
         }
     }
 
-    /// The corrected estimator is always a valid similarity.
+    /// The corrected estimator is always a valid similarity, for any
+    /// counts a width-`b` fingerprint pair can produce.
     #[test]
-    fn corrected_estimator_stays_in_range(
-        and_count in 0u32..64,
-        c1 in 0u32..64,
-        c2 in 0u32..64,
-    ) {
-        let and_count = and_count.min(c1).min(c2);
-        let j = corrected_jaccard_from_counts(and_count, c1, c2, 64);
+    fn corrected_estimator_stays_in_range((b, and_count, c1, c2) in prop_oneof![
+        (Just(64u32), 0..=64u32, 0..=64u32, 0..=64u32),
+        (Just(256u32), 0..=256u32, 0..=256u32, 0..=256u32),
+        (Just(1024u32), 0..=1024u32, 0..=1024u32, 0..=1024u32),
+    ]) {
+        let and_count = and_count % (c1.min(c2) + 1);
+        let j = corrected_jaccard_from_counts(and_count, c1, c2, b);
         prop_assert!((0.0..=1.0).contains(&j), "j = {j}");
     }
 

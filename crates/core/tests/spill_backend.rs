@@ -10,7 +10,7 @@ use goldfinger_core::hash::{DynHasher, HasherKind};
 use goldfinger_core::kernels;
 use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileStore;
-use goldfinger_core::shf::{ShfParams, ShfStore};
+use goldfinger_core::shf::{jaccard_from_counts, ShfParams, ShfStore};
 use std::path::PathBuf;
 
 fn fixture(n: usize) -> ProfileStore {
@@ -119,8 +119,8 @@ fn every_available_kernel_reads_both_backends_identically() {
     // And the high-level batch API agrees through the active kernel.
     let mut heap_sims = vec![0.0f64; ids.len()];
     let mut spill_sims = vec![0.0f64; ids.len()];
-    heap.jaccard_batch(5, &ids, &mut heap_sims);
-    spilled.jaccard_batch(5, &ids, &mut spill_sims);
+    heap.estimate_batch(5, &ids, &mut heap_sims, jaccard_from_counts);
+    spilled.estimate_batch(5, &ids, &mut spill_sims, jaccard_from_counts);
     assert_eq!(heap_sims, spill_sims);
     drop(spilled);
     std::fs::remove_dir_all(&dir).unwrap();

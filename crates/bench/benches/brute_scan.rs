@@ -45,7 +45,7 @@ fn bench_kernels(c: &mut Criterion) {
         // Row 0 is the query, rows 1..=BLOCK the block.
         let rows: Vec<BitArray> = (0..=BLOCK).map(|_| random_fp(bits, &mut rng)).collect();
         let store = ShfStore::from_raw_parts(
-            bits,
+            ShfParams::new(bits, DynHasher::default()),
             rows.iter().map(BitArray::count_ones).collect(),
             rows.iter()
                 .flat_map(|r| r.words().iter().copied())

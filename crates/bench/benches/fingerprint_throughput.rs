@@ -74,7 +74,7 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
     group.bench_function("apply_delta_1_item", |b| {
         let mut grown = store.clone();
-        b.iter(|| black_box(grown.apply_delta(victim, &[u32::MAX - 7], params.hasher())))
+        b.iter(|| black_box(grown.apply_delta(victim, &[u32::MAX - 7])))
     });
     group.bench_function("refingerprint_1_user", |b| {
         b.iter(|| black_box(params.fingerprint(&extended)))

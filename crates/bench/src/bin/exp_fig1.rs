@@ -67,7 +67,8 @@ fn main() {
     );
     for bits in [64u32, 128, 256, 1024] {
         use goldfinger_core::bits::{and_count_words, BitArray};
-        use goldfinger_core::shf::ShfStore;
+        use goldfinger_core::hash::DynHasher;
+        use goldfinger_core::shf::{ShfParams, ShfStore};
         let block_len = 128usize;
         let mk = |seed: u64| {
             let positions: Vec<u32> = (0..bits)
@@ -82,7 +83,7 @@ fn main() {
         // Row 0 is the query, rows 1..=block_len the block.
         let rows: Vec<BitArray> = (0..=block_len as u64).map(|s| mk(s + 1)).collect();
         let store = ShfStore::from_raw_parts(
-            bits,
+            ShfParams::new(bits, DynHasher::default()),
             rows.iter().map(BitArray::count_ones).collect(),
             rows.iter()
                 .flat_map(|r| r.words().iter().copied())

@@ -58,7 +58,7 @@ fn build_service(
     cfg: &ExperimentConfig,
     serve: &ServeConfig,
     registry: &Registry,
-) -> (KnnService<DynHasher>, Duration) {
+) -> (KnnService, Duration) {
     let params = ShfParams::new(cfg.bits, DynHasher::default());
     let t0 = Instant::now();
     let store = params.fingerprint_store(data.profiles());
@@ -116,7 +116,7 @@ impl OpSource {
     }
 }
 
-fn run_replay(svc: &KnnService<DynHasher>, serve: &ServeConfig, source: &OpSource) -> ServeRun {
+fn run_replay(svc: &KnnService, serve: &ServeConfig, source: &OpSource) -> ServeRun {
     let t0 = Instant::now();
     let outcome = if serve.threads > 1 {
         shared_pool(serve.threads).install(|| replay_stream(svc, source.stream()))

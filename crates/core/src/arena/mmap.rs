@@ -90,39 +90,35 @@ unsafe impl Send for MmapWords {}
 unsafe impl Sync for MmapWords {}
 
 impl MmapWords {
-    /// Creates (or truncates) `path` as a zero-filled file of `len` words
-    /// and maps it read-write.
-    pub fn create(path: impl Into<PathBuf>, len: usize) -> io::Result<MmapWords> {
-        let path = path.into();
+    /// Maps the `len` words at byte `at` of `path` read-write; `at` must be
+    /// a multiple of the page size. With `create`, `path` is created (or
+    /// truncated) as a zero-filled file that ends right after the words;
+    /// otherwise the existing file must end there.
+    pub fn open(path: &Path, at: u64, len: usize, create: bool) -> io::Result<MmapWords> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        file.set_len((len * 8) as u64)?;
-        Self::map(&file, len, path)
-    }
-
-    /// Maps an existing word file read-write. The file length must be a
-    /// multiple of 8 bytes.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<MmapWords> {
-        let path = path.into();
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
+            .create(create)
+            .truncate(create)
+            .open(path)?;
         let bytes = file.metadata()?.len();
-        if bytes % 8 != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}: length {bytes} is not a whole number of words",
-                    path.display()
-                ),
-            ));
+        match (len as u64).checked_mul(8).and_then(|b| b.checked_add(at)) {
+            Some(end) if create => file.set_len(end)?,
+            Some(end) if end == bytes => {}
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: length {bytes}, expected {len} words at byte {at}",
+                        path.display()
+                    ),
+                ))
+            }
         }
-        Self::map(&file, (bytes / 8) as usize, path)
+        Self::map(&file, at, len, path.to_path_buf())
     }
 
-    fn map(file: &std::fs::File, len: usize, path: PathBuf) -> io::Result<MmapWords> {
+    fn map(file: &std::fs::File, at: u64, len: usize, path: PathBuf) -> io::Result<MmapWords> {
         if len == 0 {
             return Ok(MmapWords {
                 ptr: NonNull::dangling(),
@@ -130,7 +126,7 @@ impl MmapWords {
                 path,
             });
         }
-        // SAFETY: fd is a valid open file of at least len*8 bytes; a
+        // SAFETY: fd is a valid open file of at least at + len*8 bytes; a
         // MAP_SHARED read-write mapping of it has no aliasing requirements
         // beyond the usual "don't map the same file twice and race", which
         // ownership of the path enforces by convention.
@@ -141,7 +137,7 @@ impl MmapWords {
                 sys::PROT_READ | sys::PROT_WRITE,
                 sys::MAP_SHARED,
                 file.as_raw_fd(),
-                0,
+                at as std::os::raw::c_long,
             )
         };
         if raw as isize == -1 {
@@ -272,7 +268,7 @@ mod tests {
     fn create_write_reopen_round_trips() {
         let path = tmp("roundtrip");
         {
-            let mut m = MmapWords::create(&path, 1000).unwrap();
+            let mut m = MmapWords::open(&path, 0, 1000, true).unwrap();
             assert_eq!(m.len(), 1000);
             assert!(m.iter().all(|&w| w == 0), "fresh mapping must be zeroed");
             for (i, w) in m.iter_mut().enumerate() {
@@ -280,12 +276,31 @@ mod tests {
             }
             m.sync().unwrap();
         }
-        let back = MmapWords::open(&path).unwrap();
+        let back = MmapWords::open(&path, 0, 1000, false).unwrap();
         assert_eq!(back.len(), 1000);
         for (i, &w) in back.iter().enumerate() {
             assert_eq!(w, (i as u64).wrapping_mul(0x9E37_79B9));
         }
         drop(back);
+        // The length must match exactly.
+        assert!(MmapWords::open(&path, 0, 999, false).is_err());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn words_map_behind_a_page_aligned_offset() {
+        let path = tmp("offset");
+        let at = page_size() as u64;
+        {
+            let mut m = MmapWords::open(&path, at, 10, true).unwrap();
+            m[9] = 0xABCD;
+            m.sync().unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len() as u64, at + 80);
+        assert!(bytes[..at as usize].iter().all(|&b| b == 0));
+        assert_eq!(MmapWords::open(&path, at, 10, false).unwrap()[9], 0xABCD);
+        assert!(MmapWords::open(&path, at / 2, 10 + at as usize / 16, false).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -294,7 +309,7 @@ mod tests {
         let path = tmp("aligned");
         // Concurrent tests also map arenas, so assert on deltas with slack.
         let before = mapped_arena_bytes();
-        let m = MmapWords::create(&path, 64).unwrap();
+        let m = MmapWords::open(&path, 0, 64, true).unwrap();
         assert_eq!(m.as_ptr() as usize % crate::arena::CACHE_LINE, 0);
         let held = mapped_arena_bytes();
         assert!(held >= before + 512);
@@ -307,7 +322,7 @@ mod tests {
     fn advise_dontneed_preserves_data() {
         let path = tmp("advise");
         let words = 3 * page_size() / 8;
-        let mut m = MmapWords::create(&path, words).unwrap();
+        let mut m = MmapWords::open(&path, 0, words, true).unwrap();
         for (i, w) in m.iter_mut().enumerate() {
             *w = i as u64 + 7;
         }
@@ -326,11 +341,11 @@ mod tests {
     #[test]
     fn empty_and_errors() {
         let path = tmp("empty");
-        let m = MmapWords::create(&path, 0).unwrap();
+        let m = MmapWords::open(&path, 0, 0, true).unwrap();
         assert!(m.is_empty());
         m.sync().unwrap();
         drop(m);
         std::fs::remove_file(&path).unwrap();
-        assert!(MmapWords::open(tmp("missing-file")).is_err());
+        assert!(MmapWords::open(&tmp("missing-file"), 0, 0, false).is_err());
     }
 }

@@ -203,36 +203,24 @@ impl ArenaBackend {
         ArenaBackend::Heap(AlignedWords::zeroed(len))
     }
 
-    /// Creates a zeroed spill arena of `len` words backed by `path`.
+    /// Maps `len` words at byte `at` (a multiple of the page size) of the
+    /// spill file `path`: a new zero-filled file with `create`, otherwise
+    /// an existing file that must end right after the words.
     ///
     /// Returns an `Unsupported` error on platforms without the mmap
     /// backend instead of quietly allocating on the heap: a caller asking
     /// to spill is making a memory-budget promise this module must not
     /// break silently.
-    pub fn spill(path: &Path, len: usize) -> std::io::Result<ArenaBackend> {
+    pub fn spill(path: &Path, at: u64, len: usize, create: bool) -> std::io::Result<ArenaBackend> {
         #[cfg(target_os = "linux")]
         {
-            Ok(ArenaBackend::Mmap(mmap::MmapWords::create(path, len)?))
+            Ok(ArenaBackend::Mmap(mmap::MmapWords::open(
+                path, at, len, create,
+            )?))
         }
         #[cfg(not(target_os = "linux"))]
         {
-            let _ = (path, len);
-            Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "spill arena backend requires Linux",
-            ))
-        }
-    }
-
-    /// Maps an existing spill file created by [`ArenaBackend::spill`].
-    pub fn open_spill(path: &Path) -> std::io::Result<ArenaBackend> {
-        #[cfg(target_os = "linux")]
-        {
-            Ok(ArenaBackend::Mmap(mmap::MmapWords::open(path)?))
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let _ = path;
+            let _ = (path, at, len, create);
             Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
                 "spill arena backend requires Linux",

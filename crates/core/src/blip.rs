@@ -93,7 +93,7 @@ impl BlipStore {
             data.extend(row);
         }
         BlipStore {
-            store: ShfStore::from_raw_parts(b, cards, data),
+            store: ShfStore::from_raw_parts(*store.params(), cards, data),
             flip_prob: p,
         }
     }

@@ -198,7 +198,7 @@ pub enum HasherKind {
 /// A dynamically selected hasher. Implements [`ItemHasher`] by dispatching
 /// on the kind; the indirection is one predictable branch and does not affect
 /// fingerprint-construction throughput measurably.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynHasher {
     kind: HasherKind,
     seed: u64,
@@ -213,6 +213,11 @@ impl DynHasher {
     /// The kind of this hasher.
     pub fn kind(&self) -> HasherKind {
         self.kind
+    }
+
+    /// The seed of this hasher.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 }
 

@@ -34,7 +34,7 @@
 //! - [`hash`] — item hash functions (Jenkins' hash is the paper's choice).
 //! - [`kernels`] — runtime-dispatched SIMD popcount kernels (`GF_KERNEL`).
 //! - [`profile`] — explicit sorted-set profiles and their packed store.
-//! - [`serial`] — versioned binary persistence with integrity checks.
+//! - [`serial`] — the versioned fingerprint store file, with integrity checks.
 //! - [`shf`] — Single Hash Fingerprints and the packed fingerprint store.
 //! - [`similarity`] — the provider abstraction KNN algorithms consume.
 //! - [`topk`] — bounded top-k selection (`argtopk` of the paper).
@@ -67,9 +67,7 @@ pub use hash::{DynHasher, HasherKind, ItemHasher, JenkinsOneAtATime};
 pub use kernels::{KernelStats, SimKernel};
 pub use pool::{Pool, PoolStats};
 pub use profile::{ItemId, Profile, ProfileStore, UserId};
-pub use serial::{
-    read_profile_store, read_shf_store, write_profile_store, write_shf_store, DecodeError,
-};
+pub use serial::{read_store, write_store, DecodeError};
 pub use shf::{Shf, ShfParams, ShfStore};
 pub use similarity::{ExplicitCosine, ExplicitJaccard, ShfCosine, ShfJaccard, Similarity};
 pub use topk::{Scored, TopK};

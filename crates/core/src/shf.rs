@@ -21,12 +21,15 @@ use crate::kernels;
 use crate::parallel::{par_fill_users, par_map_chunks, par_map_indexed};
 use crate::pool::Pool;
 use crate::profile::{ItemId, ProfileStore};
-use std::io::{self, Read, Write};
+use crate::serial::{self, DecodeError};
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufReader, BufWriter};
 use std::path::Path;
 
 /// Parameters of a fingerprinting scheme: the fingerprint width `b` and the
-/// item hash function.
-#[derive(Debug, Clone, Copy)]
+/// item hash function. Every [`ShfStore`] carries the parameters that made
+/// it, and folds later items with them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShfParams<H = DynHasher> {
     bits: u32,
     hasher: H,
@@ -39,12 +42,12 @@ impl Default for ShfParams<DynHasher> {
     }
 }
 
-impl<H: ItemHasher> ShfParams<H> {
+impl ShfParams {
     /// Creates a scheme with `bits`-bit fingerprints and the given hasher.
     ///
     /// # Panics
     /// Panics if `bits == 0`.
-    pub fn new(bits: u32, hasher: H) -> Self {
+    pub fn new(bits: u32, hasher: DynHasher) -> Self {
         assert!(bits > 0, "fingerprint width must be positive");
         ShfParams { bits, hasher }
     }
@@ -57,15 +60,21 @@ impl<H: ItemHasher> ShfParams<H> {
 
     /// The item hasher.
     #[inline]
-    pub fn hasher(&self) -> &H {
+    pub fn hasher(&self) -> &DynHasher {
         &self.hasher
+    }
+
+    /// The bit `item` sets in a fingerprint.
+    #[inline]
+    pub fn bit_position(&self, item: ItemId) -> u32 {
+        self.hasher.bit_position(item as u64, self.bits)
     }
 
     /// Fingerprints one profile.
     pub fn fingerprint(&self, items: &[ItemId]) -> Shf {
         let mut bits = BitArray::zeroed(self.bits);
         for &it in items {
-            bits.set(self.hasher.bit_position(it as u64, self.bits));
+            bits.set(self.bit_position(it));
         }
         let card = bits.count_ones();
         Shf { bits, card }
@@ -110,7 +119,7 @@ impl<H: ItemHasher> ShfParams<H> {
             goldfinger_obs::trace::span_arg("phase", "fingerprinting", profiles.n_users() as u64);
         self.fill_store(profiles, |rows, row, items| {
             for &it in items {
-                rows.insert(row, it, &self.hasher);
+                rows.insert(row, it);
             }
         })
     }
@@ -124,7 +133,7 @@ impl<H: ItemHasher> ShfParams<H> {
         set_bits: impl Fn(&mut RowChunk, usize, &[ItemId]) + Sync,
     ) -> ShfStore {
         let threads = Pool::current().map_or(1, |p| p.threads());
-        let mut writer = ShfStreamWriter::new(self.bits, profiles.n_users());
+        let mut writer = ShfStreamWriter::new(*self, profiles.n_users());
         par_fill_users(
             profiles,
             threads,
@@ -153,12 +162,12 @@ impl<H: ItemHasher> ShfParams<H> {
 ///
 /// The arena can live on either [`ArenaBackend`]: [`ShfStreamWriter::new`]
 /// allocates it on the heap, [`ShfStreamWriter::new_spilled`] maps it
-/// straight onto its on-disk spill file, so a multi-GB ratings ingest
+/// straight onto the rows of a store file, so a multi-GB ratings ingest
 /// never holds the full arena as anonymous memory — the kernel writes
 /// back and evicts pages as it pleases.
 #[derive(Debug)]
 pub struct ShfStreamWriter {
-    bits: u32,
+    params: ShfParams,
     words_per_fp: usize,
     row_words: usize,
     data: ArenaBackend,
@@ -166,61 +175,35 @@ pub struct ShfStreamWriter {
 }
 
 impl ShfStreamWriter {
-    /// Allocates a zeroed arena for `n_users` fingerprints of `bits` bits.
-    ///
-    /// # Panics
-    /// Panics if `bits == 0`.
-    pub fn new(bits: u32, n_users: usize) -> Self {
-        assert!(bits > 0, "fingerprint width must be positive");
-        let words_per_fp = BitArray::words_for(bits);
-        let row_words = row_words_for(words_per_fp);
-        ShfStreamWriter {
-            bits,
-            words_per_fp,
-            row_words,
-            data: ArenaBackend::heap(row_words * n_users),
-            n: n_users,
-        }
+    /// Allocates a zeroed arena for `n_users` fingerprints made with
+    /// `params`.
+    pub fn new(params: ShfParams, n_users: usize) -> Self {
+        Self::with_arena(params, n_users, |len| Ok(ArenaBackend::heap(len)))
+            .expect("heap arenas do not fail")
     }
 
-    /// Like [`ShfStreamWriter::new`], but the arena is created directly in
-    /// its on-disk spill form inside `dir` (see [`ShfStore::spill_to`] for
-    /// the layout). [`ShfStreamWriter::finish`] seals the store on the
-    /// same backend and writes the store's metadata sidecar, so the
-    /// directory is immediately reopenable with [`ShfStore::open_spilled`].
-    ///
-    /// # Panics
-    /// Panics if `bits == 0`.
-    pub fn new_spilled(bits: u32, n_users: usize, dir: &Path) -> std::io::Result<Self> {
-        assert!(bits > 0, "fingerprint width must be positive");
-        std::fs::create_dir_all(dir)?;
-        let words_per_fp = BitArray::words_for(bits);
+    /// Like [`ShfStreamWriter::new`], but the arena is the rows of a new
+    /// store file at `path` (see [`crate::serial`]), mapped in place.
+    /// [`ShfStreamWriter::finish`] writes the file's head, so the file
+    /// reopens with [`ShfStore::open_spilled`] or [`serial::read_store`].
+    pub fn new_spilled(params: ShfParams, n_users: usize, path: &Path) -> io::Result<Self> {
+        Self::with_arena(params, n_users, |len| map_rows(path, n_users, len, true))
+    }
+
+    fn with_arena(
+        params: ShfParams,
+        n: usize,
+        arena: impl FnOnce(usize) -> io::Result<ArenaBackend>,
+    ) -> io::Result<Self> {
+        let words_per_fp = BitArray::words_for(params.bits());
         let row_words = row_words_for(words_per_fp);
         Ok(ShfStreamWriter {
-            bits,
+            params,
             words_per_fp,
             row_words,
-            data: ArenaBackend::spill(&dir.join(ARENA_FILE), row_words * n_users)?,
-            n: n_users,
+            data: arena(row_words * n)?,
+            n,
         })
-    }
-
-    /// Backend name of the arena being written (`"heap"` / `"mmap"`).
-    #[inline]
-    pub fn backend_kind(&self) -> &'static str {
-        self.data.kind()
-    }
-
-    /// Number of rows the arena was sized for.
-    #[inline]
-    pub fn n_users(&self) -> usize {
-        self.n
-    }
-
-    /// Fingerprint width in bits.
-    #[inline]
-    pub fn width(&self) -> u32 {
-        self.bits
     }
 
     /// ORs one batch of `(row, item)` associations into the arena: items
@@ -229,18 +212,18 @@ impl ShfStreamWriter {
     ///
     /// # Panics
     /// Panics if a row is out of range.
-    pub fn ingest_batch<H: ItemHasher>(&mut self, batch: &[(u32, ItemId)], hasher: &H) {
+    pub fn ingest_batch(&mut self, batch: &[(u32, ItemId)]) {
         if batch.is_empty() {
             return;
         }
         let _t = goldfinger_obs::trace::span_arg("phase", "stream_ingest", batch.len() as u64);
         let threads = Pool::current().map_or(1, |p| p.threads());
-        let bits = self.bits;
+        let params = self.params;
         let n = self.n;
         let positions: Vec<(u32, u32)> = par_map_indexed(batch.len(), threads, |i| {
             let (row, it) = batch[i];
             assert!((row as usize) < n, "row {row} out of range");
-            (row, hasher.bit_position(it as u64, bits))
+            (row, params.bit_position(it))
         });
         let per = n.div_ceil(threads.max(1)).max(1);
         let mut stripes: Vec<RowChunk> = self.row_chunks_mut(per).collect();
@@ -268,11 +251,11 @@ impl ShfStreamWriter {
     /// Panics if `users == 0`.
     pub fn row_chunks_mut(&mut self, users: usize) -> impl Iterator<Item = RowChunk<'_>> {
         assert!(users > 0, "chunks need at least one row");
-        let (bits, row_words) = (self.bits, self.row_words);
+        let (params, row_words) = (self.params, self.row_words);
         self.data
             .chunks_mut(users * row_words)
             .map(move |words| RowChunk {
-                bits,
+                params,
                 row_words,
                 words,
             })
@@ -282,15 +265,14 @@ impl ShfStreamWriter {
     /// cardinality with one parallel popcount sweep. This is the one place
     /// a freshly filled arena becomes a store.
     ///
-    /// A spilled writer ([`ShfStreamWriter::new_spilled`]) seals onto the
-    /// same backend: the mapping is synced and the metadata sidecar is
-    /// written next to the arena file, leaving a complete on-disk store.
-    /// A failed sync or sidecar write is returned; a heap writer never
+    /// A spilled writer ([`ShfStreamWriter::new_spilled`]) seals its store
+    /// file: the mapping is synced and the head is written in front of the
+    /// rows. A failed sync or write is returned; a heap writer never
     /// fails.
     pub fn finish(self) -> io::Result<ShfStore> {
         let threads = Pool::current().map_or(1, |p| p.threads());
         let ShfStreamWriter {
-            bits,
+            params,
             words_per_fp,
             row_words,
             data,
@@ -302,14 +284,8 @@ impl ShfStreamWriter {
                 .map(|w| w.count_ones())
                 .sum()
         });
-        let store = ShfStore {
-            bits,
-            words_per_fp,
-            row_words,
-            data,
-            cards,
-        };
-        store.seal_spill()?;
+        let store = ShfStore::from_arena(params, data, cards);
+        store.seal()?;
         Ok(store)
     }
 }
@@ -318,7 +294,7 @@ impl ShfStreamWriter {
 /// [`ShfStreamWriter::row_chunks_mut`].
 #[derive(Debug)]
 pub struct RowChunk<'a> {
-    bits: u32,
+    params: ShfParams,
     row_words: usize,
     words: &'a mut [u64],
 }
@@ -330,8 +306,8 @@ impl RowChunk<'_> {
     /// # Panics
     /// Panics if `row` is past the chunk's end.
     #[inline]
-    pub fn insert<H: ItemHasher>(&mut self, row: usize, item: ItemId, hasher: &H) {
-        self.set(row, hasher.bit_position(item as u64, self.bits));
+    pub fn insert(&mut self, row: usize, item: ItemId) {
+        self.set(row, self.params.bit_position(item));
     }
 
     /// ORs bit `pos` (below the fingerprint width) into row `row` of this
@@ -341,7 +317,10 @@ impl RowChunk<'_> {
     /// Panics if `row` is past the chunk's end.
     #[inline]
     pub(crate) fn set(&mut self, row: usize, pos: u32) {
-        debug_assert!(pos < self.bits, "bit {pos} past the fingerprint width");
+        debug_assert!(
+            pos < self.params.bits(),
+            "bit {pos} past the fingerprint width"
+        );
         self.words[row * self.row_words + (pos / 64) as usize] |= 1u64 << (pos % 64);
     }
 }
@@ -439,14 +418,19 @@ pub(crate) fn cosine_from_counts(intersection: u32, c1: u32, c2: u32) -> f64 {
 /// enough for the intermediate counts to live on the stack.
 const GATHER_CHUNK: usize = 64;
 
-/// Name of the raw arena file inside a spill directory.
-pub const ARENA_FILE: &str = "arena.words";
-/// Name of the metadata sidecar inside a spill directory.
-pub const ARENA_META_FILE: &str = "arena.meta";
-/// Magic of the spill metadata sidecar.
-const ARENA_META_MAGIC: [u8; 4] = *b"GFAM";
-/// Version of the spill metadata sidecar layout.
-const ARENA_META_VERSION: u32 = 1;
+/// Maps the rows of the store file of `n` fingerprints at `path` (a new
+/// file of `len` zero words of rows with `create`). The file's
+/// little-endian words are used as they lie, so mapping needs a
+/// little-endian host.
+fn map_rows(path: &Path, n: usize, len: usize, create: bool) -> io::Result<ArenaBackend> {
+    if cfg!(target_endian = "big") {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "store files are mapped only on little-endian hosts",
+        ));
+    }
+    ArenaBackend::spill(path, serial::rows_offset(n), len, create)
+}
 
 /// All users' fingerprints packed into one cache-line-aligned arena.
 ///
@@ -458,15 +442,18 @@ const ARENA_META_VERSION: u32 = 1;
 /// algorithm scans; batched lookups go through the runtime-dispatched
 /// [`crate::kernels`].
 ///
-/// The arena lives on an [`ArenaBackend`]: the heap by default, or a
-/// file-backed mapping after [`ShfStore::spill_to`] /
+/// The store carries the [`ShfParams`] that made it, so later folds
+/// ([`ShfStore::apply_deltas`]) hash with the same width and hasher.
+///
+/// The arena lives on an [`ArenaBackend`]: the heap by default, or the
+/// mapped rows of a store file after [`ShfStore::spill_to`] /
 /// [`ShfStore::open_spilled`]. Every accessor — `fingerprint_words`, the
 /// batched gather kernels, the delta writers — is backend-agnostic; the
 /// only observable difference is residency, which
 /// [`ShfStore::advise_cold_rows`] lets out-of-core builds manage.
 #[derive(Debug, Clone)]
 pub struct ShfStore {
-    bits: u32,
+    params: ShfParams,
     words_per_fp: usize,
     row_words: usize,
     data: ArenaBackend,
@@ -474,24 +461,43 @@ pub struct ShfStore {
 }
 
 impl ShfStore {
-    /// Reassembles a store from raw parts (the inverse of
-    /// [`ShfStore::fingerprint_words`] / [`ShfStore::cardinality`] dumps,
-    /// used by [`crate::serial`]). `data` is *unpadded* — `words_per_fp`
-    /// words per fingerprint, back to back, the wire layout — and is
-    /// repacked into the aligned padded arena here.
+    /// Wraps a filled arena of padded rows and its cached cardinalities.
+    ///
+    /// # Panics
+    /// Panics if the arena length does not match the population and width.
+    pub(crate) fn from_arena(params: ShfParams, data: ArenaBackend, cards: Vec<u32>) -> Self {
+        let words_per_fp = BitArray::words_for(params.bits());
+        let row_words = row_words_for(words_per_fp);
+        assert_eq!(
+            data.len(),
+            row_words * cards.len(),
+            "arena length does not match population and width"
+        );
+        ShfStore {
+            params,
+            words_per_fp,
+            row_words,
+            data,
+            cards,
+        }
+    }
+
+    /// Reassembles a store made with `params` from raw parts (the inverse
+    /// of [`ShfStore::fingerprint_words`] / [`ShfStore::cardinality`]
+    /// dumps, used by BLIP's flipped rows and by benches). `data` is
+    /// *unpadded* — `words_per_fp` words per fingerprint, back to back —
+    /// and is repacked into the aligned padded arena here.
     ///
     /// Cached cardinalities are verified against their bit arrays in debug
-    /// builds only: the full popcount pass is an O(n·w) tax on every
-    /// release-mode load, and [`crate::serial::read_shf_store`] already
-    /// validates untrusted bytes at the integrity boundary. Dimensions are
+    /// builds only: callers pass trusted data, and untrusted bytes go
+    /// through [`serial::read_store`], which checks them. Dimensions are
     /// still checked in release.
     ///
     /// # Panics
     /// Panics if the dimensions are inconsistent, or (debug builds) if a
     /// cached cardinality does not match its bit array.
-    pub fn from_raw_parts(bits: u32, cards: Vec<u32>, data: Vec<u64>) -> Self {
-        assert!(bits > 0, "fingerprint width must be positive");
-        let words_per_fp = BitArray::words_for(bits);
+    pub fn from_raw_parts(params: ShfParams, cards: Vec<u32>, data: Vec<u64>) -> Self {
+        let words_per_fp = BitArray::words_for(params.bits());
         assert_eq!(
             data.len(),
             cards.len() * words_per_fp,
@@ -508,65 +514,30 @@ impl ShfStore {
         for (u, fp) in data.chunks_exact(words_per_fp).enumerate() {
             arena[u * row_words..u * row_words + words_per_fp].copy_from_slice(fp);
         }
-        ShfStore {
-            bits,
-            words_per_fp,
-            row_words,
-            data: arena.into(),
-            cards,
-        }
+        ShfStore::from_arena(params, arena.into(), cards)
     }
 
-    /// Copies the store into its on-disk spill form inside `dir` and
-    /// returns the spilled store (the receiver is untouched).
-    ///
-    /// Layout: `dir/arena.words` holds the padded arena rows verbatim —
-    /// the mapped file *is* the working representation, there is no
-    /// separate serialization — and `dir/arena.meta` is a small sidecar
-    /// (magic `GFAM`, version, width, population, cached cardinalities)
-    /// from which [`ShfStore::open_spilled`] can rebuild the store.
-    pub fn spill_to(&self, dir: &Path) -> io::Result<ShfStore> {
-        std::fs::create_dir_all(dir)?;
-        let mut arena = ArenaBackend::spill(&dir.join(ARENA_FILE), self.data.len())?;
-        arena.copy_from_slice(&self.data);
-        arena.sync()?;
-        let store = ShfStore {
-            bits: self.bits,
-            words_per_fp: self.words_per_fp,
-            row_words: self.row_words,
-            data: arena,
-            cards: self.cards.clone(),
-        };
-        store.write_spill_meta(dir)?;
+    /// Copies the store into a new store file at `path` (see
+    /// [`crate::serial`]) and returns the store mapped from it (the
+    /// receiver is untouched). The mapped rows *are* the working arena;
+    /// there is no separate serialization step.
+    pub fn spill_to(&self, path: &Path) -> io::Result<ShfStore> {
+        let mut data = map_rows(path, self.len(), self.data.len(), true)?;
+        data.copy_from_slice(&self.data);
+        let store = ShfStore::from_arena(self.params, data, self.cards.clone());
+        store.seal()?;
         Ok(store)
     }
 
-    /// Reopens a store spilled with [`ShfStore::spill_to`] (or sealed by a
-    /// spilled [`ShfStreamWriter`]): the arena file is mapped in place —
-    /// no bytes are copied — and the sidecar restores width and
-    /// cardinalities.
-    pub fn open_spilled(dir: &Path) -> io::Result<ShfStore> {
-        let (bits, cards) = read_spill_meta(&dir.join(ARENA_META_FILE))?;
-        let data = ArenaBackend::open_spill(&dir.join(ARENA_FILE))?;
-        let words_per_fp = BitArray::words_for(bits);
-        let row_words = row_words_for(words_per_fp);
-        if data.len() != row_words * cards.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "arena file holds {} words, metadata implies {}",
-                    data.len(),
-                    row_words * cards.len()
-                ),
-            ));
-        }
-        Ok(ShfStore {
-            bits,
-            words_per_fp,
-            row_words,
-            data,
-            cards,
-        })
+    /// Maps the store file at `path` (written by [`ShfStore::spill_to`],
+    /// a spilled [`ShfStreamWriter`] or [`serial::write_store`]) in place:
+    /// no bytes are copied. The head is checked as by
+    /// [`serial::read_store`]; the rows' popcounts are not, since that
+    /// would fault in the whole file.
+    pub fn open_spilled(path: &Path) -> Result<ShfStore, DecodeError> {
+        let head = serial::read_head(&mut BufReader::new(File::open(path)?))?;
+        let data = map_rows(path, head.cards.len(), head.arena_words, false)?;
+        Ok(ShfStore::from_arena(head.params, data, head.cards))
     }
 
     /// Backend name of the arena (`"heap"` / `"mmap"`), for reports.
@@ -595,33 +566,30 @@ impl ShfStore {
             .advise_cold(lo * self.row_words, hi * self.row_words)
     }
 
-    /// Writes the metadata sidecar for a spilled arena into `dir`.
-    fn write_spill_meta(&self, dir: &Path) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(20 + self.cards.len() * 4);
-        buf.extend_from_slice(&ARENA_META_MAGIC);
-        buf.extend_from_slice(&ARENA_META_VERSION.to_le_bytes());
-        buf.extend_from_slice(&self.bits.to_le_bytes());
-        buf.extend_from_slice(&(self.cards.len() as u64).to_le_bytes());
-        for &c in &self.cards {
-            buf.extend_from_slice(&c.to_le_bytes());
-        }
-        let mut f = std::fs::File::create(dir.join(ARENA_META_FILE))?;
-        f.write_all(&buf)?;
-        f.sync_all()
-    }
-
-    /// Completes a spilled store's on-disk form: syncs the mapping and
-    /// writes the sidecar next to the arena file. No-op on the heap.
-    fn seal_spill(&self) -> io::Result<()> {
+    /// Completes a mapped store's file: syncs the rows and writes the head
+    /// in front of them. No-op on the heap.
+    fn seal(&self) -> io::Result<()> {
         let Some(path) = self.data.spill_path() else {
             return Ok(());
         };
-        let dir = path
-            .parent()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "arena file has no parent"))?
-            .to_path_buf();
         self.data.sync()?;
-        self.write_spill_meta(&dir)
+        let mut file = BufWriter::new(OpenOptions::new().write(true).open(path)?);
+        serial::write_head(&mut file, &self.params, &self.cards)?;
+        file.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()
+    }
+
+    /// The parameters that made the store: width and hasher.
+    #[inline]
+    pub fn params(&self) -> &ShfParams {
+        &self.params
+    }
+
+    /// Every cached cardinality, in user order.
+    #[inline]
+    pub(crate) fn cards(&self) -> &[u32] {
+        &self.cards
     }
 
     /// Number of fingerprints.
@@ -639,7 +607,7 @@ impl ShfStore {
     /// Fingerprint width in bits.
     #[inline]
     pub fn width(&self) -> u32 {
-        self.bits
+        self.params.bits()
     }
 
     /// Words per fingerprint (`ceil(bits / 64)`).
@@ -748,8 +716,9 @@ impl ShfStore {
         }
     }
 
-    /// Folds fresh items into fingerprint `u` in place — the
-    /// delta-fingerprinting primitive: bits are OR-ed directly into the
+    /// Folds fresh items into fingerprint `u` in place, hashed with the
+    /// store's own [`ShfParams`] — the delta-fingerprinting primitive:
+    /// bits are OR-ed directly into the
     /// arena row and the cached cardinality is maintained incrementally,
     /// so a profile-growth update costs `O(|added_items|)` instead of
     /// refingerprinting the whole profile. Returns the number of bits
@@ -760,19 +729,9 @@ impl ShfStore {
     ///
     /// # Panics
     /// Panics if `u` is out of range.
-    pub fn apply_delta<H: ItemHasher>(
-        &mut self,
-        u: u32,
-        added_items: &[ItemId],
-        hasher: &H,
-    ) -> u32 {
-        let bits = self.bits;
-        self.or_new_bits(
-            u,
-            added_items
-                .iter()
-                .map(|&it| hasher.bit_position(it as u64, bits)),
-        )
+    pub fn apply_delta(&mut self, u: u32, added_items: &[ItemId]) -> u32 {
+        let params = self.params;
+        self.or_new_bits(u, added_items.iter().map(|&it| params.bit_position(it)))
     }
 
     /// Applies a batch of deltas: hashes every delta's items in parallel
@@ -788,18 +747,14 @@ impl ShfStore {
     ///
     /// # Panics
     /// Panics if any user id is out of range.
-    pub fn apply_deltas<H: ItemHasher + Sync>(
-        &mut self,
-        deltas: &[(u32, Vec<ItemId>)],
-        hasher: &H,
-    ) -> u32 {
+    pub fn apply_deltas(&mut self, deltas: &[(u32, Vec<ItemId>)]) -> u32 {
         let threads = Pool::current().map_or(1, |p| p.threads());
-        let bits = self.bits;
+        let params = self.params;
         let positions: Vec<Vec<u32>> = par_map_indexed(deltas.len(), threads, |i| {
             deltas[i]
                 .1
                 .iter()
-                .map(|&it| hasher.bit_position(it as u64, bits))
+                .map(|&it| params.bit_position(it))
                 .collect()
         });
         deltas
@@ -831,8 +786,8 @@ impl ShfStore {
 
     /// Extracts fingerprint `u` as an owned [`Shf`] (for inspection/tests).
     pub fn get(&self, u: u32) -> Shf {
-        let mut bits = BitArray::zeroed(self.bits);
-        for pos in 0..self.bits {
+        let mut bits = BitArray::zeroed(self.width());
+        for pos in 0..self.width() {
             let w = self.fingerprint_words(u)[(pos / 64) as usize];
             if (w >> (pos % 64)) & 1 == 1 {
                 bits.set(pos);
@@ -847,37 +802,6 @@ impl ShfStore {
     pub fn bytes_per_comparison(&self) -> u64 {
         2 * (self.words_per_fp as u64 * 8 + 4)
     }
-}
-
-/// Parses a spill metadata sidecar: `(bits, cards)`.
-fn read_spill_meta(path: &Path) -> io::Result<(u32, Vec<u32>)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut f = std::fs::File::open(path)?;
-    let mut head = [0u8; 20];
-    f.read_exact(&mut head)
-        .map_err(|_| bad("truncated arena metadata"))?;
-    if head[0..4] != ARENA_META_MAGIC {
-        return Err(bad("bad arena metadata magic"));
-    }
-    if u32::from_le_bytes(head[4..8].try_into().unwrap()) != ARENA_META_VERSION {
-        return Err(bad("unsupported arena metadata version"));
-    }
-    let bits = u32::from_le_bytes(head[8..12].try_into().unwrap());
-    if bits == 0 {
-        return Err(bad("zero fingerprint width"));
-    }
-    let n = u64::from_le_bytes(head[12..20].try_into().unwrap());
-    let n = usize::try_from(n).map_err(|_| bad("population overflows usize"))?;
-    let mut raw = Vec::new();
-    f.read_to_end(&mut raw)?;
-    if raw.len() != n * 4 {
-        return Err(bad("cardinality table length mismatch"));
-    }
-    let cards = raw
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    Ok((bits, cards))
 }
 
 #[cfg(test)]
@@ -1022,14 +946,14 @@ mod tests {
             check(p.fingerprint_store(&profiles), "no pool");
             for threads in 1..=4 {
                 let fill = || {
-                    let mut w = ShfStreamWriter::new(p.bits(), n);
+                    let mut w = ShfStreamWriter::new(p, n);
                     par_fill_users(
                         &profiles,
                         threads,
                         |size| w.row_chunks_mut(size),
                         |rows, row, items| {
                             for &it in items {
-                                rows.insert(row, it, p.hasher());
+                                rows.insert(row, it);
                             }
                         },
                     );
@@ -1061,14 +985,14 @@ mod tests {
         let p = params(200); // not a multiple of 64: rows carry padding
         let want = p.fingerprint_store(&profiles);
         for users in [1usize, 4, 10, 53, 100] {
-            let mut w = ShfStreamWriter::new(p.bits(), profiles.n_users());
+            let mut w = ShfStreamWriter::new(p, profiles.n_users());
             let mut chunks: Vec<RowChunk> = w.row_chunks_mut(users).collect();
             assert_eq!(chunks.len(), profiles.n_users().div_ceil(users));
             // Last chunk first: the order of the writes must not matter.
             for (c, chunk) in chunks.iter_mut().enumerate().rev() {
                 for row in 0..users.min(profiles.n_users() - c * users) {
                     for &it in profiles.items((c * users + row) as u32) {
-                        chunk.insert(row, it, p.hasher());
+                        chunk.insert(row, it);
                     }
                 }
             }
@@ -1104,12 +1028,12 @@ mod tests {
         let batch = p.fingerprint_store(&ProfileStore::from_item_lists(vec![items.clone()]));
         let mut incremental = p.fingerprint_store(&ProfileStore::from_item_lists(vec![vec![]]));
         for &it in &items {
-            incremental.apply_delta(0, &[it], p.hasher());
+            incremental.apply_delta(0, &[it]);
         }
         assert_eq!(incremental.data, batch.data);
         assert_eq!(incremental.cards, batch.cards);
         // Re-inserting is a no-op reported as a collision.
-        assert_eq!(incremental.apply_delta(0, &items[..1], p.hasher()), 0);
+        assert_eq!(incremental.apply_delta(0, &items[..1]), 0);
         assert_eq!(incremental.cards, batch.cards);
     }
 
@@ -1236,7 +1160,7 @@ mod tests {
         let mut delta = p.fingerprint_store(&ProfileStore::from_item_lists(lists.clone()));
         let before = delta.cardinality(1);
         let fresh: Vec<u32> = (1000..1030).chain(0..5).chain(10..15).collect(); // new + present
-        let added = delta.apply_delta(1, &fresh, p.hasher());
+        let added = delta.apply_delta(1, &fresh);
         // From scratch: the deduplicated union profile, fingerprinted anew.
         lists[1].extend(&fresh);
         let scratch = p.fingerprint_store(&ProfileStore::from_item_lists(lists));
@@ -1245,7 +1169,7 @@ mod tests {
         assert_eq!(added, scratch.cardinality(1) - before);
         assert!(added > 0);
         // Re-inserting is a no-op.
-        assert_eq!(delta.apply_delta(1, &fresh, p.hasher()), 0);
+        assert_eq!(delta.apply_delta(1, &fresh), 0);
     }
 
     #[test]
@@ -1257,7 +1181,7 @@ mod tests {
         let base: Vec<u32> = (0..30).collect();
         let mut store = p.fingerprint_store(&ProfileStore::from_item_lists(vec![base.clone()]));
         let delta = [500u32, 500, 501, 5, 501, 500, 5];
-        let added = store.apply_delta(0, &delta, p.hasher());
+        let added = store.apply_delta(0, &delta);
         let mut union = base;
         union.extend([500, 501]); // 5 was already present
         let scratch = p.fingerprint(&union);
@@ -1283,11 +1207,11 @@ mod tests {
         let mut reference = base.clone();
         let mut expect_added = 0u32;
         for (u, items) in &deltas {
-            expect_added += reference.apply_delta(*u, items, p.hasher());
+            expect_added += reference.apply_delta(*u, items);
         }
         for threads in [1usize, 4] {
             let mut batched = base.clone();
-            let added = Pool::new(threads).install(|| batched.apply_deltas(&deltas, p.hasher()));
+            let added = Pool::new(threads).install(|| batched.apply_deltas(&deltas));
             assert_eq!(added, expect_added, "threads={threads}");
             assert_eq!(batched.data, reference.data, "threads={threads}");
             assert_eq!(batched.cards, reference.cards, "threads={threads}");
@@ -1304,7 +1228,7 @@ mod tests {
         let deltas: Vec<(u32, Vec<u32>)> = (0..7)
             .map(|u| (u, (u * 13 + 900..u * 13 + 930).collect()))
             .collect();
-        store.apply_deltas(&deltas, p.hasher());
+        store.apply_deltas(&deltas);
         for (u, items) in &deltas {
             lists[*u as usize].extend(items);
         }
@@ -1333,11 +1257,9 @@ mod tests {
         for threads in [1usize, 4] {
             for batch in [1usize, 8, 1000] {
                 let store = Pool::new(threads).install(|| {
-                    let mut w = ShfStreamWriter::new(320, lists.len());
-                    assert_eq!(w.n_users(), lists.len());
-                    assert_eq!(w.width(), 320);
+                    let mut w = ShfStreamWriter::new(p, lists.len());
                     for chunk in assoc.chunks(batch) {
-                        w.ingest_batch(chunk, p.hasher());
+                        w.ingest_batch(chunk);
                     }
                     w.finish().unwrap()
                 });
@@ -1352,14 +1274,17 @@ mod tests {
             }
         }
         // An empty population finishes into an empty store.
-        assert!(ShfStreamWriter::new(64, 0).finish().unwrap().is_empty());
+        assert!(ShfStreamWriter::new(params(64), 0)
+            .finish()
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     #[should_panic(expected = "row 2 out of range")]
     fn ingest_batch_rejects_out_of_range_rows() {
-        let mut w = ShfStreamWriter::new(64, 2);
-        w.ingest_batch(&[(0, 1), (2, 1)], params(64).hasher());
+        let mut w = ShfStreamWriter::new(params(64), 2);
+        w.ingest_batch(&[(0, 1), (2, 1)]);
     }
 
     #[test]
@@ -1371,7 +1296,7 @@ mod tests {
             data.extend_from_slice(store.fingerprint_words(u));
             cards.push(store.cardinality(u));
         }
-        let back = ShfStore::from_raw_parts(store.width(), cards, data);
+        let back = ShfStore::from_raw_parts(*store.params(), cards, data);
         assert_eq!(back.data, store.data);
         assert_eq!(back.cards, store.cards);
         assert_eq!(back.row_words(), store.row_words());
@@ -1380,22 +1305,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match")]
     fn from_raw_parts_rejects_bad_dimensions_in_release_too() {
-        let _ = ShfStore::from_raw_parts(128, vec![1, 1], vec![1u64; 3]);
+        let _ = ShfStore::from_raw_parts(params(128), vec![1, 1], vec![1u64; 3]);
     }
 
     #[cfg(target_os = "linux")]
-    fn spill_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("gf-shf-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn spill_file(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("gf-shf-{name}-{}.store", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn spill_round_trip_is_bit_identical_and_queryable() {
         let store = batch_fixture();
-        let dir = spill_dir("roundtrip");
-        let spilled = store.spill_to(&dir).unwrap();
+        let path = spill_file("roundtrip");
+        let spilled = store.spill_to(&path).unwrap();
         assert_eq!(spilled.backend_kind(), "mmap");
         assert!(spilled.is_spilled());
         assert!(!store.is_spilled());
@@ -1413,16 +1338,20 @@ mod tests {
         assert_eq!(spilled.data, store.data);
         // Reopening maps the same bytes, and a clone rematerializes on the
         // heap without aliasing the file.
-        let reopened = ShfStore::open_spilled(&dir).unwrap();
+        let reopened = ShfStore::open_spilled(&path).unwrap();
         assert_eq!(reopened.data, store.data);
         assert_eq!(reopened.cards, store.cards);
-        assert_eq!(reopened.width(), store.width());
+        assert_eq!(reopened.params, store.params);
         let clone = reopened.clone();
         assert_eq!(clone.backend_kind(), "heap");
         assert_eq!(clone.data, store.data);
         drop(spilled);
         drop(reopened);
-        std::fs::remove_dir_all(&dir).unwrap();
+        // `spill_to` and `write_store` write the same file.
+        let mut written = Vec::new();
+        serial::write_store(&store, &mut written).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), written);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[cfg(target_os = "linux")]
@@ -1433,55 +1362,68 @@ mod tests {
             .map(|u| ((u * 11)..(u * 11 + 3 + u % 13)).collect())
             .collect();
         let reference = p.fingerprint_store(&ProfileStore::from_item_lists(lists.clone()));
-        let dir = spill_dir("stream");
-        let mut w = ShfStreamWriter::new_spilled(320, lists.len(), &dir).unwrap();
-        assert_eq!(w.backend_kind(), "mmap");
+        let path = spill_file("stream");
+        let mut w = ShfStreamWriter::new_spilled(p, lists.len(), &path).unwrap();
         let assoc: Vec<(u32, u32)> = lists
             .iter()
             .enumerate()
             .flat_map(|(u, items)| items.iter().map(move |&it| (u as u32, it)))
             .collect();
         for chunk in assoc.chunks(7) {
-            w.ingest_batch(chunk, p.hasher());
+            w.ingest_batch(chunk);
         }
         let store = w.finish().unwrap();
         assert!(store.is_spilled());
         assert_eq!(store.data, reference.data);
         assert_eq!(store.cards, reference.cards);
-        // finish() already sealed the sidecar: the directory reopens cold.
+        // finish() already wrote the head: the file reopens cold.
         drop(store);
-        let reopened = ShfStore::open_spilled(&dir).unwrap();
+        let reopened = ShfStore::open_spilled(&path).unwrap();
         assert_eq!(reopened.data, reference.data);
         assert_eq!(reopened.cards, reference.cards);
+        assert_eq!(reopened.params, p);
         drop(reopened);
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn finish_returns_spill_errors() {
-        let dir = spill_dir("sealfail");
-        let w = ShfStreamWriter::new_spilled(64, 3, &dir).unwrap();
-        // The sidecar has nowhere to go.
-        std::fs::remove_dir_all(&dir).unwrap();
+        let path = spill_file("sealfail");
+        let w = ShfStreamWriter::new_spilled(params(64), 3, &path).unwrap();
+        // The head has nowhere to go.
+        std::fs::remove_file(&path).unwrap();
         assert!(w.finish().is_err());
     }
 
     #[cfg(target_os = "linux")]
     #[test]
-    fn open_spilled_rejects_corrupt_metadata() {
-        let dir = spill_dir("corrupt");
-        let spilled = batch_fixture().spill_to(&dir).unwrap();
-        drop(spilled);
-        let meta = dir.join(ARENA_META_FILE);
-        let mut bytes = std::fs::read(&meta).unwrap();
+    fn open_spilled_rejects_a_corrupt_file() {
+        let path = spill_file("corrupt");
+        drop(batch_fixture().spill_to(&path).unwrap());
+        let good = std::fs::read(&path).unwrap();
+        let reopen = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            ShfStore::open_spilled(&path)
+        };
+        let mut bytes = good.clone();
         bytes[0] ^= 0xFF;
-        std::fs::write(&meta, &bytes).unwrap();
-        assert!(ShfStore::open_spilled(&dir).is_err());
-        bytes[0] ^= 0xFF;
-        bytes.truncate(bytes.len() - 2);
-        std::fs::write(&meta, &bytes).unwrap();
-        assert!(ShfStore::open_spilled(&dir).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(matches!(reopen(&bytes), Err(DecodeError::BadMagic { .. })));
+        // A card above the width (320 bits).
+        let mut bytes = good.clone();
+        bytes[32..36].copy_from_slice(&321u32.to_le_bytes());
+        assert!(matches!(reopen(&bytes), Err(DecodeError::Corrupt(_))));
+        // Rows cut short, or a word too many.
+        assert!(matches!(
+            reopen(&good[..good.len() - 8]),
+            Err(DecodeError::Io(_))
+        ));
+        let mut bytes = good.clone();
+        bytes.extend_from_slice(&[0; 8]);
+        assert!(matches!(reopen(&bytes), Err(DecodeError::Io(_))));
+        // Truncated inside the head.
+        assert!(matches!(reopen(&good[..40]), Err(DecodeError::Io(_))));
+        assert!(reopen(&good).is_ok());
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -247,7 +247,7 @@ proptest! {
         let scratch = params.fingerprint_store(&ProfileStore::from_item_lists(lists.clone()));
         for threads in [1usize, 4] {
             let mut grown = base.clone();
-            Pool::new(threads).install(|| grown.apply_deltas(&deltas, params.hasher()));
+            Pool::new(threads).install(|| grown.apply_deltas(&deltas));
             for u in 0..lists.len() as u32 {
                 prop_assert_eq!(
                     grown.fingerprint_words(u),

@@ -28,10 +28,11 @@ fn fixture(n: usize) -> ProfileStore {
     ProfileStore::from_item_lists(lists)
 }
 
-fn spill_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gf-spillprop-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn spill_file(name: &str) -> PathBuf {
+    let path =
+        std::env::temp_dir().join(format!("gf-spillprop-{name}-{}.store", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
 }
 
 fn digest_store(store: &ShfStore) -> u64 {
@@ -59,8 +60,8 @@ fn spilled_stores_match_heap_stores_across_thread_counts() {
     for threads in [1usize, 4] {
         let heap = Pool::new(threads).install(|| params.fingerprint_store(&profiles));
         assert_eq!(heap.backend_kind(), "heap");
-        let dir = spill_dir(&format!("t{threads}"));
-        let spilled = heap.spill_to(&dir).unwrap();
+        let path = spill_file(&format!("t{threads}"));
+        let spilled = heap.spill_to(&path).unwrap();
         assert_eq!(spilled.backend_kind(), "mmap");
         assert!(spilled.is_spilled());
         digests.push(digest_store(&heap));
@@ -68,9 +69,9 @@ fn spilled_stores_match_heap_stores_across_thread_counts() {
 
         // The sealed on-disk form must reopen to the same digest too.
         drop(spilled);
-        let reopened = ShfStore::open_spilled(&dir).unwrap();
+        let reopened = ShfStore::open_spilled(&path).unwrap();
         digests.push(digest_store(&reopened));
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
@@ -83,8 +84,8 @@ fn every_available_kernel_reads_both_backends_identically() {
     let profiles = fixture(150);
     let params = ShfParams::new(256, DynHasher::new(HasherKind::Jenkins, 42));
     let heap = params.fingerprint_store(&profiles);
-    let dir = spill_dir("kernels");
-    let spilled = heap.spill_to(&dir).unwrap();
+    let path = spill_file("kernels");
+    let spilled = heap.spill_to(&path).unwrap();
 
     let n = heap.len() as u32;
     let ids: Vec<u32> = (0..n).rev().collect(); // gather in scrambled order
@@ -123,7 +124,7 @@ fn every_available_kernel_reads_both_backends_identically() {
     spilled.estimate_batch(5, &ids, &mut spill_sims, jaccard_from_counts);
     assert_eq!(heap_sims, spill_sims);
     drop(spilled);
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -131,12 +132,12 @@ fn advising_cold_does_not_change_spilled_contents() {
     let profiles = fixture(80);
     let params = ShfParams::new(128, DynHasher::default());
     let heap = params.fingerprint_store(&profiles);
-    let dir = spill_dir("cold");
-    let spilled = heap.spill_to(&dir).unwrap();
+    let path = spill_file("cold");
+    let spilled = heap.spill_to(&path).unwrap();
     let before = digest_store(&spilled);
     // Evict everything, then fault it back in by re-reading.
     spilled.advise_cold_rows(0, spilled.len()).unwrap();
     assert_eq!(digest_store(&spilled), before);
     drop(spilled);
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_file(&path).unwrap();
 }

@@ -34,7 +34,6 @@
 
 use crate::load::{LoadError, RatingsFormat, TripleReader};
 use crate::model::{BINARIZE_THRESHOLD, MIN_RATINGS_PER_USER};
-use goldfinger_core::hash::ItemHasher;
 use goldfinger_core::shf::{ShfParams, ShfStore, ShfStreamWriter};
 use std::collections::HashMap;
 use std::fs::File;
@@ -87,39 +86,39 @@ pub struct StreamSummary {
 /// result is bit-identical to
 /// `load(path).filter_min_ratings(min).binarize(threshold)` followed by
 /// `params.fingerprint_store(..)`.
-pub fn stream_fingerprint<H: ItemHasher>(
+pub fn stream_fingerprint(
     path: impl AsRef<Path>,
     format: RatingsFormat,
-    params: &ShfParams<H>,
+    params: &ShfParams,
     cfg: &StreamConfig,
 ) -> Result<(ShfStore, StreamSummary), LoadError> {
     stream_fingerprint_inner(path.as_ref(), format, params, cfg, None)
 }
 
 /// [`stream_fingerprint`] with the arena **spilled**: fingerprint rows go
-/// straight into a memory-mapped file under `spill_dir` instead of the
-/// heap, so ingesting a dataset whose fingerprints exceed RAM stays
-/// bounded — the kernel writes cold arena pages back as the build
-/// proceeds. The finished store is sealed on disk
-/// ([`ShfStore::open_spilled`] reopens it) and bit-identical to the heap
-/// path. Linux only; elsewhere the spill request fails with
-/// `Unsupported` rather than silently falling back.
-pub fn stream_fingerprint_spilled<H: ItemHasher>(
+/// straight into the mapped rows of the store file `out` (see
+/// [`goldfinger_core::serial`]) instead of the heap, so ingesting a
+/// dataset whose fingerprints exceed RAM stays bounded — the kernel writes
+/// cold arena pages back as the build proceeds. The finished file is
+/// sealed ([`ShfStore::open_spilled`] reopens it) and holds the store
+/// bit-identical to the heap path. Linux only; elsewhere the spill
+/// request fails with `Unsupported` rather than silently falling back.
+pub fn stream_fingerprint_spilled(
     path: impl AsRef<Path>,
     format: RatingsFormat,
-    params: &ShfParams<H>,
+    params: &ShfParams,
     cfg: &StreamConfig,
-    spill_dir: impl AsRef<Path>,
+    out: impl AsRef<Path>,
 ) -> Result<(ShfStore, StreamSummary), LoadError> {
-    stream_fingerprint_inner(path.as_ref(), format, params, cfg, Some(spill_dir.as_ref()))
+    stream_fingerprint_inner(path.as_ref(), format, params, cfg, Some(out.as_ref()))
 }
 
-fn stream_fingerprint_inner<H: ItemHasher>(
+fn stream_fingerprint_inner(
     path: &Path,
     format: RatingsFormat,
-    params: &ShfParams<H>,
+    params: &ShfParams,
     cfg: &StreamConfig,
-    spill_dir: Option<&Path>,
+    out: Option<&Path>,
 ) -> Result<(ShfStore, StreamSummary), LoadError> {
     // Pass 1: intern ids in first-seen order, count ratings per user.
     let mut users: HashMap<u64, u32> = HashMap::new();
@@ -153,10 +152,11 @@ fn stream_fingerprint_inner<H: ItemHasher>(
 
     // Pass 2: batch the positive associations of kept users into the
     // pool-parallel arena writer (heap or spilled, same row layout).
-    let mut writer = match spill_dir {
-        Some(dir) => ShfStreamWriter::new_spilled(params.bits(), kept as usize, dir)
-            .map_err(LoadError::Io)?,
-        None => ShfStreamWriter::new(params.bits(), kept as usize),
+    let mut writer = match out {
+        Some(file) => {
+            ShfStreamWriter::new_spilled(*params, kept as usize, file).map_err(LoadError::Io)?
+        }
+        None => ShfStreamWriter::new(*params, kept as usize),
     };
     let mut batch: Vec<(u32, u32)> = Vec::with_capacity(cfg.batch.max(1));
     let mut n_positive = 0usize;
@@ -167,12 +167,12 @@ fn stream_fingerprint_inner<H: ItemHasher>(
             batch.push((row, items[&i]));
             n_positive += 1;
             if batch.len() >= cfg.batch.max(1) {
-                writer.ingest_batch(&batch, params.hasher());
+                writer.ingest_batch(&batch);
                 batch.clear();
             }
         }
     }
-    writer.ingest_batch(&batch, params.hasher());
+    writer.ingest_batch(&batch);
 
     Ok((
         writer.finish()?,
@@ -254,15 +254,14 @@ mod tests {
             }
         }
         let path = write_fixture(&content);
-        let dir = std::env::temp_dir().join(format!("gf-stream-spill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let file = std::env::temp_dir().join(format!("gf-stream-{}.store", std::process::id()));
         let params = ShfParams::new(128, DynHasher::default());
         let cfg = StreamConfig {
             min_ratings: 5,
             ..StreamConfig::default()
         };
         let (spilled, summary) =
-            stream_fingerprint_spilled(&path, RatingsFormat::MovielensDat, &params, &cfg, &dir)
+            stream_fingerprint_spilled(&path, RatingsFormat::MovielensDat, &params, &cfg, &file)
                 .unwrap();
         let (heap, _) =
             stream_fingerprint(&path, RatingsFormat::MovielensDat, &params, &cfg).unwrap();
@@ -273,13 +272,15 @@ mod tests {
             assert_eq!(spilled.fingerprint_words(u), heap.fingerprint_words(u));
             assert_eq!(spilled.cardinality(u), heap.cardinality(u));
         }
-        // The sealed on-disk form reopens as the same store.
+        // The sealed file reopens as the same store, hasher included.
         drop(spilled);
-        let reopened = goldfinger_core::shf::ShfStore::open_spilled(&dir).unwrap();
+        let reopened = goldfinger_core::shf::ShfStore::open_spilled(&file).unwrap();
+        assert_eq!(reopened.params(), &params);
         for u in 0..heap.len() as u32 {
             assert_eq!(reopened.fingerprint_words(u), heap.fingerprint_words(u));
         }
-        std::fs::remove_dir_all(&dir).unwrap();
+        drop(reopened);
+        std::fs::remove_file(&file).unwrap();
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub(crate) fn write_keys(items: &[u32], seed: u64, slots: &mut [u64]) {
 /// when one is given, on the heap otherwise.
 pub(crate) fn arena(spill_dir: Option<&Path>, name: &str, len: usize) -> io::Result<ArenaBackend> {
     match spill_dir {
-        Some(dir) => ArenaBackend::spill(&dir.join(name), len),
+        Some(dir) => ArenaBackend::spill(&dir.join(name), 0, len, true),
         None => Ok(ArenaBackend::heap(len)),
     }
 }

@@ -43,7 +43,6 @@ use crate::csr::{read_segment, Segment, SegmentWriter};
 use crate::graph::{CsrBuilder, KnnGraph};
 use crate::lsh::{arena, write_keys, BucketIndex};
 use crate::userscan::UserScan;
-use goldfinger_core::hash::ItemHasher;
 use goldfinger_core::parallel::par_fill_users;
 use goldfinger_core::pool::Pool;
 use goldfinger_core::profile::ProfileSource;
@@ -182,9 +181,9 @@ impl Drop for PhaseClock<'_> {
 
 /// Phase 1+2: stream profiles into a (possibly spilled) fingerprint store
 /// and per-user key arena, then sort the per-table bucket runs.
-fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
+fn prepare<P: ProfileSource + ?Sized>(
     source: &P,
-    params: &ShfParams<H>,
+    params: &ShfParams,
     cfg: &OocConfig,
     threads: usize,
     stats: &mut OocStats,
@@ -198,9 +197,9 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
     let clock = PhaseClock::start(&mut stats.fingerprint_wall, "ooc_fingerprint", n as u64);
     std::fs::create_dir_all(&cfg.spill_dir)?;
     let mut writer = if cfg.spill {
-        ShfStreamWriter::new_spilled(params.bits(), n, &cfg.spill_dir)?
+        ShfStreamWriter::new_spilled(*params, n, &cfg.spill_dir.join("fingerprints.store"))?
     } else {
-        ShfStreamWriter::new(params.bits(), n)
+        ShfStreamWriter::new(*params, n)
     };
     let mut keys = arena(spill_dir, "keys.words", n * tables)?;
     stats.associations = par_fill_users(
@@ -214,7 +213,7 @@ fn prepare<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
         |(rows, keys), row, items| {
             write_keys(items, cfg.seed, &mut keys[row * tables..][..tables]);
             for &it in items {
-                rows.insert(row, it, params.hasher());
+                rows.insert(row, it);
             }
         },
     );
@@ -296,9 +295,9 @@ impl<W: Write> Stitch for SegmentWriter<W> {
 /// Runs the four phases; the stitch replays the segments into the sink
 /// `open(n)` makes for the population of `n` users. Shared by [`build`]
 /// and [`build_to_disk`].
-fn run<P: ProfileSource + ?Sized, H: ItemHasher + Sync, S: Stitch>(
+fn run<P: ProfileSource + ?Sized, S: Stitch>(
     source: &P,
-    params: &ShfParams<H>,
+    params: &ShfParams,
     cfg: &OocConfig,
     open: impl FnOnce(u64) -> io::Result<S>,
 ) -> io::Result<(S::Graph, OocStats)> {
@@ -375,9 +374,9 @@ fn run<P: ProfileSource + ?Sized, H: ItemHasher + Sync, S: Stitch>(
 ///
 /// # Panics
 /// Panics if `k == 0` or `tables == 0`.
-pub fn build<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
+pub fn build<P: ProfileSource + ?Sized>(
     source: &P,
-    params: &ShfParams<H>,
+    params: &ShfParams,
     cfg: &OocConfig,
 ) -> io::Result<(KnnGraph, OocStats)> {
     run(source, params, cfg, |n| {
@@ -397,9 +396,9 @@ pub fn build<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
 ///
 /// # Panics
 /// Panics if `k == 0` or `tables == 0`.
-pub fn build_to_disk<P: ProfileSource + ?Sized, H: ItemHasher + Sync>(
+pub fn build_to_disk<P: ProfileSource + ?Sized>(
     source: &P,
-    params: &ShfParams<H>,
+    params: &ShfParams,
     cfg: &OocConfig,
     out: &Path,
 ) -> io::Result<OocStats> {

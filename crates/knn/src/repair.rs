@@ -32,7 +32,7 @@
 
 use crate::graph::KnnGraph;
 use crate::neighborlist::{outranks, NeighborList};
-use goldfinger_core::hash::{splitmix64_mix, ItemHasher};
+use goldfinger_core::hash::splitmix64_mix;
 use goldfinger_core::shf::ShfStore;
 use goldfinger_core::similarity::{ShfJaccard, Similarity};
 use goldfinger_core::topk::{Scored, TopK};
@@ -152,15 +152,11 @@ impl RepairGraph {
     }
 
     /// Applies a whole drain batch of `(user, items)` deltas to the arena
-    /// in batch order (delta fingerprinting: `ShfStore::apply_deltas`) and
-    /// returns the total bits newly set. Neighbour lists are untouched
-    /// until the users are repaired.
-    pub fn apply_updates<H: ItemHasher + Sync>(
-        &mut self,
-        deltas: &[(u32, Vec<u32>)],
-        hasher: &H,
-    ) -> u32 {
-        self.store.apply_deltas(deltas, hasher)
+    /// in batch order (delta fingerprinting with the store's own hasher:
+    /// `ShfStore::apply_deltas`) and returns the total bits newly set.
+    /// Neighbour lists are untouched until the users are repaired.
+    pub fn apply_updates(&mut self, deltas: &[(u32, Vec<u32>)]) -> u32 {
+        self.store.apply_deltas(deltas)
     }
 
     /// Returns the repair counter for `u` and advances it — one call per
@@ -328,7 +324,7 @@ mod tests {
     use goldfinger_core::profile::ProfileStore;
     use goldfinger_core::shf::ShfParams;
 
-    fn fixture(clusters: u32) -> (KnnGraph, ShfStore, ShfParams<DynHasher>) {
+    fn fixture(clusters: u32) -> (KnnGraph, ShfStore) {
         let mut lists = Vec::new();
         for c in 0..clusters {
             for u in 0..6u32 {
@@ -338,12 +334,12 @@ mod tests {
                 lists.push(items);
             }
         }
-        let params = ShfParams::new(1024, DynHasher::default());
-        let store = params.fingerprint_store(&ProfileStore::from_item_lists(lists));
+        let store = ShfParams::new(1024, DynHasher::default())
+            .fingerprint_store(&ProfileStore::from_item_lists(lists));
         let graph = BruteForce::default()
             .build(&ShfJaccard::new(&store), 3)
             .graph;
-        (graph, store, params)
+        (graph, store)
     }
 
     fn rev_invariant(set: &RepairGraph) {
@@ -374,13 +370,13 @@ mod tests {
     }
 
     /// Folds `items` into `u`'s fingerprint.
-    fn update(set: &mut RepairGraph, params: &ShfParams<DynHasher>, u: u32, items: &[u32]) -> u32 {
-        set.apply_updates(&[(u, items.to_vec())], params.hasher())
+    fn update(set: &mut RepairGraph, u: u32, items: &[u32]) -> u32 {
+        set.apply_updates(&[(u, items.to_vec())])
     }
 
     #[test]
     fn new_preserves_the_graph_and_copies_the_store() {
-        let (graph, store, _) = fixture(3); // 18 users
+        let (graph, store) = fixture(3); // 18 users
         let set = RepairGraph::new(&graph, &store);
         assert_eq!((set.n_users(), set.k()), (18, 3));
         assert_eq!(set.store.arena_words(), store.arena_words());
@@ -393,7 +389,7 @@ mod tests {
 
     #[test]
     fn reverse_index_tracks_probed_repairs_of_every_user() {
-        let (graph, store, _) = fixture(2);
+        let (graph, store) = fixture(2);
         let mut set = RepairGraph::new(&graph, &store);
         for u in 0..set.n_users() as u32 {
             repair(&mut set, u, 3, 99);
@@ -410,7 +406,7 @@ mod tests {
         // repairs read the maintained reverse index, never all n lists.
         let mut costs = Vec::new();
         for clusters in [2u32, 20] {
-            let (graph, store, _) = fixture(clusters);
+            let (graph, store) = fixture(clusters);
             // Sanity: the exact graph keeps user 0 inside its own cluster,
             // so the candidate set cannot grow with the cluster count.
             assert!(graph.neighbors(0).iter().all(|s| s.user < 6));
@@ -427,10 +423,10 @@ mod tests {
 
     #[test]
     fn rescored_sims_follow_a_fingerprint_delta() {
-        let (graph, store, params) = fixture(2);
+        let (graph, store) = fixture(2);
         let mut set = RepairGraph::new(&graph, &store);
         // Fold cluster B's items into user 0's fingerprint incrementally.
-        assert!(update(&mut set, &params, 0, &(1000..1015).collect::<Vec<_>>()) > 0);
+        assert!(update(&mut set, 0, &(1000..1015).collect::<Vec<_>>()) > 0);
         repair(&mut set, 0, 0, 0);
         // The candidate set only covers the old neighbourhood, but every
         // stored similarity involving user 0 — on its own list and on the
@@ -458,7 +454,7 @@ mod tests {
         // End to end: two plans of one user over the same frozen graph
         // share the candidate set, so their scored users differ only
         // through the probes the counter selects.
-        let (graph, store, _) = fixture(20);
+        let (graph, store) = fixture(20);
         let set = RepairGraph::new(&graph, &store);
         let scored = |counter| set.plan_repair(0, counter, 4, 7).candidates;
         assert_ne!(
@@ -474,7 +470,7 @@ mod tests {
         // similarity collapses, the entry must be updated in place (and
         // become evictable), not removed-and-reinserted as if it were a
         // winning fresh offer.
-        let (graph, store, params) = fixture(2);
+        let (graph, store) = fixture(2);
         let mut set = RepairGraph::new(&graph, &store);
         let lists =
             |set: &RepairGraph, v: u32, w: u32| set.neighbors(v).iter().any(|s| s.user == w);
@@ -483,7 +479,7 @@ mod tests {
             .expect("a cluster-A user lists user 0");
 
         // User 0's fingerprint floods with alien items: sim(0, A) ≈ 0.
-        update(&mut set, &params, 0, &(50_000..52_000).collect::<Vec<_>>());
+        update(&mut set, 0, &(50_000..52_000).collect::<Vec<_>>());
         repair(&mut set, 0, 0, 0);
         rev_invariant(&set);
         // In place: still a member (nothing displaced it yet), but at the
@@ -515,12 +511,12 @@ mod tests {
 
     #[test]
     fn apply_updates_tracks_dirty_users_and_fingerprints() {
-        let (graph, store, params) = fixture(2);
+        let (graph, store) = fixture(2);
         let mut set = RepairGraph::new(&graph, &store);
         assert!(set.take_dirty().is_empty(), "clean at rest");
         // Fold new items into user 9's fingerprint.
         let before = sim(&set, 9, 0);
-        assert!(update(&mut set, &params, 9, &(0..15).collect::<Vec<_>>()) > 0);
+        assert!(update(&mut set, 9, &(0..15).collect::<Vec<_>>()) > 0);
         assert!(sim(&set, 9, 0) > before, "update did not move similarity");
         // The caller's store is a separate copy and stays as it was.
         assert_eq!(ShfJaccard::new(&store).similarity(9, 0), before);

@@ -39,7 +39,7 @@
 
 use crate::graph::KnnGraph;
 use crate::repair::{Repair, RepairGraph};
-use goldfinger_core::hash::{splitmix64_mix, ItemHasher};
+use goldfinger_core::hash::{splitmix64_mix, DynHasher};
 use goldfinger_core::parallel::par_map_indexed;
 use goldfinger_core::shf::ShfStore;
 use goldfinger_core::topk::Scored;
@@ -248,9 +248,8 @@ impl ServiceSnapshot {
 
 /// Writer-side state, guarded by one mutex: the graph and the update
 /// queue. Readers never touch this — they go through the snapshot.
-struct Writer<H> {
+struct Writer {
     graph: RepairGraph,
-    hasher: H,
     /// Queued `(user, items)` profile updates, in op order.
     queue: Vec<(u32, Vec<u32>)>,
     /// Each queued update's enqueue time (for update latency: enqueue →
@@ -315,27 +314,37 @@ impl Instruments {
 /// assert_eq!(svc.snapshot().epoch(), 1);
 /// assert_ne!(svc.lookup(2).unwrap(), before);    // rescored neighbourhood
 /// ```
-pub struct KnnService<H: ItemHasher> {
+pub struct KnnService {
     cfg: ServeConfig,
-    writer: Mutex<Writer<H>>,
+    writer: Mutex<Writer>,
     snapshot: RwLock<Arc<ServiceSnapshot>>,
     /// Published epoch, readable without the snapshot lock.
     epoch: AtomicU64,
     metrics: Instruments,
 }
 
-impl<H: ItemHasher> KnnService<H> {
+impl KnnService {
     /// Builds the service from an initial graph and its fingerprint
     /// store, which it copies once (see [`RepairGraph::new`]), and
-    /// publishes epoch 0. Metrics are registered under `serve.*` in
-    /// `registry`.
+    /// publishes epoch 0. Updates are folded with the store's own hasher;
+    /// `hasher` must be that hasher. Metrics are registered under
+    /// `serve.*` in `registry`.
+    ///
+    /// # Panics
+    /// Panics if `hasher` is not the store's, or as [`RepairGraph::new`]
+    /// does.
     pub fn new(
         graph: &KnnGraph,
         store: &ShfStore,
-        hasher: H,
+        hasher: DynHasher,
         cfg: ServeConfig,
         registry: &Registry,
     ) -> Self {
+        assert_eq!(
+            &hasher,
+            store.params().hasher(),
+            "the service hasher differs from the store's"
+        );
         let graph = RepairGraph::new(graph, store);
         let n = graph.n_users();
         let built = par_map_indexed(n.div_ceil(PAGE), cfg.threads, |p| {
@@ -355,7 +364,6 @@ impl<H: ItemHasher> KnnService<H> {
             cfg,
             writer: Mutex::new(Writer {
                 graph,
-                hasher,
                 queue: Vec::new(),
                 enqueued: Vec::new(),
             }),
@@ -420,12 +428,12 @@ impl<H: ItemHasher> KnnService<H> {
 
     /// The five-phase batched drain. Runs under the writer lock; only
     /// phase 5's pointer swap touches the reader path.
-    fn drain(&self, w: &mut Writer<H>) {
+    fn drain(&self, w: &mut Writer) {
         let _drain = trace::span_arg("serve", "drain", w.queue.len() as u64);
         let threads = self.cfg.threads;
         let queue = std::mem::take(&mut w.queue);
         let enqueued = std::mem::take(&mut w.enqueued);
-        let Writer { graph, hasher, .. } = w;
+        let Writer { graph, .. } = w;
         let mut dirty_users: Vec<u32> = queue.iter().map(|&(u, _)| u).collect();
         dirty_users.sort_unstable();
         dirty_users.dedup();
@@ -433,7 +441,7 @@ impl<H: ItemHasher> KnnService<H> {
         // Phase 1: fold the batch into the arena in op order (delta
         // fingerprinting; no whole-user refingerprint ever happens here).
         let apply_trace = trace::span_arg("serve", "apply_updates", queue.len() as u64);
-        graph.apply_updates(&queue, hasher);
+        graph.apply_updates(&queue);
         drop(apply_trace);
 
         // Phase 2: one repair per dirty user; the counter selects this
@@ -569,10 +577,7 @@ pub struct ReplayOutcome {
 /// consumed one at a time, so callers can feed a lazy generator
 /// ([`synth_op_stream`]) or a file reader ([`crate::oplog::OpLogReader`])
 /// without ever materializing the log.
-pub fn replay_stream<H: ItemHasher>(
-    svc: &KnnService<H>,
-    ops: impl IntoIterator<Item = Op>,
-) -> ReplayOutcome {
+pub fn replay_stream(svc: &KnnService, ops: impl IntoIterator<Item = Op>) -> ReplayOutcome {
     let mut lookup_digest = FNV_OFFSET;
     let (mut lookups, mut updates) = (0u64, 0u64);
     for op in ops {
@@ -605,7 +610,7 @@ pub fn replay_stream<H: ItemHasher>(
 }
 
 /// Replays a materialized op log (clones each op into [`replay_stream`]).
-pub fn replay<H: ItemHasher>(svc: &KnnService<H>, ops: &[Op]) -> ReplayOutcome {
+pub fn replay(svc: &KnnService, ops: &[Op]) -> ReplayOutcome {
     replay_stream(svc, ops.iter().cloned())
 }
 
@@ -620,7 +625,7 @@ mod tests {
     use goldfinger_core::similarity::ShfJaccard;
     use proptest::prelude::*;
 
-    fn service(batch: usize, threads: usize) -> KnnService<DynHasher> {
+    fn service(batch: usize, threads: usize) -> KnnService {
         let cfg = ServeConfig {
             batch,
             probes: 3,
@@ -633,7 +638,7 @@ mod tests {
 
     /// A service over `users` users in clusters of 8 (a cluster shares
     /// 12 items, each user adds one private item), k = 4.
-    fn clustered_service(users: u32, cfg: ServeConfig) -> KnnService<DynHasher> {
+    fn clustered_service(users: u32, cfg: ServeConfig) -> KnnService {
         let lists: Vec<Vec<u32>> = (0..users)
             .map(|u| {
                 let base = (u / 8) * 500;
@@ -725,7 +730,7 @@ mod tests {
     /// After a drain: the snapshot verifies, serves exactly the writer's
     /// lists, and its incrementally kept digest equals a from-scratch sum
     /// over those lists.
-    fn check_published(svc: &KnnService<DynHasher>) {
+    fn check_published(svc: &KnnService) {
         let snap = svc.snapshot();
         prop_assert!(snap.verify());
         let w = svc.writer.lock().unwrap();
@@ -831,6 +836,27 @@ mod tests {
         let serial = replay(&service(16, 1), &ops);
         let pooled = replay(&service(16, 4), &ops);
         assert_eq!(serial, pooled, "thread count leaked into the graph");
+    }
+
+    #[test]
+    #[should_panic(expected = "the service hasher differs from the store's")]
+    fn a_hasher_other_than_the_stores_is_refused() {
+        use goldfinger_core::hash::HasherKind;
+        let lists: Vec<Vec<u32>> = (0..6u32).map(|u| vec![u, u + 1]).collect();
+        let store = ShfParams::new(128, DynHasher::new(HasherKind::Jenkins, 1))
+            .fingerprint_store(&ProfileStore::from_item_lists(lists));
+        let graph = BruteForce::default()
+            .build(&ShfJaccard::new(&store), 2)
+            .graph;
+        // Same kind, other seed: the bits an update would set differ.
+        let other = DynHasher::new(HasherKind::Jenkins, 2);
+        KnnService::new(
+            &graph,
+            &store,
+            other,
+            ServeConfig::default(),
+            &Registry::new(),
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn fixture(users: u32) -> (KnnGraph, ShfStore, ShfParams<DynHasher>) {
     (graph, store, params)
 }
 
-fn service(cfg: ServeConfig) -> KnnService<DynHasher> {
+fn service(cfg: ServeConfig) -> KnnService {
     let (graph, store, params) = fixture(60);
     KnnService::new(&graph, &store, *params.hasher(), cfg, &Registry::new())
 }

@@ -69,7 +69,7 @@ fn main() {
     // cardinality. Applied here to a local copy for the reference rebuild;
     // the service applies the same delta to its own arena.
     let t0 = Instant::now();
-    let fresh_bits = fingerprints.apply_delta(0, &new_items, params.hasher());
+    let fresh_bits = fingerprints.apply_delta(0, &new_items);
     println!(
         "fingerprint delta: {:?} ({fresh_bits} new bits, no re-fingerprinting)",
         t0.elapsed()

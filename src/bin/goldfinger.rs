@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! goldfinger stats       --synth ml1m [--scale 0.1]
-//! goldfinger fingerprint --synth ml1m --bits 1024 --out fp.gfs
+//! goldfinger fingerprint --synth ml1m --bits 1024 --out fp.store
 //! goldfinger knn         --synth ml1m --algo hyrec --k 30 [--goldfinger] --out graph.gfg
 //! goldfinger recommend   --synth ml1m --algo brute --k 30 --user 0 --n 10
 //! goldfinger privacy     --items 171356 --bits 1024 --cardinality 56
@@ -81,11 +81,12 @@ fn usage() -> &'static str {
        --seed N                                   RNG seed (default 42)\n\
      \n\
      generate:    --out FILE [--format dat|csv|edges]   export the synthetic dataset\n\
-     fingerprint: --bits B (default 1024)  --out FILE (GFS1 format)\n\
+     fingerprint: --bits B (default 1024)\n\
+                  --out FILE  write the store file (width, hasher, rows)\n\
                   --stream   two-pass streaming ingestion straight from\n\
                              --ratings FILE (bounded memory, bit-identical)\n\
                   --spill DIR   with --stream: write arena rows straight\n\
-                                into a sealed on-disk store under DIR\n\
+                                into the store file DIR/fingerprints.store\n\
      knn:         --algo brute|hyrec|nndescent|lsh|kiff|cluster (default brute)\n\
                   --k K (default 30)  --goldfinger [--bits B]  --out FILE (GFCS)\n\
      build:       sharded out-of-core GoldFinger LSH build (spill-to-disk),\n\
@@ -271,18 +272,26 @@ fn run() -> Result<(), String> {
                     other => return Err(format!("unknown --format {other:?} (dat|csv|edges)")),
                 };
                 let cfg = goldfinger::datasets::StreamConfig::default();
-                let (store, summary) = match cli.get("spill") {
-                    // Arena rows land in a sealed on-disk store under DIR
-                    // instead of the heap (Linux mmap backend).
-                    Some(dir) => goldfinger::datasets::stream_fingerprint_spilled(
-                        path, format, &params, &cfg, dir,
+                // With --spill, arena rows land in a store file under DIR
+                // instead of the heap (Linux mmap backend).
+                let spill = match cli.get("spill") {
+                    Some(dir) => {
+                        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
+                        Some(std::path::Path::new(dir).join("fingerprints.store"))
+                    }
+                    None => None,
+                };
+                let (store, summary) = match &spill {
+                    Some(file) => goldfinger::datasets::stream_fingerprint_spilled(
+                        path, format, &params, &cfg, file,
                     ),
                     None => goldfinger::datasets::stream_fingerprint(path, format, &params, &cfg),
                 }
                 .map_err(|e| format!("streaming {path}: {e}"))?;
-                if let Some(dir) = cli.get("spill") {
+                if let Some(file) = &spill {
                     println!(
-                        "spilled arena: {dir}/arena.words ({})",
+                        "spilled store: {} ({})",
+                        file.display(),
                         store.backend_kind()
                     );
                 }
@@ -304,12 +313,14 @@ fn run() -> Result<(), String> {
                 "fingerprinted {} profiles into {bits}-bit SHFs in {:?} ({} bytes/user)",
                 store.len(),
                 t0.elapsed(),
-                bits / 8 + 4
+                store.words_per_fingerprint() * 8 + 4
             );
             if let Some(out) = cli.get("out") {
-                let mut file =
-                    std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
-                goldfinger::core::serial::write_shf_store(&store, &mut file)
+                let mut file = std::io::BufWriter::new(
+                    std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
+                );
+                goldfinger::core::serial::write_store(&store, &mut file)
+                    .and_then(|()| std::io::Write::flush(&mut file))
                     .map_err(|e| format!("writing {out}: {e}"))?;
                 println!("wrote {out}");
             }

@@ -133,11 +133,28 @@ fn build_out_writes_a_loadable_graph() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Reopens a store file by reading and, on Linux, by mapping; both must
+/// agree.
+fn reopen_store(path: &std::path::Path) -> goldfinger::core::shf::ShfStore {
+    let bytes = std::fs::read(path).unwrap();
+    let store = goldfinger::core::serial::read_store(&mut bytes.as_slice()).unwrap();
+    #[cfg(target_os = "linux")]
+    {
+        let mapped = goldfinger::core::shf::ShfStore::open_spilled(path).unwrap();
+        assert_eq!(mapped.params(), store.params());
+        assert_eq!(mapped.arena_words(), store.arena_words());
+        for u in 0..store.len() as u32 {
+            assert_eq!(mapped.cardinality(u), store.cardinality(u));
+        }
+    }
+    store
+}
+
 #[test]
 fn fingerprint_writes_a_valid_store() {
-    let dir = std::env::temp_dir().join("goldfinger-cli-test");
+    let dir = std::env::temp_dir().join(format!("goldfinger-cli-fp-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("fp.gfs");
+    let path = dir.join("fp.store");
     let out = goldfinger(&[
         "fingerprint",
         "--synth",
@@ -145,7 +162,7 @@ fn fingerprint_writes_a_valid_store() {
         "--scale",
         "0.01",
         "--bits",
-        "256",
+        "100",
         "--out",
         path.to_str().unwrap(),
     ]);
@@ -154,10 +171,70 @@ fn fingerprint_writes_a_valid_store() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let bytes = std::fs::read(&path).unwrap();
-    let store = goldfinger::core::serial::read_shf_store(&mut bytes.as_slice()).unwrap();
-    assert_eq!(store.width(), 256);
+    // 100 bits take two words per row: 16 + 4 bytes per user.
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(20 bytes/user)"));
+    let store = reopen_store(&path);
+    assert_eq!(store.width(), 100);
+    // The file records the hasher: the CLI's default Jenkins, seed 0.
+    let hasher = store.params().hasher();
+    assert_eq!(hasher.kind(), goldfinger::core::hash::HasherKind::Jenkins);
+    assert_eq!(hasher.seed(), 0);
     assert!(store.len() > 10);
+
+    // A streamed, spilled store is the same file as the in-memory path's.
+    let ratings = dir.join("ratings.dat");
+    let spill = dir.join("spill");
+    let ratings_args = ["--ratings", ratings.to_str().unwrap(), "--format", "dat"];
+    for args in [
+        vec![
+            "generate",
+            "--synth",
+            "ml1m",
+            "--scale",
+            "0.02",
+            "--out",
+            ratings.to_str().unwrap(),
+        ],
+        [
+            &[
+                "fingerprint",
+                "--bits",
+                "256",
+                "--out",
+                path.to_str().unwrap(),
+            ],
+            &ratings_args[..],
+        ]
+        .concat(),
+        [
+            &[
+                "fingerprint",
+                "--bits",
+                "256",
+                "--stream",
+                "--spill",
+                spill.to_str().unwrap(),
+            ],
+            &ratings_args[..],
+        ]
+        .concat(),
+    ] {
+        let out = goldfinger(&args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let spilled = spill.join("fingerprints.store");
+    let streamed = reopen_store(&spilled);
+    assert_eq!(streamed.width(), 256);
+    assert!(streamed.len() > 10);
+    assert_eq!(
+        std::fs::read(&spilled).unwrap(),
+        std::fs::read(&path).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
